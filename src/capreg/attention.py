@@ -1,10 +1,10 @@
-"""Semantic attention: context vectors computed from the annotation set, the
-previous decoder state, and the embedding of the previously generated word.
+"""Semantic attention: context vectors computed from the annotation set and
+the embedding of the previously generated word.
 
-Scoring runs a one-hidden-layer MLP over each annotation vector with the
-previous word embedding mixed into the hidden layer and the previous decoder
-state added through a separate linear term. The hidden layer uses tanh by
-default; a purely linear variant is available via ``hidden_nonlinearity``.
+Scoring runs a one-hidden-layer tanh MLP over each annotation vector with
+the previous word embedding mixed into the hidden layer. The decoder state
+does not enter the scores: a term shared by every annotation cancels in the
+softmax, so conditioning on the state would have to go inside the tanh.
 """
 
 from __future__ import annotations
@@ -21,35 +21,27 @@ from .autodiff import Tensor
 class AttentionParams:
     """Trainable weights of the scoring MLP.
 
-    Dimensions: D = annotation dim, d = word embedding dim, hidden = decoder
-    state size, k = MLP hidden width.
+    Dimensions: D = annotation dim, d = word embedding dim, k = MLP hidden
+    width.
     """
 
     w_hidden_annot: Tensor   # (k, D)
     w_hidden_word: Tensor    # (k, d)
     b_hidden: Tensor         # (k,)
     w_out: Tensor            # (k,) second-layer row, shared across annotations
-    w_state: Tensor          # (state,)
-    b_out: Tensor            # scalar
-    hidden_nonlinearity: str = "tanh"  # "tanh" | "linear"
 
     @classmethod
-    def init(cls, annot_dim: int, word_dim: int, state_dim: int, k: int,
-             rng: np.random.Generator,
-             hidden_nonlinearity: str = "tanh") -> "AttentionParams":
+    def init(cls, annot_dim: int, word_dim: int, k: int,
+             rng: np.random.Generator, dtype=np.float64) -> "AttentionParams":
         return cls(
-            w_hidden_annot=Tensor(ad.xavier_uniform(rng, annot_dim, k, (k, annot_dim)), requires_grad=True, name="att.w_hidden_annot"),
-            w_hidden_word=Tensor(ad.xavier_uniform(rng, word_dim, k, (k, word_dim)), requires_grad=True, name="att.w_hidden_word"),
-            b_hidden=Tensor(np.zeros(k), requires_grad=True, name="att.b_hidden"),
-            w_out=Tensor(ad.xavier_uniform(rng, k, 1, (k,)), requires_grad=True, name="att.w_out"),
-            w_state=Tensor(ad.xavier_uniform(rng, state_dim, 1, (state_dim,)), requires_grad=True, name="att.w_state"),
-            b_out=Tensor(np.zeros(()), requires_grad=True, name="att.b_out"),
-            hidden_nonlinearity=hidden_nonlinearity,
+            w_hidden_annot=Tensor(ad.xavier_uniform(rng, annot_dim, k, (k, annot_dim), dtype), requires_grad=True, name="att.w_hidden_annot"),
+            w_hidden_word=Tensor(ad.xavier_uniform(rng, word_dim, k, (k, word_dim), dtype), requires_grad=True, name="att.w_hidden_word"),
+            b_hidden=Tensor(np.zeros(k, dtype), requires_grad=True, name="att.b_hidden"),
+            w_out=Tensor(ad.xavier_uniform(rng, k, 1, (k,), dtype), requires_grad=True, name="att.w_out"),
         )
 
     def tensors(self) -> list[Tensor]:
-        return [self.w_hidden_annot, self.w_hidden_word, self.b_hidden,
-                self.w_out, self.w_state, self.b_out]
+        return [self.w_hidden_annot, self.w_hidden_word, self.b_hidden, self.w_out]
 
 
 @dataclass
@@ -58,64 +50,16 @@ class AttentionOutput:
     weights: Tensor   # (L,)
 
 
-def score(s_prev: Tensor, h_j: Tensor, v_prev: Tensor,
-          params: AttentionParams) -> Tensor:
-    """Relevance of one annotation vector given state and previous word."""
-    hidden = ad.add(ad.add(ad.matmul(params.w_hidden_annot, h_j),
-                           ad.matmul(params.w_hidden_word, v_prev)),
-                    params.b_hidden)
-    if params.hidden_nonlinearity == "tanh":
-        hidden = ad.tanh(hidden)
-    elif params.hidden_nonlinearity != "linear":
-        raise ValueError(f"unknown hidden nonlinearity {params.hidden_nonlinearity!r}")
-    dot_out = ad.sum_(ad.mul(params.w_out, hidden))
-    dot_state = ad.sum_(ad.mul(params.w_state, s_prev))
-    return ad.add(ad.add(dot_out, dot_state), params.b_out)
-
-
-def attend(annotations: list[Tensor], s_prev: Tensor, v_prev: Tensor,
-           params: AttentionParams) -> AttentionOutput:
-    """Softmax-normalized mixture of annotation vectors."""
-    if not annotations:
-        raise ValueError("attend over an empty annotation set")
-    scores = [score(s_prev, h_j, v_prev, params) for h_j in annotations]
-    alphas = ad.softmax(ad.concat([_as_1d(e) for e in scores]))
-    context = None
-    for j, h_j in enumerate(annotations):
-        a_j = ad.sum_(ad.slice_(alphas, j, j + 1))  # 0-d weight for broadcasting
-        term = ad.mul(h_j, a_j)
-        context = term if context is None else ad.add(context, term)
-    return AttentionOutput(context=context, weights=alphas)
-
-
-def attend_matrix(annot_matrix: Tensor, s_prev: Tensor, v_prev: Tensor,
+def attend_matrix(annot_matrix: Tensor, v_prev: Tensor,
                   params: AttentionParams) -> AttentionOutput:
-    """Same computation as :func:`attend` with the annotation set stacked as
-    an (L, D) matrix; one matmul per stage instead of a per-vector loop."""
+    """Softmax-normalized mixture of the rows of an (L, D) annotation matrix,
+    scored with one matmul per stage."""
     if annot_matrix.data.ndim != 2 or annot_matrix.shape[0] == 0:
         raise ValueError("attend over an empty annotation set")
     h_t = ad.transpose(annot_matrix)                       # (D, L)
     word_bias = ad.add(ad.matmul(params.w_hidden_word, v_prev), params.b_hidden)
-    hidden = ad.add_colvec(ad.matmul(params.w_hidden_annot, h_t), word_bias)
-    if params.hidden_nonlinearity == "tanh":
-        hidden = ad.tanh(hidden)
-    elif params.hidden_nonlinearity != "linear":
-        raise ValueError(f"unknown hidden nonlinearity {params.hidden_nonlinearity!r}")
-    per_annot = ad.matmul(_as_row(params.w_out), hidden)   # (1, L)
-    shared = ad.add(ad.sum_(ad.mul(params.w_state, s_prev)), params.b_out)
-    scores = ad.add(ad.ravel(per_annot), shared)
-    alphas = ad.softmax(scores)
+    hidden = ad.tanh(ad.add_colvec(ad.matmul(params.w_hidden_annot, h_t), word_bias))
+    scores = ad.matmul(ad.reshape(params.w_out, (1, -1)), hidden)   # (1, L)
+    alphas = ad.softmax(ad.reshape(scores, (-1,)))
     context = ad.matmul(h_t, alphas)
     return AttentionOutput(context=context, weights=alphas)
-
-
-def _as_row(v: Tensor) -> Tensor:
-    def backward(g):
-        return [g.reshape(v.data.shape)]
-    return ad._result(v.data.reshape(1, -1), (v,), backward)
-
-
-def _as_1d(e: Tensor) -> Tensor:
-    def backward(g):
-        return [g.reshape(e.data.shape)]
-    return ad._result(e.data.reshape(1), (e,), backward)

@@ -6,8 +6,9 @@ topological order and accumulates gradients into every tensor that
 participated. Gradients accumulate additively across fan-out; callers zero
 them between optimizer steps.
 
-64-bit floats are the default; call :func:`set_precision` to switch the
-process-wide default to 32-bit for speed.
+A tensor holds float32 data as float32 and any other data as float64; ops
+keep the dtype of their operands, so a model built in float32 computes in
+float32 throughout. :data:`PRECISIONS` names the two dtypes.
 """
 
 from __future__ import annotations
@@ -26,22 +27,7 @@ class NumericalError(AutodiffError):
     """A forward op produced NaN or Inf from finite inputs."""
 
 
-_dtype = np.float64
-
-
-def set_precision(mode: str) -> None:
-    """Set the default dtype: 'f64' (default) or 'f32'."""
-    global _dtype
-    if mode == "f64":
-        _dtype = np.float64
-    elif mode == "f32":
-        _dtype = np.float32
-    else:
-        raise ValueError(f"unknown precision mode {mode!r}")
-
-
-def default_dtype():
-    return _dtype
+PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 
 class Tensor:
@@ -51,7 +37,8 @@ class Tensor:
                  "_backward_done", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=_dtype)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
@@ -264,19 +251,6 @@ def mean(x: Tensor) -> Tensor:
     return _result(np.asarray(x.data.mean()), (x,), backward)
 
 
-def mean_pool_2x2(x: Tensor) -> Tensor:
-    """2x2 average pooling with stride 2 over a 2-D tensor."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or x.shape[0] % 2 or x.shape[1] % 2:
-        raise ValueError(f"mean_pool_2x2: need even 2-D shape, got {x.shape}")
-    r, c = x.shape
-    pooled = x.data.reshape(r // 2, 2, c // 2, 2).mean(axis=(1, 3))
-
-    def backward(g):
-        return [np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4.0]
-    return _result(pooled, (x,), backward)
-
-
 def transpose(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
@@ -298,12 +272,13 @@ def add_colvec(m: Tensor, v: Tensor) -> Tensor:
     return _result(m.data + v.data[:, None], (m, v), backward)
 
 
-def ravel(x: Tensor) -> Tensor:
+def reshape(x: Tensor, shape) -> Tensor:
+    """The same values in a new shape (numpy rules, one -1 allowed)."""
     x = _as_tensor(x)
 
     def backward(g):
         return [g.reshape(x.data.shape)]
-    return _result(x.data.reshape(-1).copy(), (x,), backward)
+    return _result(x.data.reshape(shape), (x,), backward)
 
 
 def scale(x: Tensor, k: float) -> Tensor:
@@ -403,12 +378,6 @@ class AdamState:
             p.zero_grad()
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
-    if list(params) != state.params:
-        raise AutodiffError("adam state was built for a different parameter list")
-    state.step()
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -465,6 +434,6 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor,
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape) -> np.ndarray:
+                   shape, dtype=np.float64) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(_dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)

@@ -83,7 +83,7 @@ def cmd_caption(args) -> int:
         print("error: --max-len must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     table = EmbeddingTable.load(args.embeddings)
-    model = load_checkpoint(args.checkpoint, table)
+    model = load_checkpoint(args.checkpoint, table, precision=args.precision or "f64")
     annots = load_features(_resolve(args.features))
     tokens, trace = greedy_decode(model, annots, max_len=args.max_len,
                                   return_attention=True)
@@ -98,23 +98,30 @@ def cmd_caption(args) -> int:
 def cmd_evaluate(args) -> int:
     from .metrics import EvalCorpus, bleu, rouge_l, cider, tokenize
 
-    def read_jsonl(path):
+    def read_jsonl(path, key):
+        """{id: obj[key]} over the JSON lines of ``path``."""
         out = {}
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     obj = json.loads(line)
-                    out[obj["id"]] = obj
+                    out[obj["id"]] = obj[key]
+                except json.JSONDecodeError as e:
+                    raise DataError(f"{path}:{lineno}: parse error: {e}") from e
+                except (KeyError, TypeError) as e:
+                    raise DataError(f"{path}:{lineno}: expected an object with "
+                                    f"'id' and {key!r}") from e
         return out
 
-    cands = read_jsonl(_resolve(args.candidates))
-    refs = read_jsonl(_resolve(args.references))
+    cands = read_jsonl(_resolve(args.candidates), "candidate")
+    refs = read_jsonl(_resolve(args.references), "references")
     missing = set(cands) - set(refs)
     if missing:
         raise DataError(f"candidates without references: {sorted(missing)[:5]}")
-    pairs = [(tokenize(cands[i]["candidate"]),
-              [tokenize(r) for r in refs[i]["references"]]) for i in cands]
+    pairs = [(tokenize(cands[i]), [tokenize(r) for r in refs[i]]) for i in cands]
     corpus = EvalCorpus(pairs)
     report = {f"bleu{n}": bleu(corpus, n) for n in (1, 2, 3, 4)}
     report["rouge_l"] = rouge_l(corpus)
@@ -263,8 +270,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    if args.precision:
-        ad.set_precision(args.precision)
     try:
         return args.func(args)
     except (ValueError, CheckpointError) as e:

@@ -34,13 +34,13 @@ class LSTMLayerParams:
 
     @classmethod
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator,
-             layer_index: int = 0) -> "LSTMLayerParams":
-        b = np.zeros(4 * hidden)
+             layer_index: int = 0, dtype=np.float64) -> "LSTMLayerParams":
+        b = np.zeros(4 * hidden, dtype)
         b[hidden:2 * hidden] = 1.0  # forget-gate bias opens the cell path early
         return cls(
-            w_x=Tensor(ad.xavier_uniform(rng, input_dim, hidden, (4 * hidden, input_dim)),
+            w_x=Tensor(ad.xavier_uniform(rng, input_dim, hidden, (4 * hidden, input_dim), dtype),
                        requires_grad=True, name=f"lstm{layer_index}.w_x"),
-            w_h=Tensor(ad.xavier_uniform(rng, hidden, hidden, (4 * hidden, hidden)),
+            w_h=Tensor(ad.xavier_uniform(rng, hidden, hidden, (4 * hidden, hidden), dtype),
                        requires_grad=True, name=f"lstm{layer_index}.w_h"),
             b=Tensor(b, requires_grad=True, name=f"lstm{layer_index}.b"),
             hidden=hidden,
@@ -52,18 +52,9 @@ class LSTMLayerParams:
 
 @dataclass
 class DecoderState:
-    """Per-layer (hidden, cell) pairs; s_{t-1} for attention is the top hidden."""
+    """Per-layer (hidden, cell) pairs."""
 
     layers: list[tuple[Tensor, Tensor]]
-
-    @classmethod
-    def zeros(cls, depth: int, hidden: int) -> "DecoderState":
-        return cls([(Tensor(np.zeros(hidden)), Tensor(np.zeros(hidden)))
-                    for _ in range(depth)])
-
-    @property
-    def top_hidden(self) -> Tensor:
-        return self.layers[-1][0]
 
 
 @dataclass
@@ -74,13 +65,13 @@ class OutputHead:
 
     @classmethod
     def init(cls, kind: str, hidden: int, out_dim: int,
-             rng: np.random.Generator) -> "OutputHead":
+             rng: np.random.Generator, dtype=np.float64) -> "OutputHead":
         if kind not in (REGRESSION, SOFTMAX):
             raise ValueError(f"unknown head kind {kind!r}")
         return cls(kind,
-                   w=Tensor(ad.xavier_uniform(rng, hidden, out_dim, (out_dim, hidden)),
+                   w=Tensor(ad.xavier_uniform(rng, hidden, out_dim, (out_dim, hidden), dtype),
                             requires_grad=True, name="head.w"),
-                   b=Tensor(np.zeros(out_dim), requires_grad=True, name="head.b"))
+                   b=Tensor(np.zeros(out_dim, dtype), requires_grad=True, name="head.b"))
 
     def apply(self, hidden: Tensor) -> Tensor:
         return ad.add(ad.matmul(self.w, hidden), self.b)
@@ -107,7 +98,11 @@ def lstm_step(x: Tensor, layer_state: tuple[Tensor, Tensor],
 
 @dataclass
 class CaptionModel:
-    """Full trainable decoder: stacked LSTM trunk, attention, output head."""
+    """Full trainable decoder: stacked LSTM trunk, attention, output head.
+
+    The parameters are built in one dtype (``precision`` "f64" or "f32"),
+    and the model casts every array it feeds the graph to that dtype.
+    """
 
     layers: list[LSTMLayerParams]
     attention: AttentionParams
@@ -119,19 +114,22 @@ class CaptionModel:
     def init(cls, embedding: EmbeddingTable, depth: int, hidden: int,
              annot_dim: int, attention_k: int, head_kind: str,
              dropout_rate: float = 0.0, seed: int = 0,
-             hidden_nonlinearity: str = "tanh") -> "CaptionModel":
+             precision: str = "f64") -> "CaptionModel":
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
+        if precision not in ad.PRECISIONS:
+            raise ValueError(f"unknown precision {precision!r}")
+        dtype = ad.PRECISIONS[precision]
         rng = np.random.default_rng(seed)
         d = embedding.dim
         layers = []
         for ell in range(depth):
             in_dim = d + annot_dim if ell == 0 else hidden
-            layers.append(LSTMLayerParams.init(in_dim, hidden, rng, layer_index=ell))
-        attn = AttentionParams.init(annot_dim, d, hidden, attention_k, rng,
-                                    hidden_nonlinearity=hidden_nonlinearity)
+            layers.append(LSTMLayerParams.init(in_dim, hidden, rng, ell, dtype))
+        attn = AttentionParams.init(annot_dim, d, attention_k, rng, dtype)
+        rng.random(hidden)  # draw of the removed attention state row: seeds keep their weights
         out_dim = d if head_kind == REGRESSION else len(embedding.vocab)
-        head = OutputHead.init(head_kind, hidden, out_dim, rng)
+        head = OutputHead.init(head_kind, hidden, out_dim, rng, dtype)
         return cls(layers, attn, head, embedding, dropout_rate=dropout_rate)
 
     @property
@@ -142,6 +140,10 @@ class CaptionModel:
     def hidden(self) -> int:
         return self.layers[0].hidden
 
+    @property
+    def dtype(self):
+        return self.head.b.data.dtype
+
     def parameters(self) -> list[Tensor]:
         out = []
         for layer in self.layers:
@@ -150,35 +152,37 @@ class CaptionModel:
         out.extend(self.head.tensors())
         return out
 
+    def tensor(self, array) -> Tensor:
+        """A graph constant in the model's dtype."""
+        return Tensor(np.asarray(array, dtype=self.dtype))
+
     def zero_state(self) -> DecoderState:
-        return DecoderState.zeros(self.depth, self.hidden)
+        zeros = np.zeros(self.hidden, self.dtype)
+        return DecoderState([(Tensor(zeros), Tensor(zeros)) for _ in range(self.depth)])
+
+    def embed(self, token: str) -> Tensor:
+        return self.tensor(self.embedding.lookup(token))
 
     def annotation_matrix(self, annotations: AnnotationSet) -> Tensor:
-        return Tensor(annotations.vectors)
+        return self.tensor(annotations.vectors)
 
 
 def stacked_step(model: CaptionModel, v_prev: Tensor, context: Tensor,
                  state: DecoderState, train_mode: bool = False,
-                 rng: np.random.Generator | None = None,
-                 dropout_rate: float | None = None) -> tuple[Tensor, DecoderState]:
+                 rng: np.random.Generator | None = None) -> tuple[Tensor, DecoderState]:
     """One time step through the full stack; returns (head output, new state)."""
     if len(state.layers) != model.depth:
         raise ValueError("decoder state depth does not match model depth")
-    rate = model.dropout_rate if dropout_rate is None else dropout_rate
+    rate = model.dropout_rate
     x = ad.concat([v_prev, context])
     new_layers = []
     for layer, layer_state in zip(model.layers, state.layers):
         h, new_state = lstm_step(x, layer_state, layer)
         if train_mode and rate > 0.0:
-            if rate >= 1.0:
-                # degenerate limit, rejected by config validation but kept
-                # well-defined for unit tests
-                mask = np.zeros(h.data.shape)
-            else:
-                if rng is None:
-                    raise ValueError("train-mode dropout needs an RNG")
-                mask = (rng.random(h.data.shape) >= rate) / (1.0 - rate)
-            h = ad.mul(h, Tensor(mask))
+            if rng is None:
+                raise ValueError("train-mode dropout needs an RNG")
+            mask = (rng.random(h.data.shape) >= rate) / (1.0 - rate)
+            h = ad.mul(h, model.tensor(mask))
         new_layers.append(new_state)
         x = h
     return model.head.apply(x), DecoderState(new_layers)
@@ -197,12 +201,12 @@ def teacher_forced_loss(model: CaptionModel, annotations: AnnotationSet,
     total = None
     steps = 0
     for t in range(1, len(seq)):
-        v_prev = Tensor(model.embedding.lookup(seq[t - 1]))
-        att = attend_matrix(h_matrix, state.top_hidden, v_prev, model.attention)
+        v_prev = model.embed(seq[t - 1])
+        att = attend_matrix(h_matrix, v_prev, model.attention)
         out, state = stacked_step(model, v_prev, att.context, state,
                                   train_mode=train_mode, rng=rng)
         if model.head.kind == REGRESSION:
-            step_loss = ad.mse(out, Tensor(model.embedding.lookup(seq[t])))
+            step_loss = ad.mse(out, model.embed(seq[t]))
         else:
             step_loss = ad.cross_entropy(out, vocab.encode(seq[t]))
         total = step_loss if total is None else ad.add(total, step_loss)
@@ -226,8 +230,8 @@ def greedy_decode(model: CaptionModel, annotations: AnnotationSet,
     tokens: list[str] = []
     attention_trace: list[np.ndarray] = []
     for _ in range(max_len):
-        v_prev = Tensor(model.embedding.lookup(word))
-        att = attend_matrix(h_matrix, state.top_hidden, v_prev, model.attention)
+        v_prev = model.embed(word)
+        att = attend_matrix(h_matrix, v_prev, model.attention)
         out, state = stacked_step(model, v_prev, att.context, state, train_mode=False)
         if model.head.kind == REGRESSION:
             word = nearest_word(out.data, model.embedding)
@@ -252,10 +256,8 @@ def param_count(depth: int, hidden: int, embed_dim: int, vocab_size: int,
     for ell in range(depth):
         in_dim = embed_dim + annot_dim if ell == 0 else hidden
         total += 4 * (hidden * in_dim + hidden * hidden + hidden)
-    # attention MLP: two hidden-layer matrices, hidden bias, shared output
-    # row, state row, output bias
-    total += attention_k * annot_dim + attention_k * embed_dim + attention_k
-    total += attention_k + hidden + 1
+    # attention MLP: two hidden-layer matrices, hidden bias, shared output row
+    total += attention_k * (annot_dim + embed_dim + 2)
     out_dim = embed_dim if head_kind == REGRESSION else vocab_size
     total += out_dim * hidden + out_dim
     return total

@@ -147,21 +147,13 @@ class EmbeddingTable:
         return cls(Vocabulary(tokens), vectors)
 
 
-def nearest_word(v: np.ndarray, table: EmbeddingTable, metric: str = "l2") -> str:
-    """Token whose embedding row is closest to v; ties break to lowest index."""
+def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:
+    """Token whose embedding row is closest to v in L2; ties break to lowest index."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (table.dim,):
         raise EmbeddingError(f"query dimension {v.shape} does not match table dim {table.dim}")
-    if metric == "l2":
-        d = ((table.vectors - v) ** 2).sum(axis=1)
-        idx = int(np.argmin(d))
-    elif metric == "cosine":
-        norms = np.linalg.norm(table.vectors, axis=1) * max(np.linalg.norm(v), 1e-12)
-        sims = table.vectors @ v / np.maximum(norms, 1e-12)
-        idx = int(np.argmax(sims))
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return table.vocab.decode(idx)
+    d = ((table.vectors - v) ** 2).sum(axis=1)
+    return table.vocab.decode(int(np.argmin(d)))
 
 
 def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,

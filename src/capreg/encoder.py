@@ -1,6 +1,6 @@
-"""Annotation-vector production: feature-file ingestion, a small convnet for
-running end-to-end from raw pixels, and the quarter-size max-pool reduction
-applied before attention."""
+"""Annotation vectors: the grid container the decoder attends over and the
+``.annv`` feature files it is read from. An image encoder runs outside
+capreg and writes those files; capreg does not compute features itself."""
 
 from __future__ import annotations
 
@@ -44,21 +44,6 @@ class AnnotationSet:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
-class FeatureGrid:
-    """Raw rows x cols x channels spatial feature map."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ValueError("feature grid must be rows x cols x channels")
-
-    def to_annotations(self, image_id: str = "") -> AnnotationSet:
-        r, c, ch = self.data.shape
-        return AnnotationSet(self.data.reshape(r * c, ch).copy(), r, c, image_id)
-
-
 def save_features(a: AnnotationSet, path) -> None:
     payload = a.vectors.reshape(a.rows, a.cols, a.dim).astype("<f4").tobytes()
     header = _MAGIC + struct.pack("<IIII", _VERSION, a.rows, a.cols, a.dim)
@@ -86,70 +71,3 @@ def load_features(path) -> AnnotationSet:
     grid = np.frombuffer(raw[20:-4], dtype="<f4").reshape(rows, cols, channels)
     return AnnotationSet(grid.reshape(rows * cols, channels).astype(np.float64),
                          rows, cols, image_id=str(path))
-
-
-@dataclass
-class ToyEncoderParams:
-    """Two conv stages: 3x3 kernels, tanh, 2x2 max-pool after each."""
-
-    kernels1: np.ndarray  # (c1, in_ch, 3, 3)
-    bias1: np.ndarray     # (c1,)
-    kernels2: np.ndarray  # (c2, c1, 3, 3)
-    bias2: np.ndarray     # (c2,)
-
-    @classmethod
-    def random(cls, in_channels: int, mid_channels: int, out_channels: int,
-               seed: int = 0) -> "ToyEncoderParams":
-        rng = np.random.default_rng(seed)
-        s1 = 1.0 / np.sqrt(in_channels * 9)
-        s2 = 1.0 / np.sqrt(mid_channels * 9)
-        return cls(
-            kernels1=rng.normal(0, s1, (mid_channels, in_channels, 3, 3)),
-            bias1=np.zeros(mid_channels),
-            kernels2=rng.normal(0, s2, (out_channels, mid_channels, 3, 3)),
-            bias2=np.zeros(out_channels),
-        )
-
-
-def _conv2d_same(img: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """'same' 3x3 convolution; img is (H, W, C_in), output (H, W, C_out)."""
-    h, w, _ = img.shape
-    padded = np.pad(img, ((1, 1), (1, 1), (0, 0)))
-    out = np.empty((h, w, kernels.shape[0]))
-    for o, (k, b) in enumerate(zip(kernels, bias)):
-        acc = np.zeros((h, w))
-        for dy in range(3):
-            for dx in range(3):
-                acc += padded[dy:dy + h, dx:dx + w] @ k[:, dy, dx]
-        out[:, :, o] = acc + b
-    return out
-
-
-def _max_pool_2x2(grid: np.ndarray) -> np.ndarray:
-    h, w, c = grid.shape
-    return grid.reshape(h // 2, 2, w // 2, 2, c).max(axis=(1, 3))
-
-
-def toy_encode(image: np.ndarray, params: ToyEncoderParams) -> FeatureGrid:
-    """Deterministic two-stage convnet producing a spatial feature grid.
-
-    Image dimensions must be divisible by 4 (two 2x2 pools).
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        image = image[:, :, None]
-    if image.ndim != 3 or image.shape[0] % 4 or image.shape[1] % 4:
-        raise ValueError(f"image dimensions {image.shape} not divisible by total stride 4")
-    x = _max_pool_2x2(np.tanh(_conv2d_same(image, params.kernels1, params.bias1)))
-    x = _max_pool_2x2(np.tanh(_conv2d_same(x, params.kernels2, params.bias2)))
-    return FeatureGrid(x)
-
-
-def pool_quarter(a: AnnotationSet) -> AnnotationSet:
-    """2x2 elementwise max over grid positions; L shrinks to L/4."""
-    if a.rows % 2 or a.cols % 2:
-        raise ValueError(f"pool_quarter needs even grid dimensions, got {a.rows}x{a.cols}")
-    grid = a.vectors.reshape(a.rows, a.cols, a.dim)
-    pooled = _max_pool_2x2(grid)
-    return AnnotationSet(pooled.reshape(-1, a.dim), a.rows // 2, a.cols // 2,
-                         image_id=a.image_id)

@@ -4,6 +4,7 @@ depth experiments, and checkpoint persistence."""
 from __future__ import annotations
 
 import json
+import logging
 import math
 import struct
 import zlib
@@ -19,6 +20,8 @@ from .decoder import (CaptionModel, REGRESSION, SOFTMAX, teacher_forced_loss,
 from .embedding import EmbeddingTable
 from .encoder import AnnotationSet, load_features
 
+logger = logging.getLogger(__name__)
+
 
 class DataError(Exception):
     pass
@@ -32,18 +35,12 @@ class TrainingAborted(Exception):
         self.dump = dump
 
 
-# full-scale hyperparameters, documented for reference; the desk-scale
-# defaults below are what actually runs here
-FULL_SCALE = dict(depth=8, hidden=512, embed_dim=1024, lr=0.001, decay_factor=0.1)
-
-
 @dataclass
 class TrainConfig:
     depth: int = 2
     hidden: int = 128
     embed_dim: int = 64
     annot_dim: int = 64
-    annot_count: int = 16
     attention_k: int = 32
     head_kind: str = REGRESSION
     dropout_rate: float = 0.5
@@ -51,24 +48,21 @@ class TrainConfig:
     decay_factor: float = 0.1
     decay_patience: int = 50      # epochs without >1% improvement before decay
     epochs: int = 100
-    batch_size: int = 1
     seed: int = 0
     precision: str = "f64"
     max_decode_len: int = 20
-    hidden_nonlinearity: str = "tanh"
 
     def validate(self) -> None:
         if self.head_kind not in (REGRESSION, SOFTMAX):
             raise ValueError(f"unsupported head kind {self.head_kind!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
-        for name in ("depth", "hidden", "embed_dim", "annot_dim",
-                     "attention_k", "epochs", "batch_size"):
-            if getattr(self, name) < 1 and name != "epochs":
+        for name in ("depth", "hidden", "embed_dim", "annot_dim", "attention_k"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.precision not in ("f32", "f64"):
+        if self.precision not in ad.PRECISIONS:
             raise ValueError("precision must be f32 or f64")
 
     @classmethod
@@ -99,9 +93,9 @@ class DatasetRecord:
 def load_dataset(manifest_path) -> list[DatasetRecord]:
     """Read a JSON-lines manifest: one {"id", "features", "captions"} per line.
 
-    Captions may be strings (whitespace split) or token lists. More than
-    five captions per image is accepted with a warning; data is never
-    discarded.
+    Captions may be strings (whitespace split) or token lists; an empty
+    caption is a data error. More than five captions per image is accepted
+    with a logged warning; data is never discarded.
     """
     records = []
     root = Path(manifest_path).parent
@@ -123,8 +117,11 @@ def load_dataset(manifest_path) -> list[DatasetRecord]:
                         for c in captions]
             if not captions:
                 raise DataError(f"{manifest_path}:{lineno}: record {image_id} has no captions")
+            if not all(captions):
+                raise DataError(f"{manifest_path}:{lineno}: record {image_id} has an empty caption")
             if len(captions) > 5:
-                print(f"warning: image {image_id} has {len(captions)} captions (> 5); keeping all")
+                logger.warning("image %s has %d captions (> 5); keeping all",
+                            image_id, len(captions))
             feature_path = obj.get("features")
             if feature_path is not None:
                 feature_path = str(root / feature_path)
@@ -170,19 +167,26 @@ def train(config: TrainConfig, records: list[DatasetRecord],
     """Shuffled teacher-forced training with Adam and plateau LR decay.
 
     ``stop_loss_ratio`` optionally stops early once the epoch loss falls
-    below that fraction of the initial epoch loss.
+    below that fraction of the initial epoch loss. The model is built in
+    ``config.precision``.
     """
     config.validate()
-    ad.set_precision(config.precision)
-    model = CaptionModel.init(
-        embedding, depth=config.depth, hidden=config.hidden,
-        annot_dim=config.annot_dim, attention_k=config.attention_k,
-        head_kind=config.head_kind, dropout_rate=config.dropout_rate,
-        seed=config.seed, hidden_nonlinearity=config.hidden_nonlinearity)
     train_set, val_set = split_validation(records)
     if not train_set:
         train_set, val_set = records, []
     samples = [(rec, cap) for rec in train_set for cap in rec.captions]
+    if not samples:
+        raise DataError("no training captions")
+    for rec in records:
+        dim = rec.load_annotations().dim
+        if dim != config.annot_dim:
+            raise DataError(f"image {rec.image_id}: annotation dimension {dim} "
+                            f"differs from annot_dim {config.annot_dim}")
+    model = CaptionModel.init(
+        embedding, depth=config.depth, hidden=config.hidden,
+        annot_dim=config.annot_dim, attention_k=config.attention_k,
+        head_kind=config.head_kind, dropout_rate=config.dropout_rate,
+        seed=config.seed, precision=config.precision)
     rng = np.random.default_rng(config.seed)
     opt = AdamState(model.parameters(), lr=config.lr)
     log = TrainLog()
@@ -344,7 +348,7 @@ def depth_study(config_base: TrainConfig, depths: list[int],
 # checkpointing
 
 _CKPT_MAGIC = b"CKPT"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -363,7 +367,6 @@ def save_checkpoint(model: CaptionModel, path) -> None:
         "attention_k": model.attention.b_hidden.shape[0],
         "head_kind": model.head.kind,
         "dropout_rate": model.dropout_rate,
-        "hidden_nonlinearity": model.attention.hidden_nonlinearity,
         "vocab_hash": model.embedding.vocab.content_hash(),
     }
     body = bytearray()
@@ -383,7 +386,9 @@ def save_checkpoint(model: CaptionModel, path) -> None:
         fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
-def load_checkpoint(path, embedding: EmbeddingTable) -> CaptionModel:
+def load_checkpoint(path, embedding: EmbeddingTable,
+                    precision: str = "f64") -> CaptionModel:
+    """Rebuild a saved model with its parameters in ``precision``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != _CKPT_MAGIC:
@@ -404,7 +409,7 @@ def load_checkpoint(path, embedding: EmbeddingTable) -> CaptionModel:
         embedding, depth=header["depth"], hidden=header["hidden"],
         annot_dim=header["annot_dim"], attention_k=header["attention_k"],
         head_kind=header["head_kind"], dropout_rate=header["dropout_rate"],
-        hidden_nonlinearity=header["hidden_nonlinearity"])
+        precision=precision)
     nparams, = struct.unpack_from("<I", raw, off); off += 4
     params = model.parameters()
     if nparams != len(params):
@@ -420,6 +425,6 @@ def load_checkpoint(path, embedding: EmbeddingTable) -> CaptionModel:
             raise CheckpointError(f"shape mismatch for {name}")
         count = int(np.prod(shape)) if shape else 1
         p.data = np.frombuffer(raw, dtype="<f8", count=count, offset=off
-                               ).reshape(shape).astype(ad.default_dtype())
+                               ).reshape(shape).astype(model.dtype)
         off += count * 8
     return model

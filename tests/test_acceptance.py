@@ -25,6 +25,7 @@ from capreg.harness import (DatasetRecord, TrainConfig, depth_study,
 from capreg.metrics import EvalCorpus, bleu, cider, rouge_l
 from capreg.attention import attend_matrix
 
+from test_attention import attend as reference_attend
 from test_metrics import (_oracle_bleu, _oracle_cider, _oracle_rouge_l,
                           _random_corpus)
 
@@ -81,7 +82,8 @@ def test_criterion_1_gradient_correctness(capsys):
             lambda t: ad.sum_(ad.tanh(ad.sigmoid(t))),
             lambda t: ad.mean(ad.mul(t, t)),
             lambda t: ad.sum_(ad.slice_(ad.concat([t, t]), 2, 13)),
-            lambda t: ad.sum_(ad.mean_pool_2x2(ad.matmul(_as_col(t), row))),
+            lambda t: ad.cross_entropy(
+                ad.reshape(ad.matmul(ad.reshape(t, (8, 1)), row), (64,)), label),
         ]
         for f in op_cases:
             worst = max(worst, finite_difference_check(f, x, h=1e-5))
@@ -104,12 +106,6 @@ def test_criterion_1_gradient_correctness(capsys):
     with capsys.disabled():
         print(f"\nPASS criterion 1: gradient correctness, worst rel. err "
               f"{worst:.3g} over 20 seeds in {elapsed:.1f}s")
-
-
-def _as_col(t):
-    def backward(g):
-        return [g.reshape(-1)]
-    return ad._result(t.data.reshape(-1, 1), (t,), backward)
 
 
 def test_criterion_2_gradient_magnitude_claim(capsys):
@@ -182,14 +178,13 @@ def test_criterion_5_attention_properties(overfit_depth2, capsys):
             assert worst_sum < 1e-6
             steps += 1
 
-    # shift invariance: a constant added to every score via the output bias
+    # shift invariance: a constant added to every score of the per-vector
+    # reference scorer leaves attend_matrix's weights
     h = Tensor(rng.normal(0, 1, (4, 16)))
-    s = Tensor(rng.normal(0, 1, 64))
+    rng.normal(0, 1, 64)  # the decoder state scores once took; keeps v's draw
     v = Tensor(rng.normal(0, 1, 16))
-    base = attend_matrix(h, s, v, model.attention).weights.data.copy()
-    model.attention.b_out.data += 57.0
-    shifted = attend_matrix(h, s, v, model.attention).weights.data.copy()
-    model.attention.b_out.data -= 57.0
+    base = attend_matrix(h, v, model.attention).weights.data.copy()
+    shifted, _ = reference_attend(h.data, v.data, model.attention, shift=57.0)
     shift_dev = float(np.max(np.abs(shifted - base)))
     assert shift_dev < 1e-9
 
@@ -197,9 +192,9 @@ def test_criterion_5_attention_properties(overfit_depth2, capsys):
     best_dev = 0.0
     for w1 in model.embedding.vocab.index_to_token[:10]:
         for w2 in model.embedding.vocab.index_to_token[:10]:
-            a1 = attend_matrix(h, s, Tensor(model.embedding.lookup(w1)),
+            a1 = attend_matrix(h, Tensor(model.embedding.lookup(w1)),
                                model.attention).weights.data
-            a2 = attend_matrix(h, s, Tensor(model.embedding.lookup(w2)),
+            a2 = attend_matrix(h, Tensor(model.embedding.lookup(w2)),
                                model.attention).weights.data
             best_dev = max(best_dev, float(np.max(np.abs(a1 - a2))))
     assert best_dev > 1e-3

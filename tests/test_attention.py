@@ -3,16 +3,36 @@ import pytest
 
 from capreg import autodiff as ad
 from capreg.autodiff import Tensor, finite_difference_check
-from capreg.attention import AttentionParams, attend, attend_matrix, score
+from capreg.attention import AttentionParams, attend_matrix
 
 
-def _params(annot_dim=6, word_dim=4, state_dim=5, k=3, seed=0, **kw):
+# ---------------------------------------------------------------------------
+# per-vector reference for attend_matrix
+
+
+def score(h_j, v_prev, params, shift=0.0):
+    """Relevance of one annotation vector given the previous word, plus an
+    optional term shared by every annotation."""
+    hidden = np.tanh(params.w_hidden_annot.data @ h_j
+                     + params.w_hidden_word.data @ v_prev + params.b_hidden.data)
+    return float(params.w_out.data @ hidden) + shift
+
+
+def attend(hs, v_prev, params, shift=0.0):
+    """(weights, context) with one score per annotation vector."""
+    scores = np.array([score(h, v_prev, params, shift) for h in hs])
+    e = np.exp(scores - scores.max())
+    alpha = e / e.sum()
+    return alpha, sum(a * h for a, h in zip(alpha, hs))
+
+
+def _params(annot_dim=6, word_dim=4, k=3, seed=0):
     rng = np.random.default_rng(seed)
-    return AttentionParams.init(annot_dim, word_dim, state_dim, k, rng, **kw)
+    return AttentionParams.init(annot_dim, word_dim, k, rng)
 
 
-def _zero_params(annot_dim=6, word_dim=4, state_dim=5, k=3):
-    p = _params(annot_dim, word_dim, state_dim, k)
+def _zero_params(annot_dim=6, word_dim=4, k=3):
+    p = _params(annot_dim, word_dim, k)
     for t in p.tensors():
         t.data[...] = 0.0
     return p
@@ -20,36 +40,21 @@ def _zero_params(annot_dim=6, word_dim=4, state_dim=5, k=3):
 
 class TestScore:
     def test_zero_params_score_zero(self):
-        p = _zero_params()
         rng = np.random.default_rng(1)
-        e = score(Tensor(rng.normal(0, 1, 5)), Tensor(rng.normal(0, 1, 6)),
-                  Tensor(rng.normal(0, 1, 4)), p)
-        assert e.item() == 0.0
+        assert score(rng.normal(0, 1, 6), rng.normal(0, 1, 4), _zero_params()) == 0.0
 
     def test_output_bias_passthrough(self):
-        p = _zero_params()
-        p.b_out.data[...] = 1.0
-        e = score(Tensor(np.ones(5)), Tensor(np.ones(6)), Tensor(np.ones(4)), p)
-        assert e.item() == 1.0
+        assert score(np.ones(6), np.ones(4), _zero_params(), shift=1.0) == 1.0
 
     def test_matches_hand_rolled_arithmetic(self):
         p = _params(seed=2)
         rng = np.random.default_rng(3)
-        s, h, v = rng.normal(0, 1, 5), rng.normal(0, 1, 6), rng.normal(0, 1, 4)
-        hidden = np.tanh(p.w_hidden_annot.data @ h + p.w_hidden_word.data @ v
-                         + p.b_hidden.data)
-        expected = (p.w_out.data @ hidden + p.w_state.data @ s
-                    + float(p.b_out.data))
-        got = score(Tensor(s), Tensor(h), Tensor(v), p).item()
-        assert abs(got - expected) < 1e-12
-
-    def test_linear_variant(self):
-        p = _params(seed=4, hidden_nonlinearity="linear")
-        rng = np.random.default_rng(5)
-        s, h, v = rng.normal(0, 1, 5), rng.normal(0, 1, 6), rng.normal(0, 1, 4)
-        hidden = p.w_hidden_annot.data @ h + p.w_hidden_word.data @ v + p.b_hidden.data
-        expected = p.w_out.data @ hidden + p.w_state.data @ s + float(p.b_out.data)
-        assert abs(score(Tensor(s), Tensor(h), Tensor(v), p).item() - expected) < 1e-12
+        h, v = rng.normal(0, 1, 6), rng.normal(0, 1, 4)
+        hidden = [np.tanh(sum(p.w_hidden_annot.data[i, j] * h[j] for j in range(6))
+                          + sum(p.w_hidden_word.data[i, j] * v[j] for j in range(4))
+                          + p.b_hidden.data[i]) for i in range(3)]
+        expected = sum(p.w_out.data[i] * hidden[i] for i in range(3))
+        assert abs(score(h, v, p) - expected) < 1e-12
 
 
 class TestAttend:
@@ -57,121 +62,114 @@ class TestAttend:
         p = _params(seed=6)
         rng = np.random.default_rng(7)
         h = rng.normal(0, 1, 6)
-        out = attend([Tensor(h)], Tensor(rng.normal(0, 1, 5)),
-                     Tensor(rng.normal(0, 1, 4)), p)
+        out = attend_matrix(Tensor(h[None, :]), Tensor(rng.normal(0, 1, 4)), p)
         np.testing.assert_allclose(out.weights.data, [1.0])
         np.testing.assert_allclose(out.context.data, h, atol=1e-12)
 
     def test_equal_scores_give_uniform_weights(self):
-        p = _zero_params()
         rng = np.random.default_rng(8)
-        hs = [Tensor(rng.normal(0, 1, 6)) for _ in range(5)]
-        out = attend(hs, Tensor(np.zeros(5)), Tensor(np.zeros(4)), p)
+        hs = rng.normal(0, 1, (5, 6))
+        out = attend_matrix(Tensor(hs), Tensor(np.zeros(4)), _zero_params())
         np.testing.assert_allclose(out.weights.data, 0.2)
-        mean = np.mean([h.data for h in hs], axis=0)
-        np.testing.assert_allclose(out.context.data, mean, atol=1e-12)
+        np.testing.assert_allclose(out.context.data, hs.mean(axis=0), atol=1e-12)
 
     def test_empty_annotations_rejected(self):
         with pytest.raises(ValueError):
-            attend([], Tensor(np.zeros(5)), Tensor(np.zeros(4)), _params())
+            attend_matrix(Tensor(np.zeros((0, 6))), Tensor(np.zeros(4)), _params())
 
     def test_matches_brute_force(self):
         p = _params(seed=9)
         rng = np.random.default_rng(10)
-        hs = [rng.normal(0, 1, 6) for _ in range(5)]
-        s, v = rng.normal(0, 1, 5), rng.normal(0, 1, 4)
-        out = attend([Tensor(h) for h in hs], Tensor(s), Tensor(v), p)
-        scores = np.array([score(Tensor(s), Tensor(h), Tensor(v), p).item()
-                           for h in hs])
+        hs = rng.normal(0, 1, (5, 6))
+        v = rng.normal(0, 1, 4)
+        out = attend_matrix(Tensor(hs), Tensor(v), p)
+        scores = np.array([p.w_out.data @ np.tanh(p.w_hidden_annot.data @ h
+                                                  + p.w_hidden_word.data @ v
+                                                  + p.b_hidden.data) for h in hs])
         e = np.exp(scores - scores.max())
         alpha = e / e.sum()
-        expected = sum(a * h for a, h in zip(alpha, hs))
         np.testing.assert_allclose(out.weights.data, alpha, atol=1e-12)
-        np.testing.assert_allclose(out.context.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.context.data, alpha @ hs, atol=1e-12)
 
     def test_weights_form_simplex(self):
         p = _params(seed=11)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            hs = [Tensor(rng.normal(0, 2, 6)) for _ in range(7)]
-            out = attend(hs, Tensor(rng.normal(0, 2, 5)),
-                         Tensor(rng.normal(0, 2, 4)), p)
+            out = attend_matrix(Tensor(rng.normal(0, 2, (7, 6))),
+                                Tensor(rng.normal(0, 2, 4)), p)
             w = out.weights.data
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) < 1e-6
 
     def test_score_shift_invariance(self):
-        # adding a constant to every score (via the output bias) must not
-        # change the weights
+        # adding a constant to every reference score must not change the
+        # weights attend_matrix computes without it
         p = _params(seed=13)
         rng = np.random.default_rng(14)
-        hs = [Tensor(rng.normal(0, 1, 6)) for _ in range(4)]
-        s, v = Tensor(rng.normal(0, 1, 5)), Tensor(rng.normal(0, 1, 4))
-        base = attend(hs, s, v, p).weights.data.copy()
-        p.b_out.data += 123.45
-        shifted = attend(hs, s, v, p).weights.data
-        np.testing.assert_allclose(shifted, base, atol=1e-9)
+        hs = rng.normal(0, 1, (4, 6))
+        v = rng.normal(0, 1, 4)
+        fast = attend_matrix(Tensor(hs), Tensor(v), p).weights.data
+        shifted, _ = attend(hs, v, p, shift=123.45)
+        np.testing.assert_allclose(fast, shifted, atol=1e-9)
+
+    def test_state_term_cancels(self):
+        # the decoder-state term w_state.s + b_out that scores once carried
+        # is shared by every annotation; with it the weights and context
+        # equal attend_matrix's, so dropping it changes no output
+        rng = np.random.default_rng(19)
+        for seed in range(10):
+            p = _params(seed=20 + seed)
+            hs = rng.normal(0, 1, (5, 6))
+            v = rng.normal(0, 1, 4)
+            w_state, s, b_out = rng.normal(0, 1, 5), rng.normal(0, 1, 5), rng.normal(0, 1)
+            alpha, context = attend(hs, v, p, shift=w_state @ s + b_out)
+            fast = attend_matrix(Tensor(hs), Tensor(v), p)
+            np.testing.assert_allclose(fast.weights.data, alpha, atol=1e-12)
+            np.testing.assert_allclose(fast.context.data, context, atol=1e-12)
 
     def test_previous_word_changes_weights(self):
         p = _params(seed=15)
         rng = np.random.default_rng(16)
-        hs = [Tensor(rng.normal(0, 1, 6)) for _ in range(4)]
-        s = Tensor(rng.normal(0, 1, 5))
-        w1 = attend(hs, s, Tensor(rng.normal(0, 1, 4)), p).weights.data
-        w2 = attend(hs, s, Tensor(rng.normal(0, 1, 4)), p).weights.data
+        hs = Tensor(rng.normal(0, 1, (4, 6)))
+        w1 = attend_matrix(hs, Tensor(rng.normal(0, 1, 4)), p).weights.data
+        w2 = attend_matrix(hs, Tensor(rng.normal(0, 1, 4)), p).weights.data
         assert np.max(np.abs(w1 - w2)) > 1e-3
 
     def test_gradients_vs_finite_differences(self):
+        # gradients reach the annotations and the previous word
         rng = np.random.default_rng(17)
-        hs_data = [rng.normal(0, 1, 6) for _ in range(3)]
-        s_data, v_data = rng.normal(0, 1, 5), rng.normal(0, 1, 4)
+        hs = Tensor(rng.normal(0, 1, (3, 6)), requires_grad=True)
+        v = Tensor(rng.normal(0, 1, 4), requires_grad=True)
         p = _params(seed=18)
-        target = rng.normal(0, 1, 6)
+        target = Tensor(rng.normal(0, 1, 6))
 
-        def loss_through(param):
-            def f(_):
-                out = attend([Tensor(h) for h in hs_data], Tensor(s_data),
-                             Tensor(v_data), p)
-                return ad.mse(out.context, Tensor(target))
-            return f
-        for param in p.tensors():
-            assert finite_difference_check(loss_through(param), param) < 1e-4
+        def f(_):
+            return ad.mse(attend_matrix(hs, v, p).context, target)
+        for x in (hs, v):
+            assert finite_difference_check(f, x) < 1e-4
+            f(x).backward()
+            assert np.linalg.norm(x.grad) > 1e-6
 
     def test_matrix_form_agrees_with_reference(self):
         rng = np.random.default_rng(21)
-        for nonlin in ("tanh", "linear"):
-            p = _params(seed=22, hidden_nonlinearity=nonlin)
-            hs = [rng.normal(0, 1, 6) for _ in range(5)]
-            s, v = Tensor(rng.normal(0, 1, 5)), Tensor(rng.normal(0, 1, 4))
-            ref = attend([Tensor(h) for h in hs], s, v, p)
-            fast = attend_matrix(Tensor(np.array(hs)), s, v, p)
-            np.testing.assert_allclose(fast.weights.data, ref.weights.data,
-                                       atol=1e-12)
-            np.testing.assert_allclose(fast.context.data, ref.context.data,
-                                       atol=1e-12)
+        p = _params(seed=22)
+        for _ in range(5):
+            hs = rng.normal(0, 1, (5, 6))
+            v = rng.normal(0, 1, 4)
+            alpha, context = attend(hs, v, p)
+            fast = attend_matrix(Tensor(hs), Tensor(v), p)
+            np.testing.assert_allclose(fast.weights.data, alpha, atol=1e-12)
+            np.testing.assert_allclose(fast.context.data, context, atol=1e-12)
 
     def test_matrix_form_gradients(self):
         rng = np.random.default_rng(23)
         p = _params(seed=24)
         h_data = rng.normal(0, 1, (4, 6))
-        s_data, v_data = rng.normal(0, 1, 5), rng.normal(0, 1, 4)
+        v_data = rng.normal(0, 1, 4)
         target = rng.normal(0, 1, 6)
 
         def loss(_):
-            out = attend_matrix(Tensor(h_data), Tensor(s_data),
-                                Tensor(v_data), p)
+            out = attend_matrix(Tensor(h_data), Tensor(v_data), p)
             return ad.mse(out.context, Tensor(target))
         for param in p.tensors():
             assert finite_difference_check(loss, param) < 1e-4
-
-    def test_gradients_reach_state_and_word(self):
-        rng = np.random.default_rng(19)
-        p = _params(seed=20)
-        hs = [Tensor(rng.normal(0, 1, 6), requires_grad=True) for _ in range(3)]
-        s = Tensor(rng.normal(0, 1, 5), requires_grad=True)
-        v = Tensor(rng.normal(0, 1, 4), requires_grad=True)
-        out = attend(hs, s, v, p)
-        ad.sum_(out.context).backward()
-        assert np.linalg.norm(s.grad) > 0
-        assert np.linalg.norm(v.grad) > 0
-        assert all(np.linalg.norm(h.grad) > 0 for h in hs)

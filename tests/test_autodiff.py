@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from capreg import autodiff as ad
 from capreg.autodiff import (AdamState, AutodiffError, Tensor,
                              finite_difference_check)
+from capreg.decoder import CaptionModel
+from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
 
 
 class TestMatmul:
@@ -143,12 +146,12 @@ class TestElementwise:
         ad.sum_(ad.slice_(x, 2, 5)).backward()
         np.testing.assert_array_equal(x.grad, [0, 0, 1, 1, 1, 0])
 
-    def test_mean_pool_2x2(self):
-        x = Tensor(np.arange(16.0).reshape(4, 4), requires_grad=True)
-        out = ad.mean_pool_2x2(x)
-        np.testing.assert_allclose(out.data, [[2.5, 4.5], [10.5, 12.5]])
-        ad.sum_(out).backward()
-        np.testing.assert_allclose(x.grad, 0.25)
+    def test_reshape(self):
+        x = Tensor(np.arange(6.0), requires_grad=True)
+        out = ad.reshape(x, (2, -1))
+        np.testing.assert_array_equal(out.data, [[0, 1, 2], [3, 4, 5]])
+        ad.sum_(ad.mul(out, Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))).backward()
+        np.testing.assert_array_equal(x.grad, [1, 2, 3, 4, 5, 6])
 
     @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh])
     def test_activation_gradients(self, op):
@@ -292,14 +295,26 @@ class TestInvariants:
 
 
 class TestPrecisionModes:
-    def teardown_method(self):
-        ad.set_precision("f64")
-
     def test_f32_mode(self):
-        ad.set_precision("f32")
-        t = Tensor([1.0])
-        assert t.data.dtype == np.float32
+        assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+        assert Tensor([1.0]).data.dtype == np.float64
+        assert Tensor(np.ones(2, np.float16)).data.dtype == np.float64
+        assert Tensor(np.arange(3)).data.dtype == np.float64
+        x = Tensor(np.linspace(-1, 1, 8).astype(np.float32), requires_grad=True)
+        loss = ad.cross_entropy(ad.tanh(ad.reshape(ad.matmul(
+            Tensor(np.ones((8, 8), np.float32)), x), (-1,))), 2)
+        loss.backward()
+        assert loss.data.dtype == x.grad.dtype == np.float32
 
     def test_unknown_mode_rejected(self):
+        table = EmbeddingTable(Vocabulary(list(RESERVED)), np.zeros((3, 4)))
         with pytest.raises(ValueError):
-            ad.set_precision("f16")
+            CaptionModel.init(table, depth=1, hidden=4, annot_dim=4,
+                              attention_k=2, head_kind="regression",
+                              precision="f16")
+
+    def test_no_process_global_state(self):
+        src = Path(ad.__file__).parent
+        assert not [line for path in src.glob("*.py")
+                    for line in path.read_text(encoding="utf-8").splitlines()
+                    if line.strip().startswith("global ")]

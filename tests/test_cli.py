@@ -130,3 +130,24 @@ class TestExitCodes:
               "--epochs", "1", "--min-count", "2"])
         assert main(["caption", str(ckpt), str(other),
                      str(tmp / "img0.annv")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("cand_line, ref_line", [
+        ('{"id": "x", "caption": "a dog"}', '{"id": "x", "references": ["a dog"]}'),
+        ('{"id": "x", "candidate": "a dog"', '{"id": "x", "references": ["a dog"]}'),
+        ('["x", "a dog"]', '{"id": "x", "references": ["a dog"]}'),
+        ('{"id": "x", "candidate": "a dog"}', '{"id": "x", "refs": ["a dog"]}'),
+    ], ids=["no-candidate-key", "malformed-json", "not-an-object", "no-references-key"])
+    def test_bad_evaluate_input_is_data_error(self, tmp_path, cand_line, ref_line):
+        cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+        cands.write_text(cand_line + "\n")
+        refs.write_text(ref_line + "\n")
+        assert main(["evaluate", str(cands), str(refs)]) == EXIT_DATA
+
+    def test_empty_manifest_caption_is_data_error(self, workspace):
+        tmp, manifest, config = workspace
+        emb = tmp / "e.bin"
+        main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
+        manifest.write_text(manifest.read_text().replace('"captions": ["a dog runs fast"]',
+                                                         '"captions": ["a dog runs fast", ""]'))
+        assert main(["--config", str(config), "train", str(manifest), str(emb),
+                     str(tmp / "m.ckpt")]) == EXIT_DATA

@@ -84,15 +84,20 @@ class TestStackedStep:
         out_eval, _ = stacked_step(model, v, c, model.zero_state(), train_mode=False)
         np.testing.assert_array_equal(out_train.data, out_eval.data)
 
-    def test_full_dropout_zeroes_hidden(self):
-        model = _model()
+    def test_dropout_mask_scales_hidden(self):
+        # inverted dropout: the head sees h * (u >= rate) / (1 - rate)
+        model = _model(depth=1, dropout=0.25)
         rng = np.random.default_rng(4)
-        out, state = stacked_step(model, Tensor(rng.normal(0, 1, 8)),
-                                  Tensor(rng.normal(0, 1, 8)),
-                                  model.zero_state(), train_mode=True,
-                                  dropout_rate=1.0)
-        # all hidden activations zeroed; head output reduces to its bias
-        np.testing.assert_array_equal(out.data, model.head.b.data)
+        v, c = rng.normal(0, 1, 8), rng.normal(0, 1, 8)
+        out, _ = stacked_step(model, Tensor(v), Tensor(c), model.zero_state(),
+                              train_mode=True, rng=np.random.default_rng(0))
+        h, _ = lstm_step(Tensor(np.concatenate([v, c])),
+                         (Tensor(np.zeros(16)), Tensor(np.zeros(16))),
+                         model.layers[0])
+        mask = (np.random.default_rng(0).random(16) >= 0.25) / 0.75
+        assert 0 < np.count_nonzero(mask) < 16
+        expected = model.head.w.data @ (h.data * mask) + model.head.b.data
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_depth_one_reduces_to_lstm_step_plus_head(self):
         model = _model(depth=1)
@@ -110,7 +115,7 @@ class TestStackedStep:
         model = _model(depth=2)
         with pytest.raises(ValueError):
             stacked_step(model, Tensor(np.zeros(8)), Tensor(np.zeros(8)),
-                         DecoderState.zeros(3, 16))
+                         DecoderState(model.zero_state().layers[:1]))
 
 
 class TestTeacherForcedLoss:
@@ -168,6 +173,19 @@ class TestTeacherForcedLoss:
             err = finite_difference_check(f, param, max_components=10, rng=rng)
             assert err < 1e-4, param.name
 
+    @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
+    def test_f32_model_stays_f32(self, head):
+        model = CaptionModel.init(_table(), depth=2, hidden=16, annot_dim=8,
+                                  attention_k=8, head_kind=head, dropout_rate=0.5,
+                                  precision="f32")
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        loss = teacher_forced_loss(model, _annots(), ["w1", "w2"], train_mode=True,
+                                   rng=np.random.default_rng(0))
+        loss.backward()
+        assert loss.data.dtype == np.float32
+        assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        assert greedy_decode(model, _annots(), max_len=3) is not None
+
     def test_determinism(self):
         def run():
             model = _model(seed=10, dropout=0.5)
@@ -211,9 +229,9 @@ class TestParamCount:
     def test_minimal_hand_enumeration(self):
         # depth 1, every dimension 1; layer0 input = d + D = 2
         # lstm: 4*(1*2 + 1*1 + 1) = 16
-        # attention: k*D + k*d + b1 + w_out + w_state + b2 = 1+1+1+1+1+1 = 6
+        # attention: k*D + k*d + b1 + w_out = 1+1+1+1 = 4
         # regression head: 1*1 + 1 = 2
-        assert param_count(1, 1, 1, 1, 1, 1, REGRESSION) == 24
+        assert param_count(1, 1, 1, 1, 1, 1, REGRESSION) == 22
 
     def test_count_matches_actual_tensors(self):
         for head in (REGRESSION, SOFTMAX):

@@ -118,11 +118,6 @@ class TestNearestWord:
             v = rng.normal(0, 1, 5)
             assert nearest_word(v, table) == nearest_word(v, table2)
 
-    def test_cosine_metric(self):
-        table = _orthonormal_table(["a", "b"], 5)
-        v = 0.3 * table.lookup("b")
-        assert nearest_word(v, table, metric="cosine") == "b"
-
 
 class TestTrainSkipgram:
     def test_shared_contexts_cluster(self):

@@ -1,9 +1,11 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from capreg.encoder import (AnnotationSet, FeatureFileError, FeatureGrid,
-                            ToyEncoderParams, load_features, pool_quarter,
-                            save_features, toy_encode)
+from capreg.encoder import (AnnotationSet, FeatureFileError, load_features,
+                            save_features)
 
 
 class TestAnnotationSet:
@@ -17,11 +19,15 @@ class TestAnnotationSet:
         with pytest.raises(ValueError):
             AnnotationSet(bad, 2, 2)
 
-    def test_grid_flattening(self):
-        grid = FeatureGrid(np.arange(12.0).reshape(2, 2, 3))
-        a = grid.to_annotations("img")
+    def test_grid_flattening(self, tmp_path):
+        # a hand-written 2x2x3 feature file: h_2 is the (1,0) cell in
+        # row-major order
+        blob = b"ANNV" + struct.pack("<IIII", 1, 2, 2, 3)
+        blob += np.arange(12.0).astype("<f4").tobytes()
+        path = tmp_path / "h.annv"
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+        a = load_features(path)
         assert a.count == 4 and a.dim == 3
-        # h_2 is the (1,0) cell in row-major order
         np.testing.assert_array_equal(a.vectors[2], [6.0, 7.0, 8.0])
 
 
@@ -46,7 +52,7 @@ class TestFeatureFiles:
 
     def test_hand_built_grid_cell(self, tmp_path):
         grid = np.arange(12.0).reshape(2, 2, 3)
-        a = FeatureGrid(grid).to_annotations()
+        a = AnnotationSet(grid.reshape(4, 3), 2, 2)
         path = tmp_path / "g.annv"
         save_features(a, path)
         loaded = load_features(path)
@@ -75,75 +81,3 @@ class TestFeatureFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(FeatureFileError):
             load_features(path)
-
-
-class TestToyEncode:
-    def test_zero_image_zero_bias(self):
-        params = ToyEncoderParams.random(1, 4, 8, seed=0)
-        grid = toy_encode(np.zeros((8, 8)), params)
-        np.testing.assert_array_equal(grid.data, 0.0)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(1)
-        img = rng.normal(0, 1, (8, 8, 3))
-        params = ToyEncoderParams.random(3, 4, 6, seed=1)
-        np.testing.assert_array_equal(toy_encode(img, params).data,
-                                      toy_encode(img, params).data)
-
-    def test_bad_dimensions(self):
-        params = ToyEncoderParams.random(1, 2, 2)
-        with pytest.raises(ValueError):
-            toy_encode(np.zeros((7, 8)), params)
-
-    def test_single_stage_hand_computed(self):
-        # centre-tap kernel passes the pixel through; one stage is then
-        # max-pool(tanh(img)) on a 4x4 input
-        img = np.linspace(-1, 1, 16).reshape(4, 4)
-        kern = np.zeros((1, 1, 3, 3))
-        kern[0, 0, 1, 1] = 1.0
-        params = ToyEncoderParams(kernels1=kern, bias1=np.zeros(1),
-                                  kernels2=kern, bias2=np.zeros(1))
-        out = toy_encode(img, params).data[:, :, 0]
-        stage1 = np.tanh(img).reshape(2, 2, 2, 2).max(axis=(1, 3))
-        expected = np.tanh(stage1).reshape(1, 2, 1, 2).max(axis=(1, 3))
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-class TestPoolQuarter:
-    def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, 3.0])
-        a = AnnotationSet(np.tile(v, (4, 1)), 2, 2)
-        pooled = pool_quarter(a)
-        assert pooled.count == 1
-        np.testing.assert_array_equal(pooled.vectors[0], v)
-
-    def test_dominant_cell(self):
-        vecs = np.zeros((4, 3))
-        vecs[2] = [5.0, 6.0, 7.0]
-        pooled = pool_quarter(AnnotationSet(vecs, 2, 2))
-        np.testing.assert_array_equal(pooled.vectors[0], [5.0, 6.0, 7.0])
-
-    def test_odd_grid_rejected(self):
-        with pytest.raises(ValueError):
-            pool_quarter(AnnotationSet(np.zeros((6, 2)), 3, 2))
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(2)
-        grid = rng.normal(0, 1, (4, 4, 8))
-        pooled = pool_quarter(AnnotationSet(grid.reshape(16, 8), 4, 4))
-        assert pooled.count == 4
-        for r in range(2):
-            for c in range(2):
-                window = grid[2 * r:2 * r + 2, 2 * c:2 * c + 2]
-                expected = window.reshape(4, 8).max(axis=0)
-                np.testing.assert_array_equal(pooled.vectors[r * 2 + c], expected)
-
-    def test_every_component_is_window_max(self):
-        rng = np.random.default_rng(3)
-        grid = rng.normal(0, 1, (8, 8, 4))
-        a = AnnotationSet(grid.reshape(64, 4), 8, 8)
-        pooled = pool_quarter(a)
-        assert pooled.count == a.count // 4
-        src = grid.reshape(4, 2, 4, 2, 4)
-        np.testing.assert_array_equal(
-            pooled.vectors.reshape(4, 4, 4), src.max(axis=(1, 3)))

@@ -1,8 +1,12 @@
 import json
+import logging
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from capreg.autodiff import Tensor
 from capreg.decoder import CaptionModel, teacher_forced_loss
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet, save_features
@@ -75,12 +79,22 @@ class TestLoadDataset:
         assert [r.image_id for r in records] == ["i0", "i1", "i2"]
         assert records[2].captions == [["a", "b", "c2"]]
 
-    def test_six_captions_kept_with_warning(self, tmp_path, capsys):
+    def test_six_captions_kept_with_warning(self, tmp_path, capsys, caplog):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({"id": "x", "captions": ["a"] * 6}) + "\n")
-        records = load_dataset(path)
+        with caplog.at_level(logging.WARNING, logger="capreg.harness"):
+            records = load_dataset(path)
         assert len(records[0].captions) == 6
-        assert "warning" in capsys.readouterr().out
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "6 captions" in caplog.records[0].getMessage()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("caption", ["", "   ", []], ids=["empty", "blank", "no-tokens"])
+    def test_empty_caption_rejected(self, tmp_path, caption):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"id": "x", "captions": ["a b", caption]}) + "\n")
+        with pytest.raises(DataError, match=":1: .*empty caption"):
+            load_dataset(path)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -150,6 +164,21 @@ class TestTrain:
         _, log = train(_toy_config(depth=3, epochs=1), _records(), _table())
         row = log.epochs[0]
         assert all(f"grad_norm_layer{i}" in row for i in range(3))
+
+    def test_empty_records_rejected(self):
+        with pytest.raises(DataError, match="no training captions"):
+            train(_toy_config(), [], _table())
+
+    def test_annotation_dimension_checked_up_front(self):
+        records = _records(dim=8) + _records(n=1, dim=6, seed=1)
+        with pytest.raises(DataError, match="annotation dimension 6"):
+            train(_toy_config(annot_dim=8), records, _table())
+
+    def test_f32_training_leaves_default_dtype(self):
+        model, log = train(_toy_config(precision="f32"), _records(), _table())
+        assert all(p.data.dtype == np.float32 for p in model.parameters())
+        assert np.isfinite(log.epochs[-1]["loss"])
+        assert Tensor([1.0]).data.dtype == np.float64
 
     def test_log_csv(self, tmp_path):
         _, log = train(_toy_config(epochs=2), _records(), _table())
@@ -222,6 +251,27 @@ class TestCheckpoint:
         other = _table(num_words=21)
         with pytest.raises(CheckpointError, match="vocabulary"):
             load_checkpoint(path, other)
+
+    def test_precision_on_load(self, tmp_path):
+        table = _table()
+        model, _ = train(_toy_config(epochs=1), _records(), table)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path, table, precision="f32")
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert b.data.dtype == np.float32
+            np.testing.assert_array_equal(b.data, a.data.astype(np.float32))
+
+    def test_version1_refused(self, tmp_path):
+        table = _table()
+        model, _ = train(_toy_config(epochs=1), _records(), table)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = bytearray(path.read_bytes()[:-4])
+        raw[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            load_checkpoint(path, table)
 
     def test_corrupted_file_refused(self, tmp_path):
         table = _table()
