@@ -154,39 +154,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape and a.data.ndim != 0 and b.data.ndim != 0:
+    if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
 
     def backward(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
+        return [g, g]
     return _result(a.data + b.data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape and a.data.ndim != 0 and b.data.ndim != 0:
-        raise ValueError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-
-    def backward(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)]
-    return _result(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape and a.data.ndim != 0 and b.data.ndim != 0:
+    if a.shape != b.shape:
         raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
 
     def backward(g):
-        return [_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)]
+        return [g * b.data, g * a.data]
     return _result(a.data * b.data, (a, b), backward)
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    if g.shape == tuple(shape):
-        return g
-    # scalar operand against an array
-    return np.asarray(g.sum(), dtype=g.dtype).reshape(shape)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -232,23 +215,6 @@ def slice_(x: Tensor, start: int, stop: int) -> Tensor:
         full[start:stop] = g
         return [full]
     return _result(x.data[start:stop].copy(), (x,), backward)
-
-
-def sum_(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def backward(g):
-        return [np.full_like(x.data, float(g))]
-    return _result(np.asarray(x.data.sum()), (x,), backward)
-
-
-def mean(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size
-
-    def backward(g):
-        return [np.full_like(x.data, float(g) / n)]
-    return _result(np.asarray(x.data.mean()), (x,), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -343,19 +309,20 @@ def mse(prediction: Tensor, target: Tensor) -> Tensor:
 # optimizer
 
 
+ADAM_BETA_1 = 0.9
+ADAM_BETA_2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Adam optimizer with bias correction over a fixed parameter list."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Iterable[Tensor], lr: float = 0.001):
         self.params = list(params)
         for p in self.params:
             if not p.requires_grad:
                 raise AutodiffError("Adam over a tensor without requires_grad")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -363,7 +330,7 @@ class AdamState:
     def step(self) -> None:
         """Apply one update from the accumulated gradients, then zero them."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA_1, ADAM_BETA_2
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 raise AutodiffError("adam step with missing gradient")
@@ -374,7 +341,7 @@ class AdamState:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.zero_grad()
 
 
@@ -382,11 +349,13 @@ class AdamState:
 # verification
 
 
+FD_ZERO_TOL = 1e-9
+
+
 def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor,
                             h: float = 1e-5,
                             max_components: int | None = None,
-                            rng: np.random.Generator | None = None,
-                            zero_tol: float = 1e-9) -> float:
+                            rng: np.random.Generator | None = None) -> float:
     """Compare backward() gradients of scalar f against central differences.
 
     Returns the worst componentwise relative error, with denominator
@@ -394,11 +363,11 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor,
     ``max_components`` caps the number of randomly sampled components
     checked (all components by default).
 
-    Components where both values fall below ``zero_tol`` count as agreeing:
-    for a parameter whose true gradient is exactly zero (e.g. a direction
-    the loss is invariant under), the central-difference estimate carries
-    roundoff noise of order eps*|f|/h, which would otherwise dominate the
-    floored denominator.
+    Components where both values fall below ``FD_ZERO_TOL`` count as
+    agreeing: for a parameter whose true gradient is exactly zero (e.g. a
+    direction the loss is invariant under), the central-difference estimate
+    carries roundoff noise of order eps*|f|/h, which would otherwise dominate
+    the floored denominator.
     """
     if not x.requires_grad:
         raise AutodiffError("finite_difference_check needs a requires_grad input")
@@ -426,7 +395,7 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor,
         fm = float(f(x).data)
         flat[i] = orig
         numeric = (fp - fm) / (2 * h)
-        if max(abs(a_flat[i]), abs(numeric)) < zero_tol:
+        if max(abs(a_flat[i]), abs(numeric)) < FD_ZERO_TOL:
             continue
         denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
         worst = max(worst, abs(a_flat[i] - numeric) / denom)

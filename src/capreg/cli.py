@@ -16,11 +16,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, NumericalError, finite_difference_check
 from .decoder import REGRESSION, SOFTMAX, greedy_decode, param_count
-from .embedding import EmbeddingTable, build_vocab, train_skipgram
+from .embedding import EmbeddingError, EmbeddingTable, build_vocab, train_skipgram
 from .encoder import load_features, FeatureFileError
 from .harness import (TrainConfig, TrainingAborted, DataError, load_dataset,
-                      train, grad_experiment, grad_experiment_csv, depth_study,
-                      save_checkpoint, load_checkpoint, CheckpointError)
+                      read_jsonl, write_csv, train, grad_experiment,
+                      grad_experiment_csv, depth_study, save_checkpoint,
+                      load_checkpoint, CheckpointError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,16 +39,10 @@ def _resolve(path: str) -> Path:
 
 
 def _build_config(args) -> TrainConfig:
-    overrides = {k: getattr(args, k, None) for k in
-                 ("depth", "hidden", "embed_dim", "head_kind", "epochs",
-                  "lr", "dropout_rate", "seed", "precision")}
-    if args.config:
-        return TrainConfig.from_file(args.config, **overrides)
-    cfg = TrainConfig()
-    for k, v in overrides.items():
-        if v is not None:
-            setattr(cfg, k, v)
-    return cfg
+    return TrainConfig.from_file(args.config, **{
+        k: getattr(args, k, None) for k in
+        ("depth", "hidden", "head_kind", "epochs", "lr", "dropout_rate",
+         "seed", "precision")})
 
 
 def cmd_train_embeddings(args) -> int:
@@ -64,14 +59,13 @@ def cmd_train_embeddings(args) -> int:
 
 def cmd_train(args) -> int:
     config = _build_config(args)
-    config.validate()
     records = load_dataset(_resolve(args.manifest))
     table = EmbeddingTable.load(args.embeddings)
     config.embed_dim = table.dim
     model, log = train(config, records, table)
     save_checkpoint(model, args.output)
     if args.log:
-        log.write_csv(args.log)
+        write_csv(log.epochs, args.log)
     final = log.epochs[-1]["loss"] if log.epochs else float("nan")
     print(f"trained depth-{config.depth} {config.head_kind} model, "
           f"final loss {final:.6g} -> {args.output}")
@@ -89,40 +83,37 @@ def cmd_caption(args) -> int:
                                   return_attention=True)
     print(" ".join(tokens))
     if args.attention_csv:
-        with open(args.attention_csv, "w", encoding="utf-8") as fh:
-            for step, alphas in enumerate(trace):
-                fh.write(f"{step}," + ",".join(f"{a:.8g}" for a in alphas) + "\n")
+        steps = np.arange(len(trace))
+        np.savetxt(args.attention_csv, np.column_stack([steps, trace]),
+                   fmt="%.8g", delimiter=",")
     return EXIT_OK
 
 
+def _read_by_id(path, key: str, valid, expected: str) -> dict:
+    """{id: obj[key]} over the JSON lines of ``path``; ``valid`` checks each value."""
+    out = {}
+    for lineno, obj in read_jsonl(path, "id", key):
+        if isinstance(obj["id"], (list, dict)):
+            raise DataError(f"{path}:{lineno}: 'id' must be a string or a number")
+        if not valid(obj[key]):
+            raise DataError(f"{path}:{lineno}: {key!r} must be {expected}")
+        out[obj["id"]] = obj[key]
+    return out
+
+
 def cmd_evaluate(args) -> int:
-    from .metrics import EvalCorpus, bleu, rouge_l, cider, tokenize
+    from .metrics import EvalCorpus, bleu, rouge_l, cider
 
-    def read_jsonl(path, key):
-        """{id: obj[key]} over the JSON lines of ``path``."""
-        out = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    out[obj["id"]] = obj[key]
-                except json.JSONDecodeError as e:
-                    raise DataError(f"{path}:{lineno}: parse error: {e}") from e
-                except (KeyError, TypeError) as e:
-                    raise DataError(f"{path}:{lineno}: expected an object with "
-                                    f"'id' and {key!r}") from e
-        return out
-
-    cands = read_jsonl(_resolve(args.candidates), "candidate")
-    refs = read_jsonl(_resolve(args.references), "references")
+    cands = _read_by_id(_resolve(args.candidates), "candidate",
+                        lambda c: isinstance(c, str), "a string")
+    refs = _read_by_id(_resolve(args.references), "references",
+                       lambda rs: isinstance(rs, list) and rs
+                       and all(isinstance(r, str) for r in rs),
+                       "a non-empty list of strings")
     missing = set(cands) - set(refs)
     if missing:
         raise DataError(f"candidates without references: {sorted(missing)[:5]}")
-    pairs = [(tokenize(cands[i]), [tokenize(r) for r in refs[i]]) for i in cands]
-    corpus = EvalCorpus(pairs)
+    corpus = EvalCorpus.from_strings([(cands[i], refs[i]) for i in cands])
     report = {f"bleu{n}": bleu(corpus, n) for n in (1, 2, 3, 4)}
     report["rouge_l"] = rouge_l(corpus)
     if len(corpus) >= 2:
@@ -166,11 +157,7 @@ def cmd_depth_study(args) -> int:
     rows = depth_study(config, args.depths, records, table)
     print(json.dumps(rows, indent=2))
     if args.csv:
-        keys = list(rows[0].keys())
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(keys) + "\n")
-            for row in rows:
-                fh.write(",".join(str(row[k]) for k in keys) + "\n")
+        write_csv(rows, args.csv)
     return EXIT_OK
 
 
@@ -275,7 +262,7 @@ def main(argv=None) -> int:
     except (ValueError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FeatureFileError, FileNotFoundError) as e:
+    except (DataError, FeatureFileError, EmbeddingError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingAborted, NumericalError) as e:

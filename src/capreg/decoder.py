@@ -51,13 +51,6 @@ class LSTMLayerParams:
 
 
 @dataclass
-class DecoderState:
-    """Per-layer (hidden, cell) pairs."""
-
-    layers: list[tuple[Tensor, Tensor]]
-
-
-@dataclass
 class OutputHead:
     kind: str       # REGRESSION or SOFTMAX
     w: Tensor       # (out_dim, hidden)
@@ -156,9 +149,10 @@ class CaptionModel:
         """A graph constant in the model's dtype."""
         return Tensor(np.asarray(array, dtype=self.dtype))
 
-    def zero_state(self) -> DecoderState:
+    def zero_state(self) -> list[tuple[Tensor, Tensor]]:
+        """Per-layer (hidden, cell) pairs, all zero."""
         zeros = np.zeros(self.hidden, self.dtype)
-        return DecoderState([(Tensor(zeros), Tensor(zeros)) for _ in range(self.depth)])
+        return [(Tensor(zeros), Tensor(zeros)) for _ in range(self.depth)]
 
     def embed(self, token: str) -> Tensor:
         return self.tensor(self.embedding.lookup(token))
@@ -168,15 +162,17 @@ class CaptionModel:
 
 
 def stacked_step(model: CaptionModel, v_prev: Tensor, context: Tensor,
-                 state: DecoderState, train_mode: bool = False,
-                 rng: np.random.Generator | None = None) -> tuple[Tensor, DecoderState]:
-    """One time step through the full stack; returns (head output, new state)."""
-    if len(state.layers) != model.depth:
+                 state: list[tuple[Tensor, Tensor]], train_mode: bool = False,
+                 rng: np.random.Generator | None = None
+                 ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    """One time step through the full stack; ``state`` holds each layer's
+    (hidden, cell) pair. Returns (head output, new state)."""
+    if len(state) != model.depth:
         raise ValueError("decoder state depth does not match model depth")
     rate = model.dropout_rate
     x = ad.concat([v_prev, context])
     new_layers = []
-    for layer, layer_state in zip(model.layers, state.layers):
+    for layer, layer_state in zip(model.layers, state):
         h, new_state = lstm_step(x, layer_state, layer)
         if train_mode and rate > 0.0:
             if rng is None:
@@ -185,7 +181,7 @@ def stacked_step(model: CaptionModel, v_prev: Tensor, context: Tensor,
             h = ad.mul(h, model.tensor(mask))
         new_layers.append(new_state)
         x = h
-    return model.head.apply(x), DecoderState(new_layers)
+    return model.head.apply(x), new_layers
 
 
 def teacher_forced_loss(model: CaptionModel, annotations: AnnotationSet,

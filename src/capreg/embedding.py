@@ -34,15 +34,14 @@ class Vocabulary:
 
     index_to_token: list[str]
     token_to_index: dict[str, int] = field(init=False)
-    min_count: int = 1
 
     def __post_init__(self):
         self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
         if len(self.token_to_index) != len(self.index_to_token):
             raise EmbeddingError("duplicate tokens in vocabulary")
-        for i, tok in enumerate(RESERVED):
-            if self.index_to_token[i] != tok:
-                raise EmbeddingError(f"reserved token {tok} must sit at index {i}")
+        if self.index_to_token[:len(RESERVED)] != list(RESERVED):
+            raise EmbeddingError(f"reserved tokens {RESERVED} must sit at indices "
+                                 f"0..{len(RESERVED) - 1}")
 
     def __len__(self):
         return len(self.index_to_token)
@@ -77,7 +76,7 @@ def build_vocab(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
         counts.update(sentence)
     kept = sorted(t for t, c in counts.items()
                   if c >= min_count and t not in RESERVED)
-    return Vocabulary(list(RESERVED) + kept, min_count=min_count)
+    return Vocabulary(list(RESERVED) + kept)
 
 
 def skipgram_pairs(tokens: list, window: int) -> list[tuple]:
@@ -132,17 +131,25 @@ class EmbeddingTable:
     def load(cls, path) -> "EmbeddingTable":
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
-                raise EmbeddingError("bad magic in embedding file")
-            version, nv, d = struct.unpack("<III", fh.read(12))
+                raise EmbeddingError(f"{path}: bad magic in embedding file")
+            header = fh.read(16)
+            if len(header) != 16:
+                raise EmbeddingError(f"{path}: truncated header")
+            version, nv, d, blob_len = struct.unpack("<IIII", header)
             if version != _VERSION:
-                raise EmbeddingError(f"unsupported embedding file version {version}")
-            blob_len, = struct.unpack("<I", fh.read(4))
-            tokens = fh.read(blob_len).decode("utf-8").split("\x00")
+                raise EmbeddingError(f"{path}: unsupported embedding file version {version}")
+            blob = fh.read(blob_len)
+            if len(blob) != blob_len:
+                raise EmbeddingError(f"{path}: truncated token list")
+            try:
+                tokens = blob.decode("utf-8").split("\x00")
+            except UnicodeDecodeError as e:
+                raise EmbeddingError(f"{path}: token list is not UTF-8") from e
             if len(tokens) != nv:
-                raise EmbeddingError("token list length disagrees with header")
+                raise EmbeddingError(f"{path}: token list length disagrees with header")
             payload = fh.read(nv * d * 4)
             if len(payload) != nv * d * 4:
-                raise EmbeddingError("truncated embedding payload")
+                raise EmbeddingError(f"{path}: truncated embedding payload")
             vectors = np.frombuffer(payload, dtype="<f4").reshape(nv, d).astype(np.float64)
         return cls(Vocabulary(tokens), vectors)
 

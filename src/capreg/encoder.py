@@ -25,7 +25,6 @@ class AnnotationSet:
     vectors: np.ndarray  # (L, D)
     rows: int
     cols: int
-    image_id: str = ""
 
     def __post_init__(self):
         if self.vectors.ndim != 2:
@@ -34,10 +33,6 @@ class AnnotationSet:
             raise ValueError("grid geometry does not match vector count")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("non-finite annotation values")
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
 
     @property
     def dim(self) -> int:
@@ -70,4 +65,4 @@ def load_features(path) -> AnnotationSet:
         raise FeatureFileError(f"{path}: checksum mismatch")
     grid = np.frombuffer(raw[20:-4], dtype="<f4").reshape(rows, cols, channels)
     return AnnotationSet(grid.reshape(rows * cols, channels).astype(np.float64),
-                         rows, cols, image_id=str(path))
+                         rows, cols)

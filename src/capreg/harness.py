@@ -8,7 +8,7 @@ import logging
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,10 @@ class TrainingAborted(Exception):
         self.dump = dump
 
 
+# accepted value types per TrainConfig annotation; an int is a valid float
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 @dataclass
 class TrainConfig:
     depth: int = 2
@@ -53,6 +57,10 @@ class TrainConfig:
     max_decode_len: int = 20
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"config {f.name} must be {f.type}, got {value!r}")
         if self.head_kind not in (REGRESSION, SOFTMAX):
             raise ValueError(f"unsupported head kind {self.head_kind!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -67,8 +75,14 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        """The defaults, then the JSON object in ``path`` (if given), then
+        every override that is not None."""
+        data = {}
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError(f"{path}: config must be a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
@@ -86,20 +100,16 @@ class DatasetRecord:
 
     def load_annotations(self) -> AnnotationSet:
         if self.annotations is None:
+            if self.feature_path is None:
+                raise DataError(f"image {self.image_id}: the manifest gives no features")
             self.annotations = load_features(self.feature_path)
         return self.annotations
 
 
-def load_dataset(manifest_path) -> list[DatasetRecord]:
-    """Read a JSON-lines manifest: one {"id", "features", "captions"} per line.
-
-    Captions may be strings (whitespace split) or token lists; an empty
-    caption is a data error. More than five captions per image is accepted
-    with a logged warning; data is never discarded.
-    """
-    records = []
-    root = Path(manifest_path).parent
-    with open(manifest_path, "r", encoding="utf-8") as fh:
+def read_jsonl(path, *keys):
+    """Yield (line number, object) for each non-blank line of a JSON-lines
+    file. Every line must be a JSON object holding each of ``keys``."""
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -107,28 +117,43 @@ def load_dataset(manifest_path) -> list[DatasetRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise DataError(f"{manifest_path}:{lineno}: parse error: {e}") from e
-            try:
-                image_id = obj["id"]
-                captions = obj["captions"]
-            except KeyError as e:
-                raise DataError(f"{manifest_path}:{lineno}: missing key {e}") from e
-            captions = [c.split() if isinstance(c, str) else list(c)
-                        for c in captions]
-            if not captions:
-                raise DataError(f"{manifest_path}:{lineno}: record {image_id} has no captions")
-            if not all(captions):
-                raise DataError(f"{manifest_path}:{lineno}: record {image_id} has an empty caption")
-            if len(captions) > 5:
-                logger.warning("image %s has %d captions (> 5); keeping all",
-                            image_id, len(captions))
-            feature_path = obj.get("features")
-            if feature_path is not None:
-                feature_path = str(root / feature_path)
-                if not Path(feature_path).exists():
-                    raise DataError(f"{manifest_path}:{lineno}: missing feature file "
-                                    f"{feature_path} for image {image_id}")
-            records.append(DatasetRecord(str(image_id), feature_path, captions))
+                raise DataError(f"{path}:{lineno}: parse error: {e}") from e
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            for key in keys:
+                if key not in obj:
+                    raise DataError(f"{path}:{lineno}: missing key {key!r}")
+            yield lineno, obj
+
+
+def load_dataset(manifest_path) -> list[DatasetRecord]:
+    """Read a JSON-lines manifest: one {"id", "features", "captions"} per line.
+
+    Captions may be strings (whitespace split) or token lists; an empty
+    caption is a data error. More than five captions per image is accepted
+    with a logged warning; data is never discarded. "features" may be left
+    out where no annotations are needed (embedding training).
+    """
+    records = []
+    root = Path(manifest_path).parent
+    for lineno, obj in read_jsonl(manifest_path, "id", "captions"):
+        image_id = obj["id"]
+        captions = [c.split() if isinstance(c, str) else list(c)
+                    for c in obj["captions"]]
+        if not captions:
+            raise DataError(f"{manifest_path}:{lineno}: record {image_id} has no captions")
+        if not all(captions):
+            raise DataError(f"{manifest_path}:{lineno}: record {image_id} has an empty caption")
+        if len(captions) > 5:
+            logger.warning("image %s has %d captions (> 5); keeping all",
+                           image_id, len(captions))
+        feature_path = obj.get("features")
+        if feature_path is not None:
+            feature_path = str(root / feature_path)
+            if not Path(feature_path).exists():
+                raise DataError(f"{manifest_path}:{lineno}: missing feature file "
+                                f"{feature_path} for image {image_id}")
+        records.append(DatasetRecord(str(image_id), feature_path, captions))
     return records
 
 
@@ -144,17 +169,17 @@ def split_validation(records: list[DatasetRecord]) -> tuple[list, list]:
 class TrainLog:
     epochs: list[dict] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps(self.epochs, indent=2)
 
-    def write_csv(self, path) -> None:
-        if not self.epochs:
-            return
-        keys = list(self.epochs[0].keys())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(keys) + "\n")
-            for row in self.epochs:
-                fh.write(",".join(str(row[k]) for k in keys) + "\n")
+def write_csv(rows: list[dict], path) -> None:
+    """Write dict rows as CSV, the first row's keys as the header. No rows,
+    no file."""
+    if not rows:
+        return
+    keys = list(rows[0].keys())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(keys) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[k]) for k in keys) + "\n")
 
 
 def _layer_grad_norms(model: CaptionModel) -> list[float]:
@@ -320,14 +345,13 @@ def depth_study(config_base: TrainConfig, depths: list[int],
         raise ValueError("depth list is empty")
     rows = []
     for depth in depths:
-        counts = {
-            kind: param_count(depth, config_base.hidden, config_base.embed_dim,
-                              len(embedding.vocab), config_base.annot_dim,
-                              config_base.attention_k, kind)
-            for kind in (REGRESSION, SOFTMAX)
-        }
         cfg = TrainConfig(**{**asdict(config_base), "depth": depth})
         model, log = train(cfg, records, embedding)
+        counts = {
+            kind: param_count(depth, cfg.hidden, cfg.embed_dim, len(embedding.vocab),
+                              cfg.annot_dim, cfg.attention_k, kind)
+            for kind in (REGRESSION, SOFTMAX)
+        }
         pairs = [(greedy_decode(model, rec.load_annotations(),
                                 max_len=cfg.max_decode_len), rec.captions)
                  for rec in records]

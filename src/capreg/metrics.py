@@ -84,10 +84,12 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(corpus: EvalCorpus, beta: float = 1.2) -> float:
-    """LCS-based F-measure, best over references, averaged over the corpus."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+_ROUGE_BETA = 1.2
+
+
+def rouge_l(corpus: EvalCorpus) -> float:
+    """LCS-based F-measure (recall weighted by ``_ROUGE_BETA``), best over
+    references, averaged over the corpus."""
     total = 0.0
     for cand, refs in corpus.pairs:
         best = 0.0
@@ -97,7 +99,7 @@ def rouge_l(corpus: EvalCorpus, beta: float = 1.2) -> float:
                 continue
             prec = lcs / len(cand)
             rec = lcs / len(ref)
-            f = (1 + beta ** 2) * prec * rec / (rec + beta ** 2 * prec)
+            f = (1 + _ROUGE_BETA ** 2) * prec * rec / (rec + _ROUGE_BETA ** 2 * prec)
             best = max(best, f)
         total += best
     return 100.0 * total / len(corpus.pairs)

@@ -26,6 +26,7 @@ from capreg.metrics import EvalCorpus, bleu, cider, rouge_l
 from capreg.attention import attend_matrix
 
 from test_attention import attend as reference_attend
+from test_autodiff import _total
 from test_metrics import (_oracle_bleu, _oracle_cider, _oracle_rouge_l,
                           _random_corpus)
 
@@ -42,8 +43,7 @@ def _toy_records(n, annot_count, annot_dim, num_words, cap_lens, seed):
     for i in range(n):
         annots = AnnotationSet(rng.normal(0, 1, (annot_count, annot_dim)),
                                annot_count // 4 if annot_count % 4 == 0 else 1,
-                               4 if annot_count % 4 == 0 else annot_count,
-                               image_id=f"img{i}")
+                               4 if annot_count % 4 == 0 else annot_count)
         length = int(rng.integers(cap_lens[0], cap_lens[1] + 1))
         cap = [f"w{rng.integers(num_words)}" for _ in range(length)]
         records.append(DatasetRecord(f"img{i}", None, [cap], annotations=annots))
@@ -78,10 +78,10 @@ def test_criterion_1_gradient_correctness(capsys):
             lambda t: ad.mse(ad.matmul(w, t), Tensor(np.zeros(5))),
             lambda t: ad.cross_entropy(t, label),
             lambda t: ad.mse(t, target8),
-            lambda t: ad.sum_(ad.mul(ad.softmax(t), Tensor(np.arange(8.0)))),
-            lambda t: ad.sum_(ad.tanh(ad.sigmoid(t))),
-            lambda t: ad.mean(ad.mul(t, t)),
-            lambda t: ad.sum_(ad.slice_(ad.concat([t, t]), 2, 13)),
+            lambda t: _total(ad.mul(ad.softmax(t), Tensor(np.arange(8.0)))),
+            lambda t: _total(ad.tanh(ad.sigmoid(t))),
+            lambda t: _total(ad.scale(ad.mul(t, t), 1 / 8)),
+            lambda t: _total(ad.slice_(ad.concat([t, t]), 2, 13)),
             lambda t: ad.cross_entropy(
                 ad.reshape(ad.matmul(ad.reshape(t, (8, 1)), row), (64,)), label),
         ]

@@ -136,7 +136,14 @@ class TestExitCodes:
         ('{"id": "x", "candidate": "a dog"', '{"id": "x", "references": ["a dog"]}'),
         ('["x", "a dog"]', '{"id": "x", "references": ["a dog"]}'),
         ('{"id": "x", "candidate": "a dog"}', '{"id": "x", "refs": ["a dog"]}'),
-    ], ids=["no-candidate-key", "malformed-json", "not-an-object", "no-references-key"])
+        ('{"id": "x", "candidate": "a dog"}', '{"id": "x", "references": "a dog"}'),
+        ('{"id": "x", "candidate": "a dog"}', '{"id": "x", "references": []}'),
+        ('{"id": "x", "candidate": "a dog"}', '{"id": "x", "references": ["a dog", 3]}'),
+        ('{"id": "x", "candidate": ["a", "dog"]}', '{"id": "x", "references": ["a dog"]}'),
+        ('{"id": ["x"], "candidate": "a dog"}', '{"id": "x", "references": ["a dog"]}'),
+    ], ids=["no-candidate-key", "malformed-json", "not-an-object", "no-references-key",
+            "references-a-string", "references-empty", "reference-not-a-string",
+            "candidate-not-a-string", "id-a-list"])
     def test_bad_evaluate_input_is_data_error(self, tmp_path, cand_line, ref_line):
         cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
         cands.write_text(cand_line + "\n")
@@ -151,3 +158,38 @@ class TestExitCodes:
                                                          '"captions": ["a dog runs fast", ""]'))
         assert main(["--config", str(config), "train", str(manifest), str(emb),
                      str(tmp / "m.ckpt")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("command, field", [("train", "depth"), ("depth-study", "hidden")])
+    def test_mistyped_config_value_is_usage_error(self, workspace, capsys, command, field):
+        tmp, manifest, config = workspace
+        emb = tmp / "e.bin"
+        main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
+        config.write_text(json.dumps({field: "8"}))
+        extra = [str(tmp / "m.ckpt")] if command == "train" else ["--depths", "1"]
+        assert main(["--config", str(config), command, str(manifest), str(emb),
+                     *extra]) == EXIT_USAGE
+        assert f"config {field} must be int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob", [b"GEMB\x01\x00", b"XXXX" + bytes(16)],
+                             ids=["short-header", "bad-magic"])
+    def test_bad_embedding_file_is_data_error(self, workspace, blob):
+        tmp, manifest, config = workspace
+        emb, ckpt = tmp / "e.bin", tmp / "m.ckpt"
+        main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
+        main(["--config", str(config), "train", str(manifest), str(emb), str(ckpt)])
+        emb.write_bytes(blob)
+        assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_DATA
+
+    def test_manifest_without_features_is_data_error(self, workspace, capsys):
+        tmp, manifest, config = workspace
+        emb = tmp / "e.bin"
+        main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
+        manifest.write_text(manifest.read_text().replace(', "features": "img1.annv"', ""))
+        assert main(["--config", str(config), "train", str(manifest), str(emb),
+                     str(tmp / "m.ckpt")]) == EXIT_DATA
+        assert "image img1" in capsys.readouterr().err
+
+    def test_non_object_manifest_line_is_data_error(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1, 2]\n")
+        assert main(["train-embeddings", str(bad), str(tmp_path / "e.bin")]) == EXIT_DATA

@@ -3,9 +3,9 @@ import pytest
 
 from capreg import autodiff as ad
 from capreg.autodiff import Tensor, finite_difference_check
-from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, DecoderState,
-                            LSTMLayerParams, greedy_decode, lstm_step,
-                            param_count, stacked_step, teacher_forced_loss)
+from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, LSTMLayerParams,
+                            greedy_decode, lstm_step, param_count, stacked_step,
+                            teacher_forced_loss)
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet
 
@@ -115,7 +115,7 @@ class TestStackedStep:
         model = _model(depth=2)
         with pytest.raises(ValueError):
             stacked_step(model, Tensor(np.zeros(8)), Tensor(np.zeros(8)),
-                         DecoderState(model.zero_state().layers[:1]))
+                         model.zero_state()[:1])
 
 
 class TestTeacherForcedLoss:

@@ -187,3 +187,26 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(EmbeddingError):
             EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("cut, match", [(6, "truncated header"),
+                                            (30, "truncated token list"),
+                                            (-1, "truncated embedding payload")])
+    def test_truncated_file_rejected(self, tmp_path, cut, match):
+        path = tmp_path / "emb.bin"
+        EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), np.ones((4, 3))).save(path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(EmbeddingError, match=match):
+            EmbeddingTable.load(path)
+
+    def test_bad_utf8_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), np.ones((4, 3))).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[-3 * 4 * 4 - 1] = 0xFF  # the last byte of the token "x"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EmbeddingError, match="not UTF-8"):
+            EmbeddingTable.load(path)
+
+    def test_missing_reserved_tokens_rejected(self):
+        with pytest.raises(EmbeddingError, match="reserved tokens"):
+            Vocabulary([START])

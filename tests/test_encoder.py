@@ -27,7 +27,7 @@ class TestAnnotationSet:
         path = tmp_path / "h.annv"
         path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
         a = load_features(path)
-        assert a.count == 4 and a.dim == 3
+        assert a.vectors.shape == (4, 3)
         np.testing.assert_array_equal(a.vectors[2], [6.0, 7.0, 8.0])
 
 
@@ -37,7 +37,7 @@ class TestFeatureFiles:
         path = tmp_path / "z.annv"
         save_features(a, path)
         loaded = load_features(path)
-        assert loaded.count == 16 and loaded.dim == 64
+        assert loaded.vectors.shape == (16, 64)
         np.testing.assert_array_equal(loaded.vectors, 0.0)
 
     def test_roundtrip_identity(self, tmp_path):

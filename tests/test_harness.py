@@ -13,7 +13,7 @@ from capreg.encoder import AnnotationSet, save_features
 from capreg.harness import (CheckpointError, DataError, DatasetRecord,
                             TrainConfig, grad_experiment, grad_experiment_csv,
                             load_checkpoint, load_dataset, save_checkpoint,
-                            split_validation, train)
+                            split_validation, train, write_csv)
 
 
 def _table(num_words=20, d=8, seed=0):
@@ -26,7 +26,7 @@ def _records(n=4, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
-        annots = AnnotationSet(rng.normal(0, 1, (4, dim)), 2, 2, image_id=f"img{i}")
+        annots = AnnotationSet(rng.normal(0, 1, (4, dim)), 2, 2)
         cap = [f"w{rng.integers(20)}" for _ in range(4)]
         out.append(DatasetRecord(f"img{i}", None, [cap], annotations=annots))
     return out
@@ -50,6 +50,20 @@ class TestTrainConfig:
     def test_dropout_range(self):
         with pytest.raises(ValueError):
             TrainConfig(dropout_rate=1.0).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth", "8"), ("depth", 8.0), ("depth", True), ("lr", "0.1"),
+        ("lr", False), ("head_kind", 1)])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"config {field} must be"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_int_is_a_valid_float(self):
+        TrainConfig(lr=0, dropout_rate=0).validate()
+
+    def test_no_file_gives_defaults_and_overrides(self):
+        cfg = TrainConfig.from_file(None, depth=3, hidden=None)
+        assert cfg == TrainConfig(depth=3)
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -101,6 +115,25 @@ class TestLoadDataset:
         path.write_text('{"id": "a", "captions": ["x"]}\n{broken\n')
         with pytest.raises(DataError, match=":2:"):
             load_dataset(path)
+
+    def test_non_object_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a", "captions": ["x"]}\n[1, 2]\n')
+        with pytest.raises(DataError, match=":2: expected a JSON object"):
+            load_dataset(path)
+
+    def test_missing_key_named(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a"}\n')
+        with pytest.raises(DataError, match=":1: missing key 'captions'"):
+            load_dataset(path)
+
+    def test_no_features_refused_when_needed(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"id": "a", "captions": ["x"]}) + "\n")
+        rec = load_dataset(path)[0]
+        with pytest.raises(DataError, match="image a: the manifest gives no features"):
+            rec.load_annotations()
 
     def test_dangling_feature_path(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -183,10 +216,14 @@ class TestTrain:
     def test_log_csv(self, tmp_path):
         _, log = train(_toy_config(epochs=2), _records(), _table())
         path = tmp_path / "log.csv"
-        log.write_csv(path)
+        write_csv(log.epochs, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("epoch,loss,lr")
+
+    def test_no_rows_no_csv(self, tmp_path):
+        write_csv([], tmp_path / "log.csv")
+        assert not (tmp_path / "log.csv").exists()
 
 
 class TestGradExperiment:
