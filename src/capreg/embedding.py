@@ -7,10 +7,12 @@ regressed vectors back to words by nearest-neighbor lookup.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,9 @@ RESERVED = (START, END, UNK)
 
 _MAGIC = b"GEMB"
 _VERSION = 1
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 class EmbeddingError(Exception):
@@ -100,10 +105,19 @@ class EmbeddingTable:
     vectors: np.ndarray
 
     def __post_init__(self):
+        # f64, which nearest_word's rounding bound assumes
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.shape[0] != len(self.vocab):
             raise EmbeddingError("row count does not match vocabulary size")
         if not np.all(np.isfinite(self.vectors)):
             raise EmbeddingError("non-finite embedding values")
+        # read-only, so the cached row norms always describe these rows
+        self.vectors.setflags(write=False)
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Squared L2 norm of each row, computed on first use."""
+        return np.einsum("ij,ij->i", self.vectors, self.vectors)
 
     @property
     def dim(self) -> int:
@@ -155,12 +169,36 @@ class EmbeddingTable:
 
 
 def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:
-    """Token whose embedding row is closest to v in L2; ties break to lowest index."""
+    """Token whose embedding row is closest to v in L2; ties break to lowest index.
+
+    One matrix-vector product against the cached squared row norms screens
+    the table; only the rows it cannot separate from the best are scored by
+    the exhaustive scan's expression, so the answer is that scan's.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (table.dim,):
         raise EmbeddingError(f"query dimension {v.shape} does not match table dim {table.dim}")
-    d = ((table.vectors - v) ** 2).sum(axis=1)
-    return table.vocab.decode(int(np.argmin(d)))
+    if not np.all(np.isfinite(v)):
+        raise EmbeddingError("non-finite query vector")
+    vectors = table.vectors
+    # The screen ||e||^2 - 2 e.v is ||e - v||^2 - ||v||^2. It and the exact
+    # expression each round to within (d + 2) eps r^2 / 2 of their true value,
+    # r = max ||e|| + ||v||, plus at most 3d underflows of 2^-1075, in any
+    # summation order. So a row the exact expression ranks first screens at
+    # most 2 (d + 2) eps r^2 + 4d 2^-1074 above the screened minimum: tol is
+    # twice that or more. With 4 r^2 finite no sum can overflow; past that,
+    # every row is a candidate.
+    r = math.sqrt(table.sq_norms.max()) + math.sqrt(v @ v)
+    if math.isfinite(4 * r * r):
+        tol = 8 * (table.dim + 2) * (_EPS * r * r + _TINY)
+        s = vectors @ v
+        s *= -2.0
+        s += table.sq_norms
+        cand = np.flatnonzero(s <= s.min() + tol)
+    else:
+        cand = np.arange(len(vectors))
+    d = ((vectors[cand] - v) ** 2).sum(axis=1)
+    return table.vocab.decode(int(cand[np.argmin(d)]))
 
 
 def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,

@@ -110,20 +110,27 @@ def read_jsonl(path, *keys):
     """Yield (line number, object) for each non-blank line of a JSON-lines
     file. Every line must be a JSON object holding each of ``keys``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: parse error: {e}") from e
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            for key in keys:
-                if key not in obj:
-                    raise DataError(f"{path}:{lineno}: missing key {key!r}")
-            yield lineno, obj
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DataError(f"{path}:{lineno}: parse error: {e}") from e
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path}:{lineno}: expected a JSON object")
+                for key in keys:
+                    if key not in obj:
+                        raise DataError(f"{path}:{lineno}: missing key {key!r}")
+                yield lineno, obj
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8: {e}") from e
+
+
+def _is_caption(c) -> bool:
+    return isinstance(c, str) or (isinstance(c, list) and all(isinstance(t, str) for t in c))
 
 
 def load_dataset(manifest_path) -> list[DatasetRecord]:
@@ -138,8 +145,10 @@ def load_dataset(manifest_path) -> list[DatasetRecord]:
     root = Path(manifest_path).parent
     for lineno, obj in read_jsonl(manifest_path, "id", "captions"):
         image_id = obj["id"]
-        captions = [c.split() if isinstance(c, str) else list(c)
-                    for c in obj["captions"]]
+        if not (isinstance(obj["captions"], list) and all(map(_is_caption, obj["captions"]))):
+            raise DataError(f"{manifest_path}:{lineno}: record {image_id}: captions must "
+                            f"be a list of strings or of token lists")
+        captions = [c.split() if isinstance(c, str) else c for c in obj["captions"]]
         if not captions:
             raise DataError(f"{manifest_path}:{lineno}: record {image_id} has no captions")
         if not all(captions):
@@ -149,6 +158,9 @@ def load_dataset(manifest_path) -> list[DatasetRecord]:
                            image_id, len(captions))
         feature_path = obj.get("features")
         if feature_path is not None:
+            if not isinstance(feature_path, str):
+                raise DataError(f"{manifest_path}:{lineno}: record {image_id}: features "
+                                f"must be a string")
             feature_path = str(root / feature_path)
             if not Path(feature_path).exists():
                 raise DataError(f"{manifest_path}:{lineno}: missing feature file "

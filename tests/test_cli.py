@@ -193,3 +193,23 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("[1, 2]\n")
         assert main(["train-embeddings", str(bad), str(tmp_path / "e.bin")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("record", [
+        {"id": "a", "captions": 5},
+        {"id": "a", "captions": "a dog"},
+        {"id": "a", "captions": ["a dog", 3]},
+        {"id": "a", "captions": [["a", 3]]},
+        {"id": "a", "captions": ["a dog"], "features": 5},
+    ], ids=["captions-a-number", "captions-a-string", "caption-a-number",
+            "token-a-number", "features-a-number"])
+    def test_mistyped_manifest_value_is_data_error(self, tmp_path, capsys, record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["train-embeddings", str(bad), str(tmp_path / "e.bin")]) == EXIT_DATA
+        assert "record a" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "a", "captions": ["a \xff dog"]}\n')
+        assert main(["train-embeddings", str(bad), str(tmp_path / "e.bin")]) == EXIT_DATA
+        assert "bad.jsonl: not UTF-8" in capsys.readouterr().err

@@ -133,12 +133,14 @@ class TestTeacherForcedLoss:
         assert seq_losses >= 0
 
     def test_zero_loss_iff_exact_match(self):
-        table = _table(d=4, seed=6)
+        # <end> shares w3's row, so one head output matches both steps
+        base = _table(d=4, seed=6)
+        shared = base.lookup("w3")
+        vectors = base.vectors.copy()
+        vectors[base.vocab.encode("<end>")] = shared
+        table = EmbeddingTable(base.vocab, vectors)
         model = _model(d=4, annot_dim=4, table=table, seed=6)
         model.head.w.data[...] = 0.0
-        shared = table.lookup("w3").copy()
-        table.vectors[table.vocab.encode("w3")] = shared
-        table.vectors[table.vocab.encode("<end>")] = shared
         model.head.b.data[...] = shared
         loss = teacher_forced_loss(model, _annots(dim=4), ["w3"])
         assert loss.item() == 0.0

@@ -119,6 +119,86 @@ class TestNearestWord:
             assert nearest_word(v, table) == nearest_word(v, table2)
 
 
+def _full_scan(v, table):
+    """Oracle: the exhaustive L2 scan over every row, first minimum wins."""
+    d = ((table.vectors - np.asarray(v, dtype=np.float64)) ** 2).sum(axis=1)
+    return table.vocab.decode(int(np.argmin(d)))
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    """A 20,003 x 64 table, the size of the paper's vocabulary."""
+    rng = np.random.default_rng(11)
+    vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(20000)])
+    return EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 64)))
+
+
+class TestNearestWordMatchesFullScan:
+    def _check(self, table, queries):
+        for v in queries:
+            assert nearest_word(v, table) == _full_scan(v, table)
+
+    def test_random_queries(self, wide_table):
+        rng = np.random.default_rng(12)
+        self._check(wide_table, rng.normal(0, 1, (1000, 64)))
+
+    def test_midpoints_between_rows(self, wide_table):
+        rng = np.random.default_rng(13)
+        pairs = rng.integers(0, len(wide_table.vocab), (300, 2))
+        vecs = wide_table.vectors
+        self._check(wide_table, (vecs[pairs[:, 0]] + vecs[pairs[:, 1]]) / 2)
+
+    def test_queries_equal_to_rows(self, wide_table):
+        rng = np.random.default_rng(14)
+        rows = rng.choice(len(wide_table.vocab), 300, replace=False)
+        self._check(wide_table, wide_table.vectors[rows])
+
+    def test_duplicate_rows_tie_to_lowest_index(self, wide_table):
+        # every row repeats one of the first 103, so each query has at least
+        # 194 rows at exactly its nearest distance
+        vecs = wide_table.vectors[np.arange(len(wide_table.vocab)) % 103]
+        table = EmbeddingTable(wide_table.vocab, vecs)
+        rng = np.random.default_rng(15)
+        self._check(table, rng.normal(0, 1, (100, 64)))
+        self._check(table, vecs[rng.integers(0, len(vecs), 100)])
+        for i in range(103):
+            assert nearest_word(vecs[i + 103 * 7], table) == table.vocab.decode(i)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e150],
+                             ids=["subnormal", "underflow", "overflow"])
+    def test_scaled_tables(self, wide_table, scale):
+        table = EmbeddingTable(wide_table.vocab, wide_table.vectors * scale)
+        rng = np.random.default_rng(16)
+        rows = table.vectors[rng.integers(0, len(table.vectors), 50)]
+        midpoints = (rows[:25] + rows[25:]) / 2
+        self._check(table, rng.normal(0, 1, (100, 64)) * scale)
+        self._check(table, rows)
+        self._check(table, midpoints)
+
+    @pytest.mark.parametrize("norm", [1e154, 1e200])
+    def test_huge_query_falls_back_to_full_scan(self, wide_table, norm):
+        # 4 (max ||e|| + ||v||)^2 leaves the f64 range, so every row is re-ranked
+        rng = np.random.default_rng(17)
+        with np.errstate(over="ignore"):
+            for _ in range(5):
+                v = rng.normal(0, 1, 64)
+                self._check(wide_table, [v * (norm / np.linalg.norm(v))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        table = _orthonormal_table(["a", "b"], 4)
+        v = np.zeros(4)
+        v[2] = bad
+        with pytest.raises(EmbeddingError, match="non-finite"):
+            nearest_word(v, table)
+
+    def test_vectors_read_only(self):
+        table = _orthonormal_table(["a", "b"], 4)
+        nearest_word(table.lookup("a"), table)
+        with pytest.raises(ValueError):
+            table.vectors[3] = 0.0
+
+
 class TestTrainSkipgram:
     def test_shared_contexts_cluster(self):
         # "cat" and "dog" appear in identical contexts; "stone" never does
