@@ -112,13 +112,17 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor],
-            backward: Callable[[np.ndarray], list]) -> Tensor:
+def _finite(data: np.ndarray) -> np.ndarray:
     # single reduction instead of np.all(np.isfinite(...)): any NaN/Inf in
     # the array leaves the sum non-finite
     if not np.isfinite(data.sum()):
         raise NumericalError("forward op produced non-finite values")
-    out = Tensor(data)
+    return data
+
+
+def _result(data: np.ndarray, parents: Sequence[Tensor],
+            backward: Callable[[np.ndarray], list]) -> Tensor:
+    out = Tensor(_finite(data))
     out._parents = tuple(parents)
     out._backward = backward
     return out
@@ -172,9 +176,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data * b.data, (a, b), backward)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _sigmoid(x.data)
 
     def backward(g):
         return [g * s * (1.0 - s)]
@@ -253,6 +261,49 @@ def scale(x: Tensor, k: float) -> Tensor:
     def backward(g):
         return [g * k]
     return _result(x.data * k, (x,), backward)
+
+
+def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
+              w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer-step as one graph node whose output is ``[h; c]``.
+
+    The gates are packed (input, forget, output, candidate) along the rows
+    of ``w_x`` (4n, in), ``w_h`` (4n, n) and ``b`` (4n,). The forward
+    evaluates the NumPy expressions of the same cell built from ``matmul``,
+    ``add``, ``slice_``, ``sigmoid``, ``tanh`` and ``mul``, in the same order,
+    and the backward writes out that graph's chain rule term by term, so
+    values and gradients are bit-identical to it. The topological sort
+    explores the parents last to first, so it walks a step's history before
+    its input ``x``, as it does in that graph; this keeps the order in which
+    gradients are summed over time steps.
+    """
+    x, h_prev, c_prev, w_x, w_h, b = map(_as_tensor, (x, h_prev, c_prev, w_x, w_h, b))
+    n = h_prev.data.size
+    if (x.data.ndim != 1 or h_prev.data.ndim != 1 or c_prev.shape != (n,)
+            or b.shape != (4 * n,) or w_h.shape != (4 * n, n)
+            or w_x.shape != (4 * n, x.data.size)):
+        raise ValueError(f"lstm_cell: incompatible shapes x {x.shape}, h {h_prev.shape}, "
+                         f"c {c_prev.shape}, w_x {w_x.shape}, w_h {w_h.shape}, b {b.shape}")
+    z = _finite(_finite(_finite(w_x.data @ x.data) + _finite(w_h.data @ h_prev.data))
+                + b.data)
+    i = _sigmoid(z[:n].copy())
+    f = _sigmoid(z[n:2 * n].copy())
+    o = _sigmoid(z[2 * n:3 * n].copy())
+    g = np.tanh(z[3 * n:].copy())
+    c = f * c_prev.data + i * g
+    tc = np.tanh(c)
+
+    def backward(grad):
+        gh, gc = grad[:n], grad[n:]
+        dc = gc + (gh * o) * (1.0 - tc * tc)
+        dz = np.empty(4 * n, grad.dtype)
+        dz[:n] = (dc * g) * i * (1.0 - i)
+        dz[n:2 * n] = (dc * c_prev.data) * f * (1.0 - f)
+        dz[2 * n:3 * n] = (gh * tc) * o * (1.0 - o)
+        dz[3 * n:] = (dc * i) * (1.0 - g * g)
+        return [w_x.data.T @ dz, w_h.data.T @ dz, dc * f,
+                dz[:, None] * x.data, dz[:, None] * h_prev.data, dz]
+    return _result(np.concatenate([o * tc, c]), (x, h_prev, c_prev, w_x, w_h, b), backward)
 
 
 # ---------------------------------------------------------------------------

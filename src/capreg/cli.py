@@ -21,7 +21,7 @@ from .encoder import load_features, FeatureFileError
 from .harness import (TrainConfig, TrainingAborted, DataError, load_dataset,
                       read_jsonl, write_csv, train, grad_experiment,
                       grad_experiment_csv, depth_study, save_checkpoint,
-                      load_checkpoint, CheckpointError)
+                      load_checkpoint, CheckpointError, check_annotation_dim)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,6 +79,7 @@ def cmd_caption(args) -> int:
     table = EmbeddingTable.load(args.embeddings)
     model = load_checkpoint(args.checkpoint, table, precision=args.precision or "f64")
     annots = load_features(_resolve(args.features))
+    check_annotation_dim(args.features, annots, model.annot_dim)
     tokens, trace = greedy_decode(model, annots, max_len=args.max_len,
                                   return_attention=True)
     print(" ".join(tokens))

@@ -75,18 +75,12 @@ class OutputHead:
 
 def lstm_step(x: Tensor, layer_state: tuple[Tensor, Tensor],
               params: LSTMLayerParams) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """Standard LSTM cell; returns (hidden, (hidden, cell))."""
+    """Standard LSTM cell, one fused graph op; returns (hidden, (hidden, cell))."""
     h_prev, c_prev = layer_state
     n = params.hidden
-    gates = ad.add(ad.add(ad.matmul(params.w_x, x), ad.matmul(params.w_h, h_prev)),
-                   params.b)
-    i = ad.sigmoid(ad.slice_(gates, 0, n))
-    f = ad.sigmoid(ad.slice_(gates, n, 2 * n))
-    o = ad.sigmoid(ad.slice_(gates, 2 * n, 3 * n))
-    g = ad.tanh(ad.slice_(gates, 3 * n, 4 * n))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, (h, c)
+    hc = ad.lstm_cell(x, h_prev, c_prev, params.w_x, params.w_h, params.b)
+    h = ad.slice_(hc, 0, n)
+    return h, (h, ad.slice_(hc, n, 2 * n))
 
 
 @dataclass
@@ -132,6 +126,10 @@ class CaptionModel:
     @property
     def hidden(self) -> int:
         return self.layers[0].hidden
+
+    @property
+    def annot_dim(self) -> int:
+        return self.attention.w_hidden_annot.shape[1]
 
     @property
     def dtype(self):

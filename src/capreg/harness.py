@@ -65,6 +65,10 @@ class TrainConfig:
             raise ValueError(f"unsupported head kind {self.head_kind!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
+        if not (math.isfinite(self.decay_factor) and 0.0 < self.decay_factor <= 1.0):
+            raise ValueError(f"decay_factor must lie in (0, 1], got {self.decay_factor!r}")
         for name in ("depth", "hidden", "embed_dim", "annot_dim", "attention_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -169,6 +173,13 @@ def load_dataset(manifest_path) -> list[DatasetRecord]:
     return records
 
 
+def check_annotation_dim(image: str, annotations: AnnotationSet, annot_dim: int) -> None:
+    """Raise DataError unless the annotation vectors have ``annot_dim`` components."""
+    if annotations.dim != annot_dim:
+        raise DataError(f"image {image}: annotation dimension {annotations.dim} "
+                        f"differs from annot_dim {annot_dim}")
+
+
 def split_validation(records: list[DatasetRecord]) -> tuple[list, list]:
     """Deterministic ~10% validation split by hash of the image id."""
     train, val = [], []
@@ -215,10 +226,7 @@ def train(config: TrainConfig, records: list[DatasetRecord],
     if not samples:
         raise DataError("no training captions")
     for rec in records:
-        dim = rec.load_annotations().dim
-        if dim != config.annot_dim:
-            raise DataError(f"image {rec.image_id}: annotation dimension {dim} "
-                            f"differs from annot_dim {config.annot_dim}")
+        check_annotation_dim(rec.image_id, rec.load_annotations(), config.annot_dim)
     model = CaptionModel.init(
         embedding, depth=config.depth, hidden=config.hidden,
         annot_dim=config.annot_dim, attention_k=config.attention_k,
@@ -289,6 +297,10 @@ def grad_experiment(vocab_size: int, embed_dim: int, depth: int,
     unit residual, and (c) layer-wise gradient norms of small stacks trained
     one step with each head.
     """
+    if vocab_size < 2:
+        raise ValueError("vocab_size must be >= 2: the softmax head needs a non-target class")
+    if embed_dim < 1 or depth < 1 or trials < 1:
+        raise ValueError("embed_dim, depth and trials must be positive")
     rng = np.random.default_rng(seed)
 
     uniform = Tensor(np.zeros(vocab_size), requires_grad=True)
@@ -394,12 +406,11 @@ class CheckpointError(Exception):
 def save_checkpoint(model: CaptionModel, path) -> None:
     """Versioned binary container: JSON hyperparameter header plus named
     float64 tensor payloads, CRC-protected."""
-    annot_dim = model.layers[0].w_x.shape[1] - model.embedding.dim
     header = {
         "depth": model.depth,
         "hidden": model.hidden,
         "embed_dim": model.embedding.dim,
-        "annot_dim": annot_dim,
+        "annot_dim": model.annot_dim,
         "attention_k": model.attention.b_hidden.shape[0],
         "head_kind": model.head.kind,
         "dropout_rate": model.dropout_rate,
@@ -422,6 +433,30 @@ def save_checkpoint(model: CaptionModel, path) -> None:
         fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
+_CKPT_DIMS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k")
+# header key -> accepted value types; an int is a valid float
+_CKPT_HEADER = {**{key: (int,) for key in _CKPT_DIMS}, "head_kind": (str,),
+                "dropout_rate": (int, float), "vocab_hash": (int,)}
+
+
+def _checkpoint_header(path, blob: bytes) -> dict:
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: malformed header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header must be a JSON object")
+    for key, types in _CKPT_HEADER.items():
+        if key not in header:
+            raise CheckpointError(f"{path}: header lacks {key!r}")
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise CheckpointError(f"{path}: header {key} has the wrong type: {value!r}")
+        if key in _CKPT_DIMS and value < 1:
+            raise CheckpointError(f"{path}: header {key} must be positive, got {value}")
+    return header
+
+
 def load_checkpoint(path, embedding: EmbeddingTable,
                     precision: str = "f64") -> CaptionModel:
     """Rebuild a saved model with its parameters in ``precision``."""
@@ -431,36 +466,50 @@ def load_checkpoint(path, embedding: EmbeddingTable,
         raise CheckpointError(f"{path}: not a checkpoint file")
     if zlib.crc32(raw[:-4]) != struct.unpack("<I", raw[-4:])[0]:
         raise CheckpointError(f"{path}: checksum mismatch")
-    version, = struct.unpack("<I", raw[4:8])
+    body = memoryview(raw)[:-4]  # parse within the checksummed bytes, without a copy
+    off = 4
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal off
+        if off + n > len(body):
+            raise CheckpointError(f"{path}: truncated {what}")
+        off += n
+        return body[off - n:off]
+
+    def uint(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    version = uint("header")
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 8
-    hlen, = struct.unpack_from("<I", raw, off); off += 4
-    header = json.loads(raw[off:off + hlen].decode("utf-8")); off += hlen
+    header = _checkpoint_header(path, bytes(take(uint("header"), "header")))
     if header["vocab_hash"] != embedding.vocab.content_hash():
-        raise CheckpointError("checkpoint vocabulary does not match the embedding table")
+        raise CheckpointError(f"{path}: checkpoint vocabulary does not match the "
+                              f"embedding table")
     if header["embed_dim"] != embedding.dim:
-        raise CheckpointError("checkpoint embedding dimension mismatch")
-    model = CaptionModel.init(
-        embedding, depth=header["depth"], hidden=header["hidden"],
-        annot_dim=header["annot_dim"], attention_k=header["attention_k"],
-        head_kind=header["head_kind"], dropout_rate=header["dropout_rate"],
-        precision=precision)
-    nparams, = struct.unpack_from("<I", raw, off); off += 4
+        raise CheckpointError(f"{path}: checkpoint embedding dimension mismatch")
+    try:
+        model = CaptionModel.init(
+            embedding, depth=header["depth"], hidden=header["hidden"],
+            annot_dim=header["annot_dim"], attention_k=header["attention_k"],
+            head_kind=header["head_kind"], dropout_rate=header["dropout_rate"],
+            precision=precision)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
     params = model.parameters()
-    if nparams != len(params):
-        raise CheckpointError("parameter count mismatch")
+    if uint("payload") != len(params):
+        raise CheckpointError(f"{path}: parameter count mismatch")
     for p in params:
-        nlen, = struct.unpack_from("<I", raw, off); off += 4
-        name = raw[off:off + nlen].decode("utf-8"); off += nlen
+        name = bytes(take(uint("payload"), "payload")).decode("utf-8", errors="replace")
         if name != (p.name or ""):
-            raise CheckpointError(f"parameter order mismatch: {name} vs {p.name}")
-        ndim, = struct.unpack_from("<I", raw, off); off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off); off += 4 * ndim
+            raise CheckpointError(f"{path}: parameter order mismatch: {name} vs {p.name}")
+        ndim = uint("payload")
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "payload"))
         if tuple(shape) != p.data.shape:
-            raise CheckpointError(f"shape mismatch for {name}")
+            raise CheckpointError(f"{path}: shape mismatch for {name}")
         count = int(np.prod(shape)) if shape else 1
-        p.data = np.frombuffer(raw, dtype="<f8", count=count, offset=off
+        p.data = np.frombuffer(take(count * 8, "payload"), dtype="<f8"
                                ).reshape(shape).astype(model.dtype)
-        off += count * 8
+    if off != len(body):
+        raise CheckpointError(f"{path}: {len(body) - off} bytes after the last parameter")
     return model

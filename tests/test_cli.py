@@ -6,6 +6,8 @@ import pytest
 from capreg.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main)
 from capreg.encoder import AnnotationSet, save_features
 
+from test_harness import checkpoint_header, rewrite_checkpoint
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -27,6 +29,18 @@ def workspace(tmp_path):
                                   "attention_k": 4, "dropout_rate": 0.0,
                                   "epochs": 3}))
     return tmp_path, manifest, config
+
+
+@pytest.fixture
+def trained(workspace):
+    """The workspace plus an embedding table and a checkpoint trained on it."""
+    tmp, manifest, config = workspace
+    emb, ckpt = tmp / "e.bin", tmp / "m.ckpt"
+    assert main(["train-embeddings", str(manifest), str(emb), "--dim", "8",
+                 "--epochs", "1"]) == EXIT_OK
+    assert main(["--config", str(config), "train", str(manifest), str(emb),
+                 str(ckpt)]) == EXIT_OK
+    return tmp, emb, ckpt
 
 
 class TestPipeline:
@@ -213,3 +227,32 @@ class TestExitCodes:
         bad.write_bytes(b'{"id": "a", "captions": ["a \xff dog"]}\n')
         assert main(["train-embeddings", str(bad), str(tmp_path / "e.bin")]) == EXIT_DATA
         assert "bad.jsonl: not UTF-8" in capsys.readouterr().err
+
+    def test_caption_feature_dimension_is_data_error(self, trained, capsys):
+        tmp, emb, ckpt = trained
+        feat = tmp / "narrow.annv"
+        save_features(AnnotationSet(np.ones((4, 6)), 2, 2), feat)
+        capsys.readouterr()
+        assert main(["caption", str(ckpt), str(emb), str(feat)]) == EXIT_DATA
+        assert "annotation dimension 6 differs from annot_dim 8" in capsys.readouterr().err
+
+    def test_bad_checkpoint_header_is_usage_error(self, trained, capsys):
+        tmp, emb, ckpt = trained
+        header = checkpoint_header(ckpt)
+        del header["depth"]
+        rewrite_checkpoint(ckpt, header)
+        capsys.readouterr()
+        assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
+        assert "m.ckpt: header lacks 'depth'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
+    def test_bad_lr_is_usage_error(self, trained, capsys, lr):
+        tmp, emb, _ = trained
+        capsys.readouterr()
+        assert main(["--config", str(tmp / "config.json"), "train", str(tmp / "train.jsonl"),
+                     str(emb), str(tmp / "n.ckpt"), "--lr", lr]) == EXIT_USAGE
+        assert "lr must be finite" in capsys.readouterr().err
+
+    def test_grad_experiment_one_word_vocab_is_usage_error(self, capsys):
+        assert main(["grad-experiment", "--vocab-size", "1", "--trials", "2"]) == EXIT_USAGE
+        assert "vocab_size must be >= 2" in capsys.readouterr().err

@@ -2,12 +2,34 @@ import numpy as np
 import pytest
 
 from capreg import autodiff as ad
-from capreg.autodiff import Tensor, finite_difference_check
+from capreg import decoder
+from capreg.autodiff import NumericalError, Tensor, finite_difference_check
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, LSTMLayerParams,
                             greedy_decode, lstm_step, param_count, stacked_step,
                             teacher_forced_loss)
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet
+
+from test_autodiff import _total
+
+
+# ---------------------------------------------------------------------------
+# per-op reference for the fused cell
+
+
+def lstm_step_ops(x, layer_state, params):
+    """The LSTM cell built from 17 graph ops; returns (hidden, (hidden, cell))."""
+    h_prev, c_prev = layer_state
+    n = params.hidden
+    gates = ad.add(ad.add(ad.matmul(params.w_x, x), ad.matmul(params.w_h, h_prev)),
+                   params.b)
+    i = ad.sigmoid(ad.slice_(gates, 0, n))
+    f = ad.sigmoid(ad.slice_(gates, n, 2 * n))
+    o = ad.sigmoid(ad.slice_(gates, 2 * n, 3 * n))
+    g = ad.tanh(ad.slice_(gates, 3 * n, 4 * n))
+    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    h = ad.mul(o, ad.tanh(c))
+    return h, (h, c)
 
 
 def _table(num_words=12, d=8, seed=0):
@@ -70,6 +92,69 @@ class TestLstmStep:
         np.testing.assert_allclose(c.data, c_ref, atol=1e-12)
         np.testing.assert_allclose(h.data, h_ref, atol=1e-12)
         assert h is h_same
+
+
+class TestFusedCell:
+    """``ad.lstm_cell`` against the per-op cell: equal bits, not a tolerance."""
+
+    CAPTION = ["w1", "w5", "w2", "w7", "w0", "w3"]
+
+    @staticmethod
+    def _run(monkeypatch, step, head, precision):
+        monkeypatch.setattr(decoder, "lstm_step", step)
+        model = CaptionModel.init(_table(), depth=8, hidden=16, annot_dim=8,
+                                  attention_k=8, head_kind=head, dropout_rate=0.5,
+                                  seed=16, precision=precision)
+        loss = teacher_forced_loss(model, _annots(seed=16), TestFusedCell.CAPTION,
+                                   train_mode=True, rng=np.random.default_rng(16))
+        loss.backward()
+        # an untrained regression head's outputs all lie nearest one word;
+        # scaled up, they spread over the table
+        model.head.w.data *= 30.0
+        tokens = [greedy_decode(model, _annots(seed=s), max_len=8) for s in range(5)]
+        return loss.data, [p.grad for p in model.parameters()], tokens
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
+    def test_depth8_bit_identical_to_per_op_cell(self, monkeypatch, head, precision):
+        loss, grads, tokens = self._run(monkeypatch, lstm_step, head, precision)
+        ref_loss, ref_grads, ref_tokens = self._run(monkeypatch, lstm_step_ops,
+                                                    head, precision)
+        assert np.array_equal(loss, ref_loss)
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert g.dtype == ref.dtype
+            assert np.array_equal(g, ref)
+        assert any(np.any(g != 0) for g in grads)
+        assert tokens == ref_tokens
+
+    @pytest.mark.parametrize("which", range(6))
+    def test_gradients_vs_finite_differences(self, which):
+        rng = np.random.default_rng(17 + which)
+        hidden, inp = 5, 3
+        args = [rng.normal(0, 1, inp), rng.normal(0, 1, hidden), rng.normal(0, 1, hidden),
+                rng.normal(0, 0.7, (4 * hidden, inp)), rng.normal(0, 0.7, (4 * hidden, hidden)),
+                rng.normal(0, 0.5, 4 * hidden)]
+        tensors = [Tensor(a, requires_grad=k == which) for k, a in enumerate(args)]
+        weights = Tensor(rng.normal(0, 1, 2 * hidden))  # weighs both h and c
+
+        def f(t):
+            parts = tensors[:which] + [t] + tensors[which + 1:]
+            return _total(ad.mul(ad.lstm_cell(*parts), weights))
+        assert finite_difference_check(f, tensors[which]) < 1e-6
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("step", [lstm_step, lstm_step_ops])
+    def test_huge_input_weights_raise(self, step):
+        params = LSTMLayerParams.init(3, 4, np.random.default_rng(18))
+        params.w_x.data[...] = 1e308
+        with pytest.raises(NumericalError):
+            step(Tensor(np.ones(3)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))), params)
+
+    def test_shape_mismatch(self):
+        params = LSTMLayerParams.init(3, 4, np.random.default_rng(19))
+        with pytest.raises(ValueError):
+            lstm_step(Tensor(np.ones(5)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))), params)
 
 
 class TestStackedStep:

@@ -32,6 +32,27 @@ def _records(n=4, dim=8, seed=0):
     return out
 
 
+def checkpoint_header(path) -> dict:
+    """The JSON header of a saved checkpoint."""
+    raw = path.read_bytes()
+    hlen, = struct.unpack_from("<I", raw, 8)
+    return json.loads(raw[12:12 + hlen])
+
+
+def rewrite_checkpoint(path, header=None, header_blob=None, cut=0, extra=b""):
+    """Rewrite a saved checkpoint's header (a dict, or raw bytes) and payload
+    (``cut`` bytes off its end, ``extra`` appended) under a valid CRC."""
+    raw = path.read_bytes()[:-4]
+    hlen, = struct.unpack_from("<I", raw, 8)
+    if header is not None:
+        header_blob = json.dumps(header).encode("utf-8")
+    if header_blob is None:
+        header_blob = raw[12:12 + hlen]
+    body = (raw[:8] + struct.pack("<I", len(header_blob)) + header_blob
+            + raw[12 + hlen:len(raw) - cut] + extra)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
 def _toy_config(**kw):
     base = dict(depth=1, hidden=12, embed_dim=8, annot_dim=8, attention_k=6,
                 dropout_rate=0.0, epochs=2, seed=0)
@@ -57,6 +78,16 @@ class TestTrainConfig:
     def test_field_types_checked(self, field, value):
         with pytest.raises(ValueError, match=f"config {field} must be"):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -1e-3])
+    def test_lr_finite_and_non_negative(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            TrainConfig(lr=lr).validate()
+
+    @pytest.mark.parametrize("factor", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+    def test_decay_factor_in_unit_interval(self, factor):
+        with pytest.raises(ValueError, match="decay_factor must lie in"):
+            TrainConfig(decay_factor=factor).validate()
 
     def test_int_is_a_valid_float(self):
         TrainConfig(lr=0, dropout_rate=0).validate()
@@ -260,6 +291,13 @@ class TestGradExperiment:
         assert len(report["layer_grad_norms_softmax"]) == 3
         assert report["layer_grad_norms_regression"][0] > 0
 
+    @pytest.mark.parametrize("vocab_size, dim, depth, trials, match", [
+        (1, 8, 1, 2, "vocab_size"), (0, 8, 1, 2, "vocab_size"),
+        (4, 0, 1, 2, "positive"), (4, 8, 0, 2, "positive"), (4, 8, 1, 0, "positive")])
+    def test_degenerate_arguments_rejected(self, vocab_size, dim, depth, trials, match):
+        with pytest.raises(ValueError, match=match):
+            grad_experiment(vocab_size, dim, depth, trials=trials)
+
     def test_csv_rendering(self):
         report = grad_experiment(100, 8, 1, trials=2, embedding=_table(d=8))
         csv = grad_experiment_csv(report)
@@ -320,3 +358,70 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path, table)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        table = _table()
+        model, _ = train(_toy_config(epochs=0), _records(), table)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        return path, table, checkpoint_header(path)
+
+    @pytest.mark.parametrize("key", ["depth", "annot_dim", "head_kind", "vocab_hash"])
+    def test_missing_header_key_refused(self, saved, key):
+        path, table, header = saved
+        del header[key]
+        rewrite_checkpoint(path, header)
+        with pytest.raises(CheckpointError, match=f"model.ckpt: header lacks '{key}'"):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth", "1"), ("depth", 1.0), ("depth", True), ("depth", 0), ("hidden", -3),
+        ("head_kind", 1), ("dropout_rate", "0"), ("vocab_hash", None)])
+    def test_bad_header_value_refused(self, saved, key, value):
+        path, table, header = saved
+        header[key] = value
+        rewrite_checkpoint(path, header)
+        with pytest.raises(CheckpointError, match=f"model.ckpt: header {key} "):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("key, value", [("head_kind", "beam"), ("dropout_rate", 1.0)])
+    def test_header_value_out_of_range_refused(self, saved, key, value):
+        path, table, header = saved
+        header[key] = value
+        rewrite_checkpoint(path, header)
+        with pytest.raises(CheckpointError, match="model.ckpt: "):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("blob", [b'{"depth": 1', b"[1, 2]", b"\xff\xfe"],
+                             ids=["malformed-json", "not-an-object", "not-utf8"])
+    def test_malformed_header_refused(self, saved, blob):
+        path, table, _ = saved
+        rewrite_checkpoint(path, header_blob=blob)
+        with pytest.raises(CheckpointError, match="model.ckpt: "):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("cut", [1, 8, 100, 1000])
+    def test_truncated_payload_refused(self, saved, cut):
+        path, table, _ = saved
+        rewrite_checkpoint(path, cut=cut)
+        with pytest.raises(CheckpointError, match="model.ckpt: truncated"):
+            load_checkpoint(path, table)
+
+    def test_truncated_header_refused(self, saved):
+        path, table, _ = saved
+        raw = path.read_bytes()[:20]
+        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+        with pytest.raises(CheckpointError, match="model.ckpt: truncated header"):
+            load_checkpoint(path, table)
+
+    def test_trailing_bytes_refused(self, saved):
+        path, table, _ = saved
+        rewrite_checkpoint(path, extra=b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="model.ckpt: 8 bytes after"):
+            load_checkpoint(path, table)
+
+    def test_rewrite_helper_keeps_a_valid_file(self, saved):
+        path, table, header = saved
+        rewrite_checkpoint(path, header)
+        load_checkpoint(path, table)
