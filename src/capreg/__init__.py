@@ -3,7 +3,7 @@
 Trains stacked LSTM caption decoders under two objectives -- softmax cross
 entropy over the vocabulary, and regression onto skip-gram word embeddings --
 with a previous-word-conditioned attention mechanism, on top of a small
-reverse-mode autodiff engine with finite-difference gradient verification.
+reverse-mode autodiff engine.
 """
 
 from . import autodiff, attention, decoder, embedding, encoder, harness, metrics

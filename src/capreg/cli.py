@@ -13,14 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor, NumericalError, finite_difference_check
+from .autodiff import NumericalError
 from .decoder import REGRESSION, SOFTMAX, greedy_decode, param_count
 from .embedding import EmbeddingError, EmbeddingTable, build_vocab, train_skipgram
 from .encoder import load_features, FeatureFileError
 from .harness import (TrainConfig, TrainingAborted, DataError, load_dataset,
                       read_jsonl, write_csv, train, grad_experiment,
-                      grad_experiment_csv, depth_study, save_checkpoint,
+                      depth_study, save_checkpoint,
                       load_checkpoint, CheckpointError, check_annotation_dim)
 
 EXIT_OK = 0
@@ -123,29 +122,11 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_grad_check(args) -> int:
-    rng = np.random.default_rng(args.seed or 0)
-    worst = 0.0
-    for trial in range(args.trials):
-        x = Tensor(rng.normal(0, 1, 12), requires_grad=True)
-        w = rng.normal(0, 1, (5, 12))
-
-        def f(t):
-            hidden = ad.tanh(ad.matmul(Tensor(w), t))
-            return ad.mse(hidden, Tensor(np.zeros(5)))
-        worst = max(worst, finite_difference_check(f, x))
-    ok = worst < 1e-4
-    print(f"gradient check over {args.trials} trials: worst rel. err {worst:.3g} "
-          f"({'PASS' if ok else 'FAIL'})")
-    return EXIT_OK if ok else EXIT_NUMERICAL
-
-
 def cmd_grad_experiment(args) -> int:
-    report = grad_experiment(args.vocab_size, args.dim, args.depth,
+    report = grad_experiment(args.vocab_size, args.dim,
                              trials=args.trials, seed=args.seed or 0)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(grad_experiment_csv(report))
+        write_csv([report], args.csv)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -220,14 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("references")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("grad-check", help="finite-difference gradient verification")
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(func=cmd_grad_check)
-
     p = sub.add_parser("grad-experiment", help="output-layer gradient magnitude study")
     p.add_argument("--vocab-size", type=int, default=20000, dest="vocab_size")
     p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--depth", type=int, default=8)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=cmd_grad_experiment)

@@ -13,7 +13,6 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -128,7 +127,6 @@ class EmbeddingTable:
 
     def save(self, path) -> None:
         """Binary layout: magic, version, |V|, d, token list, f32 rows."""
-        path = Path(path)
         tokens_blob = b"\x00".join(t.encode("utf-8") for t in self.vocab.index_to_token)
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
@@ -136,10 +134,6 @@ class EmbeddingTable:
             fh.write(struct.pack("<I", len(tokens_blob)))
             fh.write(tokens_blob)
             fh.write(self.vectors.astype("<f4").tobytes())
-        sidecar = path.with_suffix(path.suffix + ".txt")
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            for tok, row in zip(self.vocab.index_to_token, self.vectors):
-                fh.write(tok + " " + " ".join(f"{v:.6g}" for v in row) + "\n")
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":

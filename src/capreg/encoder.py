@@ -63,6 +63,11 @@ def load_features(path) -> AnnotationSet:
     stored_crc, = struct.unpack("<I", raw[-4:])
     if zlib.crc32(raw[:-4]) != stored_crc:
         raise FeatureFileError(f"{path}: checksum mismatch")
+    if rows * cols == 0 or channels == 0:
+        raise FeatureFileError(f"{path}: empty {rows}x{cols}x{channels} grid")
     grid = np.frombuffer(raw[20:-4], dtype="<f4").reshape(rows, cols, channels)
-    return AnnotationSet(grid.reshape(rows * cols, channels).astype(np.float64),
-                         rows, cols)
+    vectors = grid.reshape(rows * cols, channels).astype(np.float64)
+    try:
+        return AnnotationSet(vectors, rows, cols)
+    except ValueError as e:
+        raise FeatureFileError(f"{path}: {e}") from e

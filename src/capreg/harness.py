@@ -286,21 +286,19 @@ def train(config: TrainConfig, records: list[DatasetRecord],
 # experiments
 
 
-def grad_experiment(vocab_size: int, embed_dim: int, depth: int,
-                    trials: int = 50, seed: int = 0,
-                    embedding: EmbeddingTable | None = None) -> dict:
+def grad_experiment(vocab_size: int, embed_dim: int,
+                    trials: int = 50, seed: int = 0) -> dict:
     """Measure output-layer gradient magnitudes for both heads.
 
     Reports (a) the mean absolute non-target gradient component of the
-    softmax cross-entropy head over random and uniform logits, (b) the mean
-    absolute per-component gradient of the regression head at random and at
-    unit residual, and (c) layer-wise gradient norms of small stacks trained
-    one step with each head.
+    softmax cross-entropy head over random and uniform logits, and (b) the
+    mean absolute per-component gradient of the regression head at random
+    and at unit residual. Every value is a scalar.
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2: the softmax head needs a non-target class")
-    if embed_dim < 1 or depth < 1 or trials < 1:
-        raise ValueError("embed_dim, depth and trials must be positive")
+    if embed_dim < 1 or trials < 1:
+        raise ValueError("embed_dim and trials must be positive")
     rng = np.random.default_rng(seed)
 
     uniform = Tensor(np.zeros(vocab_size), requires_grad=True)
@@ -327,37 +325,14 @@ def grad_experiment(vocab_size: int, embed_dim: int, depth: int,
         reg_means.append(float(np.abs(pred.grad).mean()))
     regression_mean = float(np.mean(reg_means))
 
-    report = {
+    return {
         "vocab_size": vocab_size,
         "embed_dim": embed_dim,
-        "depth": depth,
         "softmax_nontarget_uniform": uniform_nontarget,
         "softmax_nontarget_mean": softmax_mean,
         "regression_unit_residual": regression_unit,
         "regression_mean": regression_mean,
     }
-
-    if embedding is not None:
-        for kind in (REGRESSION, SOFTMAX):
-            model = CaptionModel.init(embedding, depth=depth, hidden=32,
-                                      annot_dim=16, attention_k=8,
-                                      head_kind=kind, dropout_rate=0.0, seed=seed)
-            annots = AnnotationSet(rng.normal(0, 1, (4, 16)), 2, 2)
-            cap = [embedding.vocab.decode(int(rng.integers(3, len(embedding.vocab))))
-                   for _ in range(5)]
-            loss = teacher_forced_loss(model, annots, cap)
-            loss.backward()
-            report[f"layer_grad_norms_{kind}"] = _layer_grad_norms(model)
-    return report
-
-
-def grad_experiment_csv(report: dict) -> str:
-    scalar = {k: v for k, v in report.items() if not isinstance(v, list)}
-    lines = [",".join(scalar.keys()), ",".join(str(v) for v in scalar.values())]
-    for k, v in report.items():
-        if isinstance(v, list):
-            lines.append(k + "," + ",".join(f"{x:.6g}" for x in v))
-    return "\n".join(lines) + "\n"
 
 
 def depth_study(config_base: TrainConfig, depths: list[int],
@@ -372,7 +347,7 @@ def depth_study(config_base: TrainConfig, depths: list[int],
         cfg = TrainConfig(**{**asdict(config_base), "depth": depth})
         model, log = train(cfg, records, embedding)
         counts = {
-            kind: param_count(depth, cfg.hidden, cfg.embed_dim, len(embedding.vocab),
+            kind: param_count(depth, cfg.hidden, embedding.dim, len(embedding.vocab),
                               cfg.annot_dim, cfg.attention_k, kind)
             for kind in (REGRESSION, SOFTMAX)
         }

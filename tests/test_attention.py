@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from capreg import autodiff as ad
-from capreg.autodiff import Tensor, finite_difference_check
+from capreg.autodiff import Tensor
 from capreg.attention import AttentionParams, attend_matrix
+
+from test_autodiff import finite_difference_check
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from capreg.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main)
 from capreg.encoder import AnnotationSet, save_features
 
+from test_encoder import annv_bytes
 from test_harness import checkpoint_header, rewrite_checkpoint
 
 
@@ -97,10 +98,6 @@ class TestPipeline:
 
 
 class TestReports:
-    def test_grad_check(self, capsys):
-        assert main(["grad-check", "--trials", "3"]) == EXIT_OK
-        assert "PASS" in capsys.readouterr().out
-
     def test_grad_experiment_with_csv(self, tmp_path, capsys):
         csv = tmp_path / "grad.csv"
         assert main(["grad-experiment", "--vocab-size", "1000", "--dim", "16",
@@ -227,6 +224,29 @@ class TestExitCodes:
         bad.write_bytes(b'{"id": "a", "captions": ["a \xff dog"]}\n')
         assert main(["train-embeddings", str(bad), str(tmp_path / "e.bin")]) == EXIT_DATA
         assert "bad.jsonl: not UTF-8" in capsys.readouterr().err
+
+    # CRC-valid files that the parser accepts but no model can attend over
+    BAD_FEATURES = [annv_bytes(2, 2, 8, [np.nan] + [0.0] * 31), annv_bytes(0, 0, 8)]
+
+    @pytest.mark.parametrize("blob", BAD_FEATURES, ids=["nan", "no-cells"])
+    def test_bad_feature_file_in_train_is_data_error(self, workspace, capsys, blob):
+        tmp, manifest, config = workspace
+        emb = tmp / "e.bin"
+        main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
+        (tmp / "img1.annv").write_bytes(blob)
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", str(manifest), str(emb),
+                     str(tmp / "m.ckpt")]) == EXIT_DATA
+        assert "img1.annv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob", BAD_FEATURES, ids=["nan", "no-cells"])
+    def test_bad_feature_file_in_caption_is_data_error(self, trained, capsys, blob):
+        tmp, emb, ckpt = trained
+        feat = tmp / "bad.annv"
+        feat.write_bytes(blob)
+        capsys.readouterr()
+        assert main(["caption", str(ckpt), str(emb), str(feat)]) == EXIT_DATA
+        assert "bad.annv" in capsys.readouterr().err
 
     def test_caption_feature_dimension_is_data_error(self, trained, capsys):
         tmp, emb, ckpt = trained

@@ -3,14 +3,14 @@ import pytest
 
 from capreg import autodiff as ad
 from capreg import decoder
-from capreg.autodiff import NumericalError, Tensor, finite_difference_check
+from capreg.autodiff import NumericalError, Tensor
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, LSTMLayerParams,
                             greedy_decode, lstm_step, param_count, stacked_step,
                             teacher_forced_loss)
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet
 
-from test_autodiff import _total
+from test_autodiff import _total, finite_difference_check
 
 
 # ---------------------------------------------------------------------------

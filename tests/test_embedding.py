@@ -253,14 +253,11 @@ class TestPersistence:
         assert loaded.vocab.index_to_token == vocab.index_to_token
         np.testing.assert_array_equal(loaded.vectors, vecs)
 
-    def test_sidecar_written(self, tmp_path):
+    def test_save_writes_one_file(self, tmp_path):
         vocab = Vocabulary(list(RESERVED) + ["x"])
         table = EmbeddingTable(vocab, np.zeros((4, 3)))
-        path = tmp_path / "emb.bin"
-        table.save(path)
-        sidecar = tmp_path / "emb.bin.txt"
-        assert sidecar.exists()
-        assert sidecar.read_text().startswith(START)
+        table.save(tmp_path / "emb.bin")
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

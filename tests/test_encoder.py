@@ -3,9 +3,20 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capreg.encoder import (AnnotationSet, FeatureFileError, load_features,
                             save_features)
+
+
+def annv_bytes(rows, cols, channels, values=None):
+    """A feature file by hand: header, ``values`` as f32 (zeros by default)
+    and a CRC that matches whatever precedes it."""
+    if values is None:
+        values = np.zeros(rows * cols * channels)
+    blob = b"ANNV" + struct.pack("<IIII", 1, rows, cols, channels)
+    blob += np.asarray(values, dtype="<f4").tobytes()
+    return blob + struct.pack("<I", zlib.crc32(blob))
 
 
 class TestAnnotationSet:
@@ -81,3 +92,72 @@ class TestFeatureFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(FeatureFileError):
             load_features(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, value):
+        path = tmp_path / "n.annv"
+        path.write_bytes(annv_bytes(2, 2, 3, [0.0] * 5 + [value] + [0.0] * 6))
+        with pytest.raises(FeatureFileError, match="n.annv: non-finite"):
+            load_features(path)
+
+    @pytest.mark.parametrize("rows, cols, channels", [(0, 0, 0), (0, 3, 4), (2, 0, 4),
+                                                      (2, 2, 0)])
+    def test_empty_grid(self, tmp_path, rows, cols, channels):
+        path = tmp_path / "e.annv"
+        path.write_bytes(annv_bytes(rows, cols, channels))
+        with pytest.raises(FeatureFileError, match="e.annv: empty"):
+            load_features(path)
+
+
+def _recrc(blob: bytes) -> bytes:
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+@st.composite
+def _feature_files(draw):
+    """A valid feature file, then one corruption. Every corruption but
+    truncation recomputes the CRC, so it reaches the parser."""
+    rows, cols, channels = (draw(st.integers(1, 3)) for _ in range(3))
+    values = draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=rows * cols * channels,
+                           max_size=rows * cols * channels))
+    raw = annv_bytes(rows, cols, channels, values)
+    kind = draw(st.sampled_from(["none", "truncate", "flip", "magic", "version",
+                                 "dims", "non-finite"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        bit = draw(st.integers(0, 8 * (len(raw) - 4) - 1))
+        blob = bytearray(raw)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        return _recrc(bytes(blob))
+    if kind == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"ANNV"))
+        return _recrc(magic + raw[4:])
+    if kind == "version":
+        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 1))
+        return _recrc(raw[:4] + struct.pack("<I", version) + raw[8:])
+    if kind == "dims":
+        dim = st.sampled_from([0, 1, 2, 3, 2**16, 2**31, 2**32 - 1])
+        dims = struct.pack("<III", draw(dim), draw(dim), draw(dim))
+        return _recrc(raw[:8] + dims + raw[20:])
+    if kind == "non-finite":
+        at = draw(st.integers(0, rows * cols * channels - 1))
+        bad = np.array([draw(st.sampled_from([np.nan, np.inf, -np.inf]))], "<f4")
+        return _recrc(raw[:20 + 4 * at] + bad.tobytes() + raw[24 + 4 * at:])
+    return raw
+
+
+@given(raw=_feature_files())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_load_features_fuzz(tmp_path_factory, raw):
+    """A corrupt feature file only ever raises FeatureFileError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.annv"
+    path.write_bytes(raw)
+    try:
+        annotations = load_features(path)
+    except FeatureFileError:
+        return
+    assert annotations.vectors.shape == (annotations.rows * annotations.cols,
+                                         annotations.dim)
+    assert annotations.vectors.size > 0
+    assert np.all(np.isfinite(annotations.vectors))

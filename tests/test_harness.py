@@ -6,12 +6,14 @@ import zlib
 import numpy as np
 import pytest
 
+from capreg import harness
 from capreg.autodiff import Tensor
-from capreg.decoder import CaptionModel, teacher_forced_loss
+from capreg.cli import EXIT_OK, main
+from capreg.decoder import REGRESSION, SOFTMAX, CaptionModel, teacher_forced_loss
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet, save_features
 from capreg.harness import (CheckpointError, DataError, DatasetRecord,
-                            TrainConfig, grad_experiment, grad_experiment_csv,
+                            TrainConfig, depth_study, grad_experiment,
                             load_checkpoint, load_dataset, save_checkpoint,
                             split_validation, train, write_csv)
 
@@ -259,50 +261,65 @@ class TestTrain:
 
 class TestGradExperiment:
     def test_uniform_logits_exact(self):
-        report = grad_experiment(20000, 64, 2, trials=3)
+        report = grad_experiment(20000, 64, trials=3)
         assert abs(report["softmax_nontarget_uniform"] - 5.0e-5) < 1e-12
 
     def test_small_vocab_uniform(self):
-        report = grad_experiment(4, 8, 1, trials=3)
+        report = grad_experiment(4, 8, trials=3)
         assert abs(report["softmax_nontarget_uniform"] - 0.25) < 1e-12
 
     def test_regression_unit_residual(self):
-        report = grad_experiment(100, 64, 1, trials=3)
+        report = grad_experiment(100, 64, trials=3)
         assert report["regression_unit_residual"] == 2.0 / 64
 
     def test_random_logits_mean_in_expected_band(self):
-        report = grad_experiment(20000, 64, 1, trials=20)
+        report = grad_experiment(20000, 64, trials=20)
         assert 1e-5 <= report["softmax_nontarget_mean"] <= 1e-4
 
     def test_softmax_scales_inverse_vocab_regression_does_not(self):
         sizes = [100, 1000, 20000]
         soft, reg = [], []
         for v in sizes:
-            report = grad_experiment(v, 64, 1, trials=20)
+            report = grad_experiment(v, 64, trials=20)
             soft.append(report["softmax_nontarget_mean"])
             reg.append(report["regression_mean"])
         slope = np.polyfit(np.log(sizes), np.log(soft), 1)[0]
         assert abs(slope + 1.0) < 0.1
         assert max(reg) / min(reg) < 1.5
 
-    def test_layer_norms_with_embedding(self):
-        report = grad_experiment(20, 8, 3, trials=2, embedding=_table(d=8))
-        assert len(report["layer_grad_norms_regression"]) == 3
-        assert len(report["layer_grad_norms_softmax"]) == 3
-        assert report["layer_grad_norms_regression"][0] > 0
-
-    @pytest.mark.parametrize("vocab_size, dim, depth, trials, match", [
+    @pytest.mark.parametrize("vocab_size, dim, seed, trials, match", [
         (1, 8, 1, 2, "vocab_size"), (0, 8, 1, 2, "vocab_size"),
-        (4, 0, 1, 2, "positive"), (4, 8, 0, 2, "positive"), (4, 8, 1, 0, "positive")])
-    def test_degenerate_arguments_rejected(self, vocab_size, dim, depth, trials, match):
+        (4, 0, 1, 2, "positive"), (4, 8, 1, 0, "positive")])
+    def test_degenerate_arguments_rejected(self, vocab_size, dim, seed, trials, match):
         with pytest.raises(ValueError, match=match):
-            grad_experiment(vocab_size, dim, depth, trials=trials)
+            grad_experiment(vocab_size, dim, trials=trials, seed=seed)
 
-    def test_csv_rendering(self):
-        report = grad_experiment(100, 8, 1, trials=2, embedding=_table(d=8))
-        csv = grad_experiment_csv(report)
-        assert "softmax_nontarget_uniform" in csv.splitlines()[0]
-        assert any(line.startswith("layer_grad_norms_") for line in csv.splitlines())
+    def test_csv_rendering(self, tmp_path, capsys):
+        csv = tmp_path / "grad.csv"
+        assert main(["grad-experiment", "--vocab-size", "100", "--dim", "8",
+                     "--trials", "2", "--csv", str(csv)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert csv.read_text().splitlines() == [
+            ",".join(report), ",".join(str(v) for v in report.values())]
+
+
+class TestDepthStudy:
+    @pytest.mark.parametrize("head_kind", [REGRESSION, SOFTMAX])
+    def test_param_counts_match_trained_model(self, monkeypatch, head_kind):
+        # the config's embed_dim differs from the table's: the model is
+        # built from the table, and so must its count be
+        models = []
+
+        def recording_train(*args, **kwargs):
+            model, log = train(*args, **kwargs)
+            models.append(model)
+            return model, log
+        monkeypatch.setattr(harness, "train", recording_train)
+        config = _toy_config(embed_dim=64, head_kind=head_kind, epochs=1)
+        rows = depth_study(config, [1, 2], _records(), _table(d=8))
+        for row, model in zip(rows, models, strict=True):
+            assert row[f"params_{head_kind}"] == sum(p.data.size
+                                                     for p in model.parameters())
 
 
 class TestCheckpoint:
