@@ -65,6 +65,13 @@ class Tensor:
 
         One backward pass per forward pass: calling this twice on the same
         result is an error.
+
+        A parameter (a leaf with ``requires_grad``) gets its gradient once
+        per call, after the walk. The walk keeps the parameter's terms in the
+        order it meets them, a rank-one term ``u v^T`` unformed. Then it adds
+        them up one row block at a time, as ``grad += ((t1 + t2) + ...)``
+        would, with the same additions in the same order, so the bits are
+        the same, without a temporary the size of the parameter.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise AutodiffError("backward() requires a scalar tensor")
@@ -74,21 +81,104 @@ class Tensor:
 
         order = _toposort(self)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        terms: dict[Tensor, list] = {}
         for node in order:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node.requires_grad:
                 node.grad += g
-            if node._backward is not None:
-                for parent, local in zip(node._parents, node._backward(g)):
-                    if local is None:
-                        continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + local
-                    else:
-                        grads[key] = local
+            if node._backward is None:
+                continue
+            for parent, local in zip(node._parents, node._backward(g)):
+                if local is None:
+                    continue
+                if parent._backward is None:
+                    if parent.requires_grad:
+                        terms.setdefault(parent, []).append(local)
+                    continue
+                if isinstance(local, _Outer):
+                    local = local.dense()
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + local
+                else:
+                    grads[key] = local
+        scratch = _Scratch()
+        for leaf, leaf_terms in terms.items():
+            _add_sum(leaf.grad, leaf_terms, scratch)
+
+
+# A parameter's gradient is summed, and Adam updates it, over blocks of rows
+# of at most this many elements (256 KB in f64): each block stays in L2
+# cache, and the two scratch buffers a block needs are small enough to be
+# reused rather than faulted in afresh.
+_BLOCK = 1 << 15
+
+
+class _Outer:
+    """The rank-one gradient term ``u[:, None] * v``, formed block by block."""
+
+    __slots__ = ("u", "v", "dtype")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        self.u, self.v = u, v
+        self.dtype = np.result_type(u.dtype, v.dtype)
+
+    def dense(self) -> np.ndarray:
+        return self.u[:, None] * self.v
+
+
+class _Scratch:
+    """Two reusable flat buffers per dtype, grown to the largest block asked for."""
+
+    def __init__(self):
+        self._bufs: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+
+    def pair(self, dtype, shape) -> tuple[np.ndarray, np.ndarray]:
+        n = math.prod(shape)
+        bufs = self._bufs.get(dtype)
+        if bufs is None or bufs[0].size < n:
+            bufs = self._bufs[dtype] = (np.empty(n, dtype), np.empty(n, dtype))
+        return bufs[0][:n].reshape(shape), bufs[1][:n].reshape(shape)
+
+
+def _row_blocks(shape) -> list:
+    """Index blocks over the first axis of at most ``_BLOCK`` elements each
+    (one row at least); a 0-d array is one block."""
+    if not shape:
+        return [...]
+    rows = max(1, _BLOCK // max(1, math.prod(shape[1:])))
+    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
+
+
+def _add_sum(grad: np.ndarray, terms: list, scratch: _Scratch) -> None:
+    """``grad += ((t1 + t2) + ...)``, bit for bit, one row block at a time."""
+    first, *rest = terms
+    if len({t.dtype for t in terms}) > 1:
+        # numpy promotes mixed dtypes pair by pair: sum whole arrays as it does
+        total = _dense(first)
+        for t in rest:
+            total = total + _dense(t)
+        grad += total
+        return
+    for blk in _row_blocks(grad.shape):
+        acc, part = scratch.pair(first.dtype, grad[blk].shape)
+        if isinstance(first, _Outer):
+            np.multiply(first.u[blk, None], first.v, out=acc)
+        else:
+            np.copyto(acc, first[blk])
+        for t in rest:
+            if isinstance(t, _Outer):
+                np.multiply(t.u[blk, None], t.v, out=part)
+                acc += part
+            else:
+                acc += t[blk]
+        grad[blk] += acc
+
+
+def _dense(term) -> np.ndarray:
+    return term.dense() if isinstance(term, _Outer) else term
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -149,7 +239,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     if b.data.ndim == 1:
         def backward(g):
-            return [g[:, None] * b.data, a.data.T @ g]
+            return [_Outer(g, b.data), a.data.T @ g]
     else:
         def backward(g):
             return [g @ b.data.T, a.data.T @ g]
@@ -302,7 +392,7 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
         dz[2 * n:3 * n] = (gh * tc) * o * (1.0 - o)
         dz[3 * n:] = (dc * i) * (1.0 - g * g)
         return [w_x.data.T @ dz, w_h.data.T @ dz, dc * f,
-                dz[:, None] * x.data, dz[:, None] * h_prev.data, dz]
+                _Outer(dz, x.data), _Outer(dz, h_prev.data), dz]
     return _result(np.concatenate([o * tc, c]), (x, h_prev, c_prev, w_x, w_h, b), backward)
 
 
@@ -377,23 +467,39 @@ class AdamState:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = _Scratch()
 
     def step(self) -> None:
-        """Apply one update from the accumulated gradients, then zero them."""
+        """Apply one update from the accumulated gradients, then zero them.
+
+        The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, evaluated
+        one row block at a time into two reused buffers, in the order the
+        whole-array expression evaluates it.
+        """
         self.t += 1
         b1, b2 = ADAM_BETA_1, ADAM_BETA_2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 raise AutodiffError("adam step with missing gradient")
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            p.zero_grad()
+            for blk in _row_blocks(p.data.shape):
+                g, mb, vb, x = p.grad[blk], m[blk], v[blk], p.data[blk]
+                t1, t2 = self._scratch.pair(x.dtype, x.shape)
+                mb *= b1
+                np.multiply(1 - b1, g, out=t1)    # m += (1 - b1) * g
+                mb += t1
+                vb *= b2
+                np.multiply(1 - b2, g, out=t1)    # v += (1 - b2) * g * g
+                t1 *= g
+                vb += t1
+                np.divide(mb, c1, out=t1)         # m_hat
+                np.divide(vb, c2, out=t2)         # v_hat
+                np.multiply(self.lr, t1, out=t1)
+                np.sqrt(t2, out=t2)
+                t2 += ADAM_EPS
+                t1 /= t2
+                x -= t1
+                g.fill(0.0)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

@@ -8,6 +8,7 @@ regressed vectors back to words by nearest-neighbor lookup.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from collections import Counter
@@ -106,6 +107,9 @@ class EmbeddingTable:
     def __post_init__(self):
         # f64, which nearest_word's rounding bound assumes
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
+            raise EmbeddingError(f"embedding table must be |V| x d with d >= 1, "
+                                 f"got shape {self.vectors.shape}")
         if self.vectors.shape[0] != len(self.vocab):
             raise EmbeddingError("row count does not match vocabulary size")
         if not np.all(np.isfinite(self.vectors)):
@@ -137,7 +141,13 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
+        """Read a table ``save`` wrote; any defect is an ``EmbeddingError``.
+
+        Lengths the header declares are checked against the bytes left in
+        the file before anything that size is read.
+        """
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             if fh.read(4) != _MAGIC:
                 raise EmbeddingError(f"{path}: bad magic in embedding file")
             header = fh.read(16)
@@ -146,20 +156,23 @@ class EmbeddingTable:
             version, nv, d, blob_len = struct.unpack("<IIII", header)
             if version != _VERSION:
                 raise EmbeddingError(f"{path}: unsupported embedding file version {version}")
-            blob = fh.read(blob_len)
-            if len(blob) != blob_len:
+            if blob_len > size - fh.tell():
                 raise EmbeddingError(f"{path}: truncated token list")
+            blob = fh.read(blob_len)
             try:
                 tokens = blob.decode("utf-8").split("\x00")
             except UnicodeDecodeError as e:
                 raise EmbeddingError(f"{path}: token list is not UTF-8") from e
             if len(tokens) != nv:
                 raise EmbeddingError(f"{path}: token list length disagrees with header")
-            payload = fh.read(nv * d * 4)
-            if len(payload) != nv * d * 4:
+            if nv * d * 4 > size - fh.tell():
                 raise EmbeddingError(f"{path}: truncated embedding payload")
+            payload = fh.read(nv * d * 4)
             vectors = np.frombuffer(payload, dtype="<f4").reshape(nv, d).astype(np.float64)
-        return cls(Vocabulary(tokens), vectors)
+        try:
+            return cls(Vocabulary(tokens), vectors)
+        except EmbeddingError as e:
+            raise EmbeddingError(f"{path}: {e}") from e
 
 
 def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from capreg import autodiff as ad
 from capreg.autodiff import AdamState, AutodiffError, Tensor
-from capreg.decoder import CaptionModel
+from capreg.decoder import REGRESSION, SOFTMAX, CaptionModel, teacher_forced_loss
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
+from capreg.encoder import AnnotationSet
 
 
 def _total(x):
@@ -300,6 +301,174 @@ class TestAdam:
     def test_requires_grad_enforced(self):
         with pytest.raises(AutodiffError):
             AdamState([Tensor([1.0])])
+
+    def test_three_steps_match_whole_array_oracle(self, block):
+        rng = np.random.default_rng(10)
+        shapes = [((300, 130), np.float32), ((70,), np.float64), ((260, 128), np.float64),
+                  ((), np.float64), ((5, 3), np.float32), ((40000,), np.float32)]
+        inits = [rng.normal(0, 1, shape).astype(dt) for shape, dt in shapes]
+        assert max(a.size for a in inits) > ad._BLOCK
+        sides = []
+        for make in (lambda ps: AdamState(ps, lr=0.01), lambda ps: _OracleAdam(ps, 0.01)):
+            params = [Tensor(a.copy(), requires_grad=True) for a in inits]
+            opt = make(params)
+            grad_rng = np.random.default_rng(11)
+            for _ in range(3):
+                for p in params:
+                    p.grad[...] = grad_rng.normal(0, 1, p.shape)
+                opt.step()
+            sides.append((params, opt))
+        (params, opt), (o_params, oracle) = sides
+        for i, (p, q) in enumerate(zip(params, o_params)):
+            assert p.data.dtype == q.data.dtype
+            assert np.array_equal(p.data, q.data), f"parameter {i} differs"
+            assert np.array_equal(opt.m[i], oracle.m[i]) and np.array_equal(opt.v[i], oracle.v[i])
+            assert not p.grad.any()
+
+
+def _oracle_backward(root: Tensor) -> None:
+    """The walk with every local dense: each parameter's terms are summed
+    whole, as they arrive, then added to ``.grad`` when the walk reaches it."""
+    grads = {id(root): np.ones_like(root.data)}
+    for node in ad._toposort(root):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad += g
+        if node._backward is not None:
+            for parent, local in zip(node._parents, node._backward(g)):
+                if local is None:
+                    continue
+                if isinstance(local, ad._Outer):
+                    local = local.u[:, None] * local.v
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + local
+                else:
+                    grads[key] = local
+
+
+class _OracleAdam:
+    """Adam as whole-array expressions, one temporary per operation."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = ad.ADAM_BETA_1, ad.ADAM_BETA_2
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)
+            p.zero_grad()
+
+
+def _grads_both_ways(build, params, prior=None):
+    """Gradients from the oracle walk and from backward() on one graph,
+    each added to ``prior`` (zeros by default)."""
+    loss = build()
+    out = []
+    for walk in (_oracle_backward, Tensor.backward):
+        for i, p in enumerate(params):
+            p.grad[...] = 0.0 if prior is None else prior[i]
+        walk(loss)
+        out.append([p.grad.copy() for p in params])
+    return out
+
+
+def _assert_grads_equal(oracle, blocked):
+    assert len(oracle) == len(blocked)
+    for i, (a, b) in enumerate(zip(oracle, blocked)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), f"parameter {i} differs"
+
+
+@pytest.fixture(params=["default", "tiny"])
+def block(request, monkeypatch):
+    """The default block, and one smaller than a row, so every parameter
+    is summed and updated over many blocks and a ragged last one."""
+    if request.param == "tiny":
+        monkeypatch.setattr(ad, "_BLOCK", 5)
+    return request.param
+
+
+class TestBlockedGradientSums:
+    """backward() sums each parameter's terms in row blocks after the walk;
+    the bits must be the oracle walk's."""
+
+    @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_depth8_model_every_gradient(self, block, head, precision):
+        rng = np.random.default_rng(3)
+        vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(300)])
+        table = EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 16)))
+        annots = AnnotationSet(rng.normal(0, 1, (4, 16)), 2, 2)
+        model = CaptionModel.init(table, depth=8, hidden=96, annot_dim=16,
+                                  attention_k=8, head_kind=head, dropout_rate=0.5,
+                                  seed=5, precision=precision)
+        params = model.parameters()
+        # w_h (384 x 96) and the softmax head (303 x 96) span two default blocks
+        assert max(p.data.size for p in params) > ad._BLOCK
+
+        def build():
+            return teacher_forced_loss(model, annots, ["w1", "w7", "w1", "w250"],
+                                       train_mode=True, rng=np.random.default_rng(9))
+        _assert_grads_equal(*_grads_both_ways(build, params))
+
+    @pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.float32, np.float32),
+                                        (np.float32, np.float64)])
+    def test_leaf_with_dense_and_rank_one_terms(self, block, dtypes):
+        w_dtype, c_dtype = dtypes
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.normal(0, 1, (37, 11)).astype(w_dtype), requires_grad=True)
+        xs = [Tensor(rng.normal(0, 1, 11).astype(w_dtype)) for _ in range(3)]
+        c = Tensor(rng.normal(0, 1, (37, 11)).astype(c_dtype))
+
+        def build():
+            dense = _total(ad.mul(w, c))               # g * c: dense
+            outer = [_total(ad.matmul(w, x)) for x in xs]  # g u^T: rank one
+            return ad.add(ad.add(outer[0], dense), ad.add(outer[1], outer[2]))
+        _assert_grads_equal(*_grads_both_ways(build, [w]))
+
+    def test_rank_one_term_into_non_leaf(self, block):
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.normal(0, 1, (13, 9)), requires_grad=True)
+        v = Tensor(rng.normal(0, 1, 13), requires_grad=True)
+
+        def build():
+            wt = ad.transpose(w)
+            return _total(ad.tanh(ad.add(ad.matmul(wt, v), ad.matmul(wt, ad.tanh(v)))))
+        _assert_grads_equal(*_grads_both_ways(build, [w, v]))
+
+    def test_second_backward_adds_to_gradient(self, block):
+        model = CaptionModel.init(
+            EmbeddingTable(Vocabulary(list(RESERVED) + ["a", "b"]),
+                           np.random.default_rng(6).normal(0, 1, (5, 8))),
+            depth=2, hidden=12, annot_dim=8, attention_k=4, head_kind=SOFTMAX, seed=1)
+        annots = AnnotationSet(np.random.default_rng(7).normal(0, 1, (4, 8)), 2, 2)
+        params = model.parameters()
+        first = _grads_both_ways(lambda: teacher_forced_loss(model, annots, ["a", "b"]),
+                                 params)
+        oracle, blocked = _grads_both_ways(
+            lambda: teacher_forced_loss(model, annots, ["b", "b", "a"]), params,
+            prior=first[0])
+        assert not np.array_equal(oracle[0], first[0][0])
+        _assert_grads_equal(oracle, blocked)
+
+    def test_constant_leaves_get_no_gradient(self):
+        w = Tensor(np.ones((3, 2)))
+        x = Tensor(np.ones(2), requires_grad=True)
+        _total(ad.matmul(w, x)).backward()
+        assert w.grad is None
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
 class TestFiniteDifferenceCheck:

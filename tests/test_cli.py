@@ -6,6 +6,7 @@ import pytest
 from capreg.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main)
 from capreg.encoder import AnnotationSet, save_features
 
+from test_embedding import emb_bytes
 from test_encoder import annv_bytes
 from test_harness import checkpoint_header, rewrite_checkpoint
 
@@ -190,6 +191,18 @@ class TestExitCodes:
         main(["--config", str(config), "train", str(manifest), str(emb), str(ckpt)])
         emb.write_bytes(blob)
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("d, match", [(2**30, "truncated embedding payload"),
+                                          (0, "d >= 1")], ids=["huge-dim", "zero-dim"])
+    def test_embedding_header_is_checked_before_training(self, workspace, capsys, d, match):
+        tmp, manifest, config = workspace
+        emb = tmp / "e.bin"
+        tokens = ["<start>", "<end>", "<unk>", "a", "dog"]
+        raw = emb_bytes(tokens, d, values=[])
+        emb.write_bytes(raw + bytes(max(0, 64 - len(raw))))
+        assert main(["--config", str(config), "train", str(manifest), str(emb),
+                     str(tmp / "m.ckpt")]) == EXIT_DATA
+        assert match in capsys.readouterr().err
 
     def test_manifest_without_features_is_data_error(self, workspace, capsys):
         tmp, manifest, config = workspace

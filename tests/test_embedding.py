@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 
 import numpy as np
@@ -284,6 +285,102 @@ class TestPersistence:
         with pytest.raises(EmbeddingError, match="not UTF-8"):
             EmbeddingTable.load(path)
 
+    def test_payload_larger_than_file_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        raw = emb_bytes(list(RESERVED) + ["x"], d=2**30, values=[])
+        path.write_bytes(raw + bytes(64 - len(raw)))
+        assert path.stat().st_size == 64
+        with pytest.raises(EmbeddingError, match="truncated embedding payload"):
+            EmbeddingTable.load(path)
+
+    def test_token_list_longer_than_file_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        path.write_bytes(emb_bytes(list(RESERVED), d=1, blob_len=2**32 - 1))
+        with pytest.raises(EmbeddingError, match="truncated token list"):
+            EmbeddingTable.load(path)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        with pytest.raises(EmbeddingError, match="d >= 1"):
+            EmbeddingTable(Vocabulary(list(RESERVED)), np.zeros((3, 0)))
+        path = tmp_path / "emb.bin"
+        path.write_bytes(emb_bytes(list(RESERVED) + ["x"], d=0))
+        with pytest.raises(EmbeddingError, match="emb.bin: .*d >= 1"):
+            EmbeddingTable.load(path)
+
     def test_missing_reserved_tokens_rejected(self):
         with pytest.raises(EmbeddingError, match="reserved tokens"):
             Vocabulary([START])
+
+
+def emb_bytes(tokens, d, values=None, nv=None, blob_len=None, version=1,
+              magic=b"GEMB") -> bytes:
+    """An embedding ``.bin`` as ``EmbeddingTable.save`` lays it out, with
+    header fields that may disagree with the token list and the values."""
+    blob = b"\x00".join(t.encode("utf-8") for t in tokens)
+    if values is None:
+        values = np.arange(len(tokens) * d, dtype=np.float64)
+    return (magic + struct.pack("<IIII", version, len(tokens) if nv is None else nv, d,
+                                len(blob) if blob_len is None else blob_len)
+            + blob + np.asarray(values, "<f4").tobytes())
+
+
+_HEADER_SIZES = st.sampled_from([0, 1, 2, 3, 5, 2**16, 2**30, 2**31, 2**32 - 1])
+
+
+@st.composite
+def _embedding_files(draw):
+    """A valid embedding file, then one corruption."""
+    words = draw(st.lists(st.text("abcxyz", min_size=1, max_size=4), max_size=4,
+                          unique=True))
+    tokens = list(RESERVED) + words
+    d = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=len(tokens) * d,
+                           max_size=len(tokens) * d))
+    raw = emb_bytes(tokens, d, values)
+    kind = draw(st.sampled_from(["none", "truncate", "flip", "magic", "version", "nv",
+                                 "d", "blob_len", "token_count", "non_utf8"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        bit = draw(st.integers(0, 8 * len(raw) - 1))
+        blob = bytearray(raw)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        return bytes(blob)
+    if kind == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"GEMB"))
+        return magic + raw[4:]
+    if kind == "version":
+        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 1))
+        return emb_bytes(tokens, d, values, version=version)
+    if kind == "nv":
+        return emb_bytes(tokens, d, values, nv=draw(_HEADER_SIZES))
+    if kind == "d":
+        return emb_bytes(tokens, draw(_HEADER_SIZES), values)
+    if kind == "blob_len":
+        return emb_bytes(tokens, d, values, blob_len=draw(_HEADER_SIZES))
+    if kind == "token_count":
+        # one token more or fewer than the header's |V|, the header otherwise valid
+        extra = draw(st.booleans())
+        listed = tokens + ["extra"] if extra else tokens[:-1]
+        return emb_bytes(listed, d, values, nv=len(tokens))
+    if kind == "non_utf8":
+        blob = bytearray(raw)
+        at = draw(st.integers(20, 20 + len(b"\x00".join(t.encode() for t in tokens)) - 1))
+        blob[at] = draw(st.sampled_from([0x80, 0xC3, 0xFF]))
+        return bytes(blob)
+    return raw
+
+
+@given(raw=_embedding_files())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_load_fuzz(tmp_path_factory, raw):
+    """A corrupt embedding file only ever raises EmbeddingError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(raw)
+    try:
+        table = EmbeddingTable.load(path)
+    except EmbeddingError:
+        return
+    assert table.vectors.shape == (len(table.vocab), table.dim)
+    assert table.dim >= 1
+    assert np.all(np.isfinite(table.vectors))
