@@ -50,13 +50,13 @@ class AttentionOutput:
     weights: Tensor   # (L,)
 
 
-def attend_matrix(annot_matrix: Tensor, v_prev: Tensor,
+def attend_matrix(h_t: Tensor, v_prev: Tensor,
                   params: AttentionParams) -> AttentionOutput:
-    """Softmax-normalized mixture of the rows of an (L, D) annotation matrix,
-    scored with one matmul per stage."""
-    if annot_matrix.data.ndim != 2 or annot_matrix.shape[0] == 0:
+    """Softmax-normalized mixture of the columns of a (D, L) annotation
+    matrix, scored with one matmul per stage. The matrix is a constant of
+    the caption, laid out once by ``CaptionModel.annotation_matrix``."""
+    if h_t.data.ndim != 2 or h_t.shape[1] == 0:
         raise ValueError("attend over an empty annotation set")
-    h_t = ad.transpose(annot_matrix)                       # (D, L)
     word_bias = ad.add(ad.matmul(params.w_hidden_word, v_prev), params.b_hidden)
     hidden = ad.tanh(ad.add_colvec(ad.matmul(params.w_hidden_annot, h_t), word_bias))
     scores = ad.matmul(ad.reshape(params.w_out, (1, -1)), hidden)   # (1, L)

@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation engine.
 
-Tensors wrap numpy arrays and record the operations applied to them; calling
-``backward()`` on a scalar result walks the recorded graph in reverse
-topological order and accumulates gradients into every tensor that
-participated. Gradients accumulate additively across fan-out; callers zero
-them between optimizer steps.
+Tensors wrap numpy arrays and record the ops (which take only ``Tensor``
+operands) applied to them; calling ``backward()`` on a scalar result walks
+the recorded graph in reverse topological order and accumulates gradients
+into every tensor with ``requires_grad`` that participated. Gradients
+accumulate additively across fan-out; ``AdamState.step`` zeroes them.
 
 A tensor holds float32 data as float32 and any other data as float64; ops
 keep the dtype of their operands, so a model built in float32 computes in
@@ -50,15 +50,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
@@ -66,12 +59,12 @@ class Tensor:
         One backward pass per forward pass: calling this twice on the same
         result is an error.
 
-        A parameter (a leaf with ``requires_grad``) gets its gradient once
-        per call, after the walk. The walk keeps the parameter's terms in the
-        order it meets them, a rank-one term ``u v^T`` unformed. Then it adds
-        them up one row block at a time, as ``grad += ((t1 + t2) + ...)``
-        would, with the same additions in the same order, so the bits are
-        the same, without a temporary the size of the parameter.
+        The walk keeps each node's pending gradient terms in arrival order,
+        a rank-one term ``u v^T`` unformed; terms for constants are dropped.
+        An inner node's gradient is ``(t1 + t2) + ...``. A parameter gets
+        ``grad += ((t1 + t2) + ...)``, added up one row block at a time with
+        the same additions in the same order: the same bits, without a
+        temporary the size of the parameter.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise AutodiffError("backward() requires a scalar tensor")
@@ -79,34 +72,19 @@ class Tensor:
             raise AutodiffError("backward() already ran on this graph; re-run the forward pass first")
         self._backward_done = True
 
-        order = _toposort(self)
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        terms: dict[Tensor, list] = {}
-        for node in order:
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                node.grad += g
-            if node._backward is None:
-                continue
-            for parent, local in zip(node._parents, node._backward(g)):
-                if local is None:
-                    continue
-                if parent._backward is None:
-                    if parent.requires_grad:
-                        terms.setdefault(parent, []).append(local)
-                    continue
-                if isinstance(local, _Outer):
-                    local = local.dense()
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + local
-                else:
-                    grads[key] = local
+        pending: dict[int, list] = {id(self): [np.ones_like(self.data)]}
         scratch = _Scratch()
-        for leaf, leaf_terms in terms.items():
-            _add_sum(leaf.grad, leaf_terms, scratch)
+        for node in _toposort(self):
+            terms = pending.pop(id(node), None)
+            if terms is None:
+                continue
+            if node._backward is None:
+                if node.requires_grad:  # not a constant root
+                    _add_sum(node.grad, terms, scratch)
+                continue
+            for parent, local in zip(node._parents, node._backward(_fold(terms))):
+                if local is not None and (parent._backward is not None or parent.requires_grad):
+                    pending.setdefault(id(parent), []).append(local)
 
 
 # A parameter's gradient is summed, and Adam updates it, over blocks of rows
@@ -157,10 +135,7 @@ def _add_sum(grad: np.ndarray, terms: list, scratch: _Scratch) -> None:
     first, *rest = terms
     if len({t.dtype for t in terms}) > 1:
         # numpy promotes mixed dtypes pair by pair: sum whole arrays as it does
-        total = _dense(first)
-        for t in rest:
-            total = total + _dense(t)
-        grad += total
+        grad += _fold(terms)
         return
     for blk in _row_blocks(grad.shape):
         acc, part = scratch.pair(first.dtype, grad[blk].shape)
@@ -179,6 +154,14 @@ def _add_sum(grad: np.ndarray, terms: list, scratch: _Scratch) -> None:
 
 def _dense(term) -> np.ndarray:
     return term.dense() if isinstance(term, _Outer) else term
+
+
+def _fold(terms: list) -> np.ndarray:
+    """``(t1 + t2) + ...`` over whole arrays, each rank-one term formed."""
+    total = _dense(terms[0])
+    for t in terms[1:]:
+        total = total + _dense(t)
+    return total
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -218,17 +201,12 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # core ops
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. Supports 2-D @ 2-D and 2-D @ 1-D."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2:
         raise ValueError(f"matmul: left operand must be 2-D, got shape {a.shape}")
     if b.data.ndim not in (1, 2):
@@ -247,7 +225,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
 
@@ -257,7 +234,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
 
@@ -271,7 +247,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     s = _sigmoid(x.data)
 
     def backward(g):
@@ -280,7 +255,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def tanh(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     t = np.tanh(x.data)
 
     def backward(g):
@@ -290,7 +264,6 @@ def tanh(x: Tensor) -> Tensor:
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate 1-D tensors."""
-    parts = [_as_tensor(p) for p in parts]
     for p in parts:
         if p.data.ndim != 1:
             raise ValueError("concat: all inputs must be 1-D")
@@ -304,7 +277,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 def slice_(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous slice of a 1-D tensor."""
-    x = _as_tensor(x)
     if x.data.ndim != 1:
         raise ValueError("slice_: input must be 1-D")
 
@@ -315,19 +287,8 @@ def slice_(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(x.data[start:stop].copy(), (x,), backward)
 
 
-def transpose(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError("transpose: input must be 2-D")
-
-    def backward(g):
-        return [g.T]
-    return _result(x.data.T.copy(), (x,), backward)
-
-
 def add_colvec(m: Tensor, v: Tensor) -> Tensor:
     """Add a column vector to every column of a 2-D tensor."""
-    m, v = _as_tensor(m), _as_tensor(v)
     if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[0] != v.shape[0]:
         raise ValueError(f"add_colvec: incompatible shapes {m.shape} and {v.shape}")
 
@@ -338,7 +299,6 @@ def add_colvec(m: Tensor, v: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     """The same values in a new shape (numpy rules, one -1 allowed)."""
-    x = _as_tensor(x)
 
     def backward(g):
         return [g.reshape(x.data.shape)]
@@ -346,8 +306,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def scale(x: Tensor, k: float) -> Tensor:
-    x = _as_tensor(x)
-
     def backward(g):
         return [g * k]
     return _result(x.data * k, (x,), backward)
@@ -367,7 +325,6 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     its input ``x``, as it does in that graph; this keeps the order in which
     gradients are summed over time steps.
     """
-    x, h_prev, c_prev, w_x, w_h, b = map(_as_tensor, (x, h_prev, c_prev, w_x, w_h, b))
     n = h_prev.data.size
     if (x.data.ndim != 1 or h_prev.data.ndim != 1 or c_prev.shape != (n,)
             or b.shape != (4 * n,) or w_h.shape != (4 * n, n)
@@ -402,7 +359,6 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
 
 def softmax(logits: Tensor) -> Tensor:
     """Stable softmax over a 1-D logits vector (max subtraction)."""
-    logits = _as_tensor(logits)
     if logits.data.ndim != 1:
         raise ValueError("softmax: input must be 1-D")
     z = logits.data - logits.data.max()
@@ -416,7 +372,6 @@ def softmax(logits: Tensor) -> Tensor:
 
 def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
     """Softmax cross entropy -log(S_y) against an integer class index."""
-    logits = _as_tensor(logits)
     n = logits.data.size
     if not 0 <= target_index < n:
         raise IndexError(f"target index {target_index} out of range for {n} classes")
@@ -434,7 +389,6 @@ def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
 
 def mse(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean of squared componentwise differences."""
-    prediction, target = _as_tensor(prediction), _as_tensor(target)
     if prediction.shape != target.shape:
         raise ValueError(f"mse: shape mismatch {prediction.shape} vs {target.shape}")
     diff = prediction.data - target.data

@@ -59,8 +59,7 @@ def cmd_train_embeddings(args) -> int:
 def cmd_train(args) -> int:
     config = _build_config(args)
     records = load_dataset(_resolve(args.manifest))
-    table = EmbeddingTable.load(args.embeddings)
-    config.embed_dim = table.dim
+    table = EmbeddingTable.load(_resolve(args.embeddings))
     model, log = train(config, records, table)
     save_checkpoint(model, args.output)
     if args.log:
@@ -75,8 +74,8 @@ def cmd_caption(args) -> int:
     if args.max_len < 1:
         print("error: --max-len must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    table = EmbeddingTable.load(args.embeddings)
-    model = load_checkpoint(args.checkpoint, table, precision=args.precision or "f64")
+    table = EmbeddingTable.load(_resolve(args.embeddings))
+    model = load_checkpoint(_resolve(args.checkpoint), table, precision=args.precision or "f64")
     annots = load_features(_resolve(args.features))
     check_annotation_dim(args.features, annots, model.annot_dim)
     tokens, trace = greedy_decode(model, annots, max_len=args.max_len,
@@ -134,8 +133,7 @@ def cmd_grad_experiment(args) -> int:
 def cmd_depth_study(args) -> int:
     config = _build_config(args)
     records = load_dataset(_resolve(args.manifest))
-    table = EmbeddingTable.load(args.embeddings)
-    config.embed_dim = table.dim
+    table = EmbeddingTable.load(_resolve(args.embeddings))
     rows = depth_study(config, args.depths, records, table)
     print(json.dumps(rows, indent=2))
     if args.csv:

@@ -156,7 +156,8 @@ class CaptionModel:
         return self.tensor(self.embedding.lookup(token))
 
     def annotation_matrix(self, annotations: AnnotationSet) -> Tensor:
-        return self.tensor(annotations.vectors)
+        """The (D, L) constant ``attend_matrix`` reads: one column per vector."""
+        return Tensor(np.ascontiguousarray(annotations.vectors.T, dtype=self.dtype))
 
 
 def stacked_step(model: CaptionModel, v_prev: Tensor, context: Tensor,
@@ -213,7 +214,8 @@ def greedy_decode(model: CaptionModel, annotations: AnnotationSet,
     """Autoregressive decode; deterministic for a fixed model.
 
     Regression head: each output vector maps to its nearest vocabulary
-    embedding. Softmax head: argmax over logits. Stops at <end> or max_len.
+    embedding. Softmax head: argmax over logits. Neither emits <start>,
+    which is never a training target. Stops at <end> or max_len.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -230,7 +232,7 @@ def greedy_decode(model: CaptionModel, annotations: AnnotationSet,
         if model.head.kind == REGRESSION:
             word = nearest_word(out.data, model.embedding)
         else:
-            word = vocab.decode(int(np.argmax(out.data)))
+            word = vocab.decode(1 + int(np.argmax(out.data[1:])))
         attention_trace.append(att.weights.data.copy())
         if word == END:
             break
@@ -246,10 +248,9 @@ def param_count(depth: int, hidden: int, embed_dim: int, vocab_size: int,
     for v in (depth, hidden, embed_dim, vocab_size, annot_dim, attention_k):
         if v <= 0:
             raise ValueError("all model dimensions must be positive")
-    total = 0
-    for ell in range(depth):
-        in_dim = embed_dim + annot_dim if ell == 0 else hidden
-        total += 4 * (hidden * in_dim + hidden * hidden + hidden)
+    # layer 0 reads [word; context], each deeper layer the hidden state below
+    total = 4 * hidden * (embed_dim + annot_dim + hidden + 1)
+    total += (depth - 1) * 4 * hidden * (2 * hidden + 1)
     # attention MLP: two hidden-layer matrices, hidden bias, shared output row
     total += attention_k * (annot_dim + embed_dim + 2)
     out_dim = embed_dim if head_kind == REGRESSION else vocab_size

@@ -144,7 +144,8 @@ class EmbeddingTable:
         """Read a table ``save`` wrote; any defect is an ``EmbeddingError``.
 
         Lengths the header declares are checked against the bytes left in
-        the file before anything that size is read.
+        the file before anything that size is read, and the payload must
+        end the file.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -156,6 +157,8 @@ class EmbeddingTable:
             version, nv, d, blob_len = struct.unpack("<IIII", header)
             if version != _VERSION:
                 raise EmbeddingError(f"{path}: unsupported embedding file version {version}")
+            if d < 1:
+                raise EmbeddingError(f"{path}: header declares d = {d}; a table needs d >= 1")
             if blob_len > size - fh.tell():
                 raise EmbeddingError(f"{path}: truncated token list")
             blob = fh.read(blob_len)
@@ -165,8 +168,11 @@ class EmbeddingTable:
                 raise EmbeddingError(f"{path}: token list is not UTF-8") from e
             if len(tokens) != nv:
                 raise EmbeddingError(f"{path}: token list length disagrees with header")
-            if nv * d * 4 > size - fh.tell():
+            extra = size - fh.tell() - nv * d * 4
+            if extra < 0:
                 raise EmbeddingError(f"{path}: truncated embedding payload")
+            if extra > 0:
+                raise EmbeddingError(f"{path}: {extra} bytes after the embedding payload")
             payload = fh.read(nv * d * 4)
             vectors = np.frombuffer(payload, dtype="<f4").reshape(nv, d).astype(np.float64)
         try:
@@ -176,7 +182,8 @@ class EmbeddingTable:
 
 
 def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:
-    """Token whose embedding row is closest to v in L2; ties break to lowest index.
+    """Token whose embedding row is closest to v in L2; ties break to lowest
+    index. ``<start>`` (row 0) is never a decoding target and is skipped.
 
     One matrix-vector product against the cached squared row norms screens
     the table; only the rows it cannot separate from the best are scored by
@@ -201,9 +208,10 @@ def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:
         s = vectors @ v
         s *= -2.0
         s += table.sq_norms
+        s[0] = np.inf
         cand = np.flatnonzero(s <= s.min() + tol)
     else:
-        cand = np.arange(len(vectors))
+        cand = np.arange(1, len(vectors))
     d = ((vectors[cand] - v) ** 2).sum(axis=1)
     return table.vocab.decode(int(cand[np.argmin(d)]))
 

@@ -417,7 +417,7 @@ _CKPT_HEADER = {**{key: (int,) for key in _CKPT_DIMS}, "head_kind": (str,),
 def _checkpoint_header(path, blob: bytes) -> dict:
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # not UTF-8, not JSON, or an int too long to parse
         raise CheckpointError(f"{path}: malformed header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header must be a JSON object")
@@ -463,6 +463,14 @@ def load_checkpoint(path, embedding: EmbeddingTable,
                               f"embedding table")
     if header["embed_dim"] != embedding.dim:
         raise CheckpointError(f"{path}: checkpoint embedding dimension mismatch")
+    # before building the model: a header may declare far more weights than
+    # the file holds, or than memory can
+    count = param_count(header["depth"], header["hidden"], header["embed_dim"],
+                        len(embedding.vocab), header["annot_dim"], header["attention_k"],
+                        header["head_kind"])
+    if 8 * count > len(body) - off:
+        raise CheckpointError(f"{path}: truncated payload: the header declares {count} "
+                              f"parameters, {len(body) - off} bytes are left")
     try:
         model = CaptionModel.init(
             embedding, depth=header["depth"], hidden=header["hidden"],

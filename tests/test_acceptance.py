@@ -180,11 +180,12 @@ def test_criterion_5_attention_properties(overfit_depth2, capsys):
 
     # shift invariance: a constant added to every score of the per-vector
     # reference scorer leaves attend_matrix's weights
-    h = Tensor(rng.normal(0, 1, (4, 16)))
+    hs = rng.normal(0, 1, (4, 16))
+    h = Tensor(np.ascontiguousarray(hs.T))  # the (D, L) layout attend_matrix reads
     rng.normal(0, 1, 64)  # the decoder state scores once took; keeps v's draw
     v = Tensor(rng.normal(0, 1, 16))
     base = attend_matrix(h, v, model.attention).weights.data.copy()
-    shifted, _ = reference_attend(h.data, v.data, model.attention, shift=57.0)
+    shifted, _ = reference_attend(hs, v.data, model.attention, shift=57.0)
     shift_dev = float(np.max(np.abs(shifted - base)))
     assert shift_dev < 1e-9
 

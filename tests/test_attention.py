@@ -64,27 +64,27 @@ class TestAttend:
         p = _params(seed=6)
         rng = np.random.default_rng(7)
         h = rng.normal(0, 1, 6)
-        out = attend_matrix(Tensor(h[None, :]), Tensor(rng.normal(0, 1, 4)), p)
+        out = attend_matrix(Tensor(h[:, None]), Tensor(rng.normal(0, 1, 4)), p)
         np.testing.assert_allclose(out.weights.data, [1.0])
         np.testing.assert_allclose(out.context.data, h, atol=1e-12)
 
     def test_equal_scores_give_uniform_weights(self):
         rng = np.random.default_rng(8)
         hs = rng.normal(0, 1, (5, 6))
-        out = attend_matrix(Tensor(hs), Tensor(np.zeros(4)), _zero_params())
+        out = attend_matrix(Tensor(hs.T), Tensor(np.zeros(4)), _zero_params())
         np.testing.assert_allclose(out.weights.data, 0.2)
         np.testing.assert_allclose(out.context.data, hs.mean(axis=0), atol=1e-12)
 
     def test_empty_annotations_rejected(self):
         with pytest.raises(ValueError):
-            attend_matrix(Tensor(np.zeros((0, 6))), Tensor(np.zeros(4)), _params())
+            attend_matrix(Tensor(np.zeros((6, 0))), Tensor(np.zeros(4)), _params())
 
     def test_matches_brute_force(self):
         p = _params(seed=9)
         rng = np.random.default_rng(10)
         hs = rng.normal(0, 1, (5, 6))
         v = rng.normal(0, 1, 4)
-        out = attend_matrix(Tensor(hs), Tensor(v), p)
+        out = attend_matrix(Tensor(hs.T), Tensor(v), p)
         scores = np.array([p.w_out.data @ np.tanh(p.w_hidden_annot.data @ h
                                                   + p.w_hidden_word.data @ v
                                                   + p.b_hidden.data) for h in hs])
@@ -97,7 +97,7 @@ class TestAttend:
         p = _params(seed=11)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            out = attend_matrix(Tensor(rng.normal(0, 2, (7, 6))),
+            out = attend_matrix(Tensor(rng.normal(0, 2, (7, 6)).T),
                                 Tensor(rng.normal(0, 2, 4)), p)
             w = out.weights.data
             assert np.all(w >= 0)
@@ -110,7 +110,7 @@ class TestAttend:
         rng = np.random.default_rng(14)
         hs = rng.normal(0, 1, (4, 6))
         v = rng.normal(0, 1, 4)
-        fast = attend_matrix(Tensor(hs), Tensor(v), p).weights.data
+        fast = attend_matrix(Tensor(hs.T), Tensor(v), p).weights.data
         shifted, _ = attend(hs, v, p, shift=123.45)
         np.testing.assert_allclose(fast, shifted, atol=1e-9)
 
@@ -125,14 +125,14 @@ class TestAttend:
             v = rng.normal(0, 1, 4)
             w_state, s, b_out = rng.normal(0, 1, 5), rng.normal(0, 1, 5), rng.normal(0, 1)
             alpha, context = attend(hs, v, p, shift=w_state @ s + b_out)
-            fast = attend_matrix(Tensor(hs), Tensor(v), p)
+            fast = attend_matrix(Tensor(hs.T), Tensor(v), p)
             np.testing.assert_allclose(fast.weights.data, alpha, atol=1e-12)
             np.testing.assert_allclose(fast.context.data, context, atol=1e-12)
 
     def test_previous_word_changes_weights(self):
         p = _params(seed=15)
         rng = np.random.default_rng(16)
-        hs = Tensor(rng.normal(0, 1, (4, 6)))
+        hs = Tensor(rng.normal(0, 1, (4, 6)).T)
         w1 = attend_matrix(hs, Tensor(rng.normal(0, 1, 4)), p).weights.data
         w2 = attend_matrix(hs, Tensor(rng.normal(0, 1, 4)), p).weights.data
         assert np.max(np.abs(w1 - w2)) > 1e-3
@@ -140,7 +140,7 @@ class TestAttend:
     def test_gradients_vs_finite_differences(self):
         # gradients reach the annotations and the previous word
         rng = np.random.default_rng(17)
-        hs = Tensor(rng.normal(0, 1, (3, 6)), requires_grad=True)
+        hs = Tensor(rng.normal(0, 1, (3, 6)).T.copy(), requires_grad=True)
         v = Tensor(rng.normal(0, 1, 4), requires_grad=True)
         p = _params(seed=18)
         target = Tensor(rng.normal(0, 1, 6))
@@ -159,7 +159,7 @@ class TestAttend:
             hs = rng.normal(0, 1, (5, 6))
             v = rng.normal(0, 1, 4)
             alpha, context = attend(hs, v, p)
-            fast = attend_matrix(Tensor(hs), Tensor(v), p)
+            fast = attend_matrix(Tensor(hs.T), Tensor(v), p)
             np.testing.assert_allclose(fast.weights.data, alpha, atol=1e-12)
             np.testing.assert_allclose(fast.context.data, context, atol=1e-12)
 
@@ -171,7 +171,7 @@ class TestAttend:
         target = rng.normal(0, 1, 6)
 
         def loss(_):
-            out = attend_matrix(Tensor(h_data), Tensor(v_data), p)
+            out = attend_matrix(Tensor(h_data.T), Tensor(v_data), p)
             return ad.mse(out.context, Tensor(target))
         for param in p.tensors():
             assert finite_difference_check(loss, param) < 1e-4

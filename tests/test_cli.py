@@ -278,6 +278,29 @@ class TestExitCodes:
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
         assert "m.ckpt: header lacks 'depth'" in capsys.readouterr().err
 
+    def test_checkpoint_header_beyond_its_payload_is_usage_error(self, trained, capsys):
+        # the allocator refuses 2^40 hidden units at once: were the header
+        # not checked against the file first, this would be a MemoryError
+        tmp, emb, ckpt = trained
+        header = checkpoint_header(ckpt)
+        header["hidden"] = 2**40
+        rewrite_checkpoint(ckpt, header)
+        capsys.readouterr()
+        assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
+        assert "m.ckpt: truncated payload: the header declares" in capsys.readouterr().err
+
+    def test_data_root_prefixes_every_input_path(self, trained, capsys, monkeypatch):
+        tmp, _, _ = trained
+        monkeypatch.setenv("CAPREG_DATA_ROOT", str(tmp))
+        monkeypatch.chdir(tmp.parent)
+        capsys.readouterr()
+        assert main(["caption", "m.ckpt", "e.bin", "img0.annv"]) == EXIT_OK
+        assert capsys.readouterr().out.strip()
+        assert main(["--config", str(tmp / "config.json"), "train", "train.jsonl", "e.bin",
+                     str(tmp / "n.ckpt")]) == EXIT_OK
+        assert main(["--config", str(tmp / "config.json"), "depth-study", "train.jsonl",
+                     "e.bin", "--depths", "1", "--epochs", "1"]) == EXIT_OK
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
     def test_bad_lr_is_usage_error(self, trained, capsys, lr):
         tmp, emb, _ = trained

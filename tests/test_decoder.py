@@ -7,7 +7,7 @@ from capreg.autodiff import NumericalError, Tensor
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, LSTMLayerParams,
                             greedy_decode, lstm_step, param_count, stacked_step,
                             teacher_forced_loss)
-from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
+from capreg.embedding import RESERVED, START, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet
 
 from test_autodiff import _total, finite_difference_check
@@ -301,6 +301,20 @@ class TestGreedyDecode:
         model = _model(head=SOFTMAX, seed=13)
         tokens = greedy_decode(model, _annots(seed=13), max_len=5)
         assert all(t in model.embedding.vocab for t in tokens)
+
+    def test_regression_head_never_emits_start(self):
+        # untrained, this model's outputs all lie nearest <start>'s row
+        model = CaptionModel.init(_table(), depth=8, hidden=16, annot_dim=8,
+                                  attention_k=8, head_kind=REGRESSION, seed=16)
+        for s in range(5):
+            tokens = greedy_decode(model, _annots(seed=s), max_len=8)
+            assert tokens and START not in tokens
+
+    def test_softmax_head_never_emits_start(self):
+        model = _model(head=SOFTMAX, seed=13)
+        model.head.b.data[0] = 1e3  # <start>'s logit dominates every step
+        tokens = greedy_decode(model, _annots(seed=13), max_len=5)
+        assert tokens and START not in tokens
 
     def test_attention_trace_shape(self):
         model = _model(seed=14)

@@ -100,8 +100,9 @@ class TestNearestWord:
         table = EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 8)))
         for _ in range(100):
             v = rng.normal(0, 1, 8)
-            dists = [((row - v) ** 2).sum() for row in table.vectors]
-            expected = vocab.decode(int(np.argmin(dists)))
+            # every row but <start>'s, which is never a decoding target
+            dists = [((row - v) ** 2).sum() for row in table.vectors[1:]]
+            expected = vocab.decode(1 + int(np.argmin(dists)))
             assert nearest_word(v, table) == expected
 
     def test_permutation_invariance(self):
@@ -121,9 +122,10 @@ class TestNearestWord:
 
 
 def _full_scan(v, table):
-    """Oracle: the exhaustive L2 scan over every row, first minimum wins."""
-    d = ((table.vectors - np.asarray(v, dtype=np.float64)) ** 2).sum(axis=1)
-    return table.vocab.decode(int(np.argmin(d)))
+    """Oracle: the exhaustive L2 scan over every row but <start>'s (row 0),
+    first minimum wins."""
+    d = ((table.vectors[1:] - np.asarray(v, dtype=np.float64)) ** 2).sum(axis=1)
+    return table.vocab.decode(1 + int(np.argmin(d)))
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +165,8 @@ class TestNearestWordMatchesFullScan:
         self._check(table, rng.normal(0, 1, (100, 64)))
         self._check(table, vecs[rng.integers(0, len(vecs), 100)])
         for i in range(103):
-            assert nearest_word(vecs[i + 103 * 7], table) == table.vocab.decode(i)
+            # row 0 (<start>) is skipped, so its first copy, row 103, wins
+            assert nearest_word(vecs[i + 103 * 7], table) == table.vocab.decode(i or 103)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e150],
                              ids=["subnormal", "underflow", "overflow"])
@@ -293,6 +296,13 @@ class TestPersistence:
         with pytest.raises(EmbeddingError, match="truncated embedding payload"):
             EmbeddingTable.load(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), np.ones((4, 3))).save(path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 12)
+        with pytest.raises(EmbeddingError, match="emb.bin: 12 bytes after the embedding payload"):
+            EmbeddingTable.load(path)
+
     def test_token_list_longer_than_file_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
         path.write_bytes(emb_bytes(list(RESERVED), d=1, blob_len=2**32 - 1))
@@ -338,7 +348,8 @@ def _embedding_files(draw):
                            max_size=len(tokens) * d))
     raw = emb_bytes(tokens, d, values)
     kind = draw(st.sampled_from(["none", "truncate", "flip", "magic", "version", "nv",
-                                 "d", "blob_len", "token_count", "non_utf8"]))
+                                 "d", "blob_len", "token_count", "non_utf8",
+                                 "trailing"]))
     if kind == "truncate":
         return raw[:draw(st.integers(0, len(raw) - 1))]
     if kind == "flip":
@@ -368,6 +379,8 @@ def _embedding_files(draw):
         at = draw(st.integers(20, 20 + len(b"\x00".join(t.encode() for t in tokens)) - 1))
         blob[at] = draw(st.sampled_from([0x80, 0xC3, 0xFF]))
         return bytes(blob)
+    if kind == "trailing":
+        return raw + draw(st.binary(min_size=1, max_size=16))
     return raw
 
 

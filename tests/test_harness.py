@@ -1,10 +1,12 @@
 import json
 import logging
+import math
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capreg import harness
 from capreg.autodiff import Tensor
@@ -438,7 +440,105 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="model.ckpt: 8 bytes after"):
             load_checkpoint(path, table)
 
+    @pytest.mark.parametrize("key", ["hidden", "annot_dim", "attention_k"])
+    def test_header_dims_beyond_the_payload_refused(self, saved, key):
+        # sizes the allocator refuses at once: without the check against the
+        # payload these end in a MemoryError from building the model
+        path, table, header = saved
+        header[key] = 2**40
+        rewrite_checkpoint(path, header)
+        with pytest.raises(CheckpointError,
+                           match="model.ckpt: truncated payload: the header declares"):
+            load_checkpoint(path, table)
+
     def test_rewrite_helper_keeps_a_valid_file(self, saved):
         path, table, header = saved
         rewrite_checkpoint(path, header)
         load_checkpoint(path, table)
+
+
+_CKPT_KEYS = ["depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind",
+              "dropout_rate", "vocab_hash"]
+# A huge depth is left out: were the size check lost, it would build layer
+# after layer instead of failing at once as these sizes do.
+_HUGE_DIMS = ["hidden", "embed_dim", "annot_dim", "attention_k"]
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """The bytes of a saved depth-2 checkpoint and the table it needs."""
+    table = _table()
+    model = CaptionModel.init(table, depth=2, hidden=4, annot_dim=8, attention_k=3,
+                              head_kind=REGRESSION)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(model, path)
+    return path.read_bytes(), table
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@st.composite
+def _checkpoint_corruptions(draw, raw):
+    """A valid checkpoint, then one corruption, the CRC recomputed unless the
+    corruption is of the raw file."""
+    body = raw[:-4]
+    hlen, = struct.unpack_from("<I", body, 8)
+    header, payload = json.loads(body[12:12 + hlen]), body[12 + hlen:]
+    kind = draw(st.sampled_from(["none", "truncate", "truncate_raw", "flip", "flip_raw",
+                                 "magic", "version", "missing", "type", "zero", "huge",
+                                 "dropout", "not_object", "header_bytes", "trailing"]))
+    if kind == "truncate_raw":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "truncate":
+        return _with_crc(body[:draw(st.integers(0, len(body) - 1))])
+    if kind in ("flip", "flip_raw"):
+        bit = draw(st.integers(0, 8 * len(body) - 1))
+        flipped = bytearray(body)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        return _with_crc(bytes(flipped)) if kind == "flip" else bytes(flipped) + raw[-4:]
+    if kind == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"CKPT"))
+        return _with_crc(magic + body[4:])
+    if kind == "version":
+        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 2))
+        return _with_crc(body[:4] + struct.pack("<I", version) + body[8:])
+    if kind == "trailing":
+        return _with_crc(body + draw(st.binary(min_size=1, max_size=16)))
+    if kind == "missing":
+        del header[draw(st.sampled_from(_CKPT_KEYS))]
+    elif kind == "type":
+        header[draw(st.sampled_from(_CKPT_KEYS))] = draw(
+            st.sampled_from(["1", 1.5, True, None, [1], {}, 10**400]))
+    elif kind == "zero":
+        header[draw(st.sampled_from(_CKPT_KEYS[:5]))] = draw(st.sampled_from([0, -1]))
+    elif kind == "huge":
+        header[draw(st.sampled_from(_HUGE_DIMS))] = draw(st.sampled_from([2**31, 2**40]))
+    elif kind == "dropout":
+        header["dropout_rate"] = draw(st.sampled_from([math.nan, math.inf, -math.inf,
+                                                       1.0, -0.5]))
+    if kind == "not_object":
+        blob = json.dumps(draw(st.one_of(st.none(), st.integers(), st.text(max_size=4),
+                                         st.lists(st.integers(), max_size=3)))).encode()
+    elif kind == "header_bytes":
+        # an int past the digits Python parses is a ValueError, not a JSON one
+        blob = draw(st.one_of(st.binary(max_size=24),
+                              st.just(b'{"depth": ' + b"1" * 5000 + b"}")))
+    else:
+        blob = json.dumps(header).encode()
+    return _with_crc(body[:8] + struct.pack("<I", len(blob)) + blob + payload)
+
+
+@given(data=st.data())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_load_checkpoint_fuzz(tmp_path_factory, small_checkpoint, data):
+    """A corrupt checkpoint only ever raises CheckpointError."""
+    raw, table = small_checkpoint
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(data.draw(_checkpoint_corruptions(raw)))
+    try:
+        model = load_checkpoint(path, table)
+    except CheckpointError:
+        return
+    assert model.embedding is table
