@@ -53,13 +53,13 @@ class AttentionOutput:
 def attend_matrix(h_t: Tensor, v_prev: Tensor,
                   params: AttentionParams) -> AttentionOutput:
     """Softmax-normalized mixture of the columns of a (D, L) annotation
-    matrix, scored with one matmul per stage. The matrix is a constant of
-    the caption, laid out once by ``CaptionModel.annotation_matrix``."""
+    matrix, scored with one matmul per stage; the last, ``w_out @ hidden``,
+    is a vector-matrix product. The matrix is a constant of the caption,
+    laid out once by ``CaptionModel.annotation_matrix``."""
     if h_t.data.ndim != 2 or h_t.shape[1] == 0:
         raise ValueError("attend over an empty annotation set")
     word_bias = ad.add(ad.matmul(params.w_hidden_word, v_prev), params.b_hidden)
     hidden = ad.tanh(ad.add_colvec(ad.matmul(params.w_hidden_annot, h_t), word_bias))
-    scores = ad.matmul(ad.reshape(params.w_out, (1, -1)), hidden)   # (1, L)
-    alphas = ad.softmax(ad.reshape(scores, (-1,)))
+    alphas = ad.softmax(ad.matmul(params.w_out, hidden))
     context = ad.matmul(h_t, alphas)
     return AttentionOutput(context=context, weights=alphas)

@@ -206,18 +206,20 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Supports 2-D @ 2-D and 2-D @ 1-D."""
-    if a.data.ndim != 2:
-        raise ValueError(f"matmul: left operand must be 2-D, got shape {a.shape}")
-    if b.data.ndim not in (1, 2):
-        raise ValueError(f"matmul: right operand must be 1-D or 2-D, got shape {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product: 2-D @ 2-D, matrix @ vector or vector @ matrix."""
+    if (a.data.ndim, b.data.ndim) not in ((2, 2), (2, 1), (1, 2)):
+        raise ValueError(f"matmul: needs 2-D @ 2-D, 2-D @ 1-D or 1-D @ 2-D, "
+                         f"got shapes {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
     data = a.data @ b.data
 
     if b.data.ndim == 1:
         def backward(g):
             return [_Outer(g, b.data), a.data.T @ g]
+    elif a.data.ndim == 1:
+        def backward(g):
+            return [g @ b.data.T, _Outer(a.data, g)]
     else:
         def backward(g):
             return [g @ b.data.T, a.data.T @ g]
@@ -297,47 +299,38 @@ def add_colvec(m: Tensor, v: Tensor) -> Tensor:
     return _result(m.data + v.data[:, None], (m, v), backward)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    """The same values in a new shape (numpy rules, one -1 allowed)."""
-
-    def backward(g):
-        return [g.reshape(x.data.shape)]
-    return _result(x.data.reshape(shape), (x,), backward)
-
-
 def scale(x: Tensor, k: float) -> Tensor:
     def backward(g):
         return [g * k]
     return _result(x.data * k, (x,), backward)
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    """One LSTM layer-step as one graph node whose output is ``[h; c]``.
+def lstm_cell(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer-step as one graph node: from the previous ``[h; c]``
+    node ``state`` to the next ``[h; c]``.
 
     The gates are packed (input, forget, output, candidate) along the rows
     of ``w_x`` (4n, in), ``w_h`` (4n, n) and ``b`` (4n,). The forward
-    evaluates the NumPy expressions of the same cell built from ``matmul``,
-    ``add``, ``slice_``, ``sigmoid``, ``tanh`` and ``mul``, in the same order,
-    and the backward writes out that graph's chain rule term by term, so
-    values and gradients are bit-identical to it. The topological sort
-    explores the parents last to first, so it walks a step's history before
-    its input ``x``, as it does in that graph; this keeps the order in which
-    gradients are summed over time steps.
+    evaluates the NumPy expressions of the same cell built from ``slice_``,
+    ``matmul``, ``add``, ``sigmoid``, ``tanh``, ``mul`` and ``concat``, in the
+    same order, and the backward writes out that graph's chain rule term by
+    term, so values and gradients are bit-identical to it. The topological
+    sort explores the parents last to first, so it walks a step's history
+    before its input ``x``, as it does in that graph; this keeps the order in
+    which gradients are summed over time steps.
     """
-    n = h_prev.data.size
-    if (x.data.ndim != 1 or h_prev.data.ndim != 1 or c_prev.shape != (n,)
-            or b.shape != (4 * n,) or w_h.shape != (4 * n, n)
-            or w_x.shape != (4 * n, x.data.size)):
-        raise ValueError(f"lstm_cell: incompatible shapes x {x.shape}, h {h_prev.shape}, "
-                         f"c {c_prev.shape}, w_x {w_x.shape}, w_h {w_h.shape}, b {b.shape}")
-    z = _finite(_finite(_finite(w_x.data @ x.data) + _finite(w_h.data @ h_prev.data))
-                + b.data)
+    n = state.data.size // 2
+    if (x.data.ndim != 1 or state.shape != (2 * n,) or b.shape != (4 * n,)
+            or w_h.shape != (4 * n, n) or w_x.shape != (4 * n, x.data.size)):
+        raise ValueError(f"lstm_cell: incompatible shapes x {x.shape}, state {state.shape}, "
+                         f"w_x {w_x.shape}, w_h {w_h.shape}, b {b.shape}")
+    h_prev, c_prev = state.data[:n], state.data[n:]
+    z = _finite(_finite(_finite(w_x.data @ x.data) + _finite(w_h.data @ h_prev)) + b.data)
     i = _sigmoid(z[:n].copy())
     f = _sigmoid(z[n:2 * n].copy())
     o = _sigmoid(z[2 * n:3 * n].copy())
     g = np.tanh(z[3 * n:].copy())
-    c = f * c_prev.data + i * g
+    c = f * c_prev + i * g
     tc = np.tanh(c)
 
     def backward(grad):
@@ -345,12 +338,12 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
         dc = gc + (gh * o) * (1.0 - tc * tc)
         dz = np.empty(4 * n, grad.dtype)
         dz[:n] = (dc * g) * i * (1.0 - i)
-        dz[n:2 * n] = (dc * c_prev.data) * f * (1.0 - f)
+        dz[n:2 * n] = (dc * c_prev) * f * (1.0 - f)
         dz[2 * n:3 * n] = (gh * tc) * o * (1.0 - o)
         dz[3 * n:] = (dc * i) * (1.0 - g * g)
-        return [w_x.data.T @ dz, w_h.data.T @ dz, dc * f,
-                _Outer(dz, x.data), _Outer(dz, h_prev.data), dz]
-    return _result(np.concatenate([o * tc, c]), (x, h_prev, c_prev, w_x, w_h, b), backward)
+        return [w_x.data.T @ dz, np.concatenate([w_h.data.T @ dz, dc * f]),
+                _Outer(dz, x.data), _Outer(dz, h_prev), dz]
+    return _result(np.concatenate([o * tc, c]), (x, state, w_x, w_h, b), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,10 @@ def _read_by_id(path, key: str, valid, expected: str) -> dict:
 def cmd_evaluate(args) -> int:
     from .metrics import EvalCorpus, bleu, rouge_l, cider
 
-    cands = _read_by_id(_resolve(args.candidates), "candidate",
-                        lambda c: isinstance(c, str), "a string")
+    cand_path = _resolve(args.candidates)
+    cands = _read_by_id(cand_path, "candidate", lambda c: isinstance(c, str), "a string")
+    if not cands:
+        raise DataError(f"{cand_path}: no candidates")
     refs = _read_by_id(_resolve(args.references), "references",
                        lambda rs: isinstance(rs, list) and rs
                        and all(isinstance(r, str) for r in rs),
@@ -237,7 +239,7 @@ def main(argv=None) -> int:
     except (ValueError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FeatureFileError, EmbeddingError, FileNotFoundError) as e:
+    except (DataError, FeatureFileError, EmbeddingError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingAborted, NumericalError) as e:

@@ -30,7 +30,6 @@ class LSTMLayerParams:
     w_x: Tensor  # (4*hidden, input_dim)
     w_h: Tensor  # (4*hidden, hidden)
     b: Tensor    # (4*hidden,)
-    hidden: int
 
     @classmethod
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator,
@@ -43,8 +42,11 @@ class LSTMLayerParams:
             w_h=Tensor(ad.xavier_uniform(rng, hidden, hidden, (4 * hidden, hidden), dtype),
                        requires_grad=True, name=f"lstm{layer_index}.w_h"),
             b=Tensor(b, requires_grad=True, name=f"lstm{layer_index}.b"),
-            hidden=hidden,
         )
+
+    @property
+    def hidden(self) -> int:
+        return self.w_h.shape[1]
 
     def tensors(self) -> list[Tensor]:
         return [self.w_x, self.w_h, self.b]
@@ -73,14 +75,11 @@ class OutputHead:
         return [self.w, self.b]
 
 
-def lstm_step(x: Tensor, layer_state: tuple[Tensor, Tensor],
-              params: LSTMLayerParams) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """Standard LSTM cell, one fused graph op; returns (hidden, (hidden, cell))."""
-    h_prev, c_prev = layer_state
-    n = params.hidden
-    hc = ad.lstm_cell(x, h_prev, c_prev, params.w_x, params.w_h, params.b)
-    h = ad.slice_(hc, 0, n)
-    return h, (h, ad.slice_(hc, n, 2 * n))
+def lstm_step(x: Tensor, state: Tensor, params: LSTMLayerParams) -> tuple[Tensor, Tensor]:
+    """Standard LSTM cell, one fused graph op. ``state`` is the layer's
+    previous ``[h; c]``; returns (hidden, new ``[h; c]``)."""
+    hc = ad.lstm_cell(x, state, params.w_x, params.w_h, params.b)
+    return ad.slice_(hc, 0, params.hidden), hc
 
 
 @dataclass
@@ -147,10 +146,10 @@ class CaptionModel:
         """A graph constant in the model's dtype."""
         return Tensor(np.asarray(array, dtype=self.dtype))
 
-    def zero_state(self) -> list[tuple[Tensor, Tensor]]:
-        """Per-layer (hidden, cell) pairs, all zero."""
-        zeros = np.zeros(self.hidden, self.dtype)
-        return [(Tensor(zeros), Tensor(zeros)) for _ in range(self.depth)]
+    def zero_state(self) -> list[Tensor]:
+        """Per-layer ``[h; c]`` states, all zero."""
+        zeros = np.zeros(2 * self.hidden, self.dtype)
+        return [Tensor(zeros) for _ in range(self.depth)]
 
     def embed(self, token: str) -> Tensor:
         return self.tensor(self.embedding.lookup(token))
@@ -161,11 +160,11 @@ class CaptionModel:
 
 
 def stacked_step(model: CaptionModel, v_prev: Tensor, context: Tensor,
-                 state: list[tuple[Tensor, Tensor]], train_mode: bool = False,
+                 state: list[Tensor], train_mode: bool = False,
                  rng: np.random.Generator | None = None
-                 ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+                 ) -> tuple[Tensor, list[Tensor]]:
     """One time step through the full stack; ``state`` holds each layer's
-    (hidden, cell) pair. Returns (head output, new state)."""
+    ``[h; c]``. Returns (head output, new state)."""
     if len(state) != model.depth:
         raise ValueError("decoder state depth does not match model depth")
     rate = model.dropout_rate

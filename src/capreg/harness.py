@@ -166,7 +166,7 @@ def load_dataset(manifest_path) -> list[DatasetRecord]:
                 raise DataError(f"{manifest_path}:{lineno}: record {image_id}: features "
                                 f"must be a string")
             feature_path = str(root / feature_path)
-            if not Path(feature_path).exists():
+            if not Path(feature_path).is_file():
                 raise DataError(f"{manifest_path}:{lineno}: missing feature file "
                                 f"{feature_path} for image {image_id}")
         records.append(DatasetRecord(str(image_id), feature_path, captions))

@@ -90,6 +90,8 @@ _ROUGE_BETA = 1.2
 def rouge_l(corpus: EvalCorpus) -> float:
     """LCS-based F-measure (recall weighted by ``_ROUGE_BETA``), best over
     references, averaged over the corpus."""
+    if not corpus.pairs:
+        raise ValueError("ROUGE-L needs a non-empty corpus")
     total = 0.0
     for cand, refs in corpus.pairs:
         best = 0.0

@@ -162,6 +162,44 @@ class TestExitCodes:
         refs.write_text(ref_line + "\n")
         assert main(["evaluate", str(cands), str(refs)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_no_candidates_is_data_error(self, tmp_path, capsys, text):
+        cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+        cands.write_text(text)
+        refs.write_text('{"id": "x", "references": ["a dog"]}\n')
+        assert main(["evaluate", str(cands), str(refs)]) == EXIT_DATA
+        assert "c.jsonl: no candidates" in capsys.readouterr().err
+
+    def test_directory_candidates_is_data_error(self, tmp_path, capsys):
+        refs = tmp_path / "r.jsonl"
+        refs.write_text('{"id": "x", "references": ["a dog"]}\n')
+        (tmp_path / "c.jsonl").mkdir()
+        assert main(["evaluate", str(tmp_path / "c.jsonl"), str(refs)]) == EXIT_DATA
+        assert "c.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("features", ["", ".", "sub"])
+    def test_directory_feature_path_in_manifest_is_data_error(self, workspace, capsys,
+                                                               features):
+        tmp, manifest, config = workspace
+        emb = tmp / "e.bin"
+        main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
+        (tmp / "sub").mkdir()
+        manifest.write_text(manifest.read_text().replace('"img1.annv"', json.dumps(features)))
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", str(manifest), str(emb),
+                     str(tmp / "m.ckpt")]) == EXIT_DATA
+        assert "missing feature file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["embeddings", "features"])
+    def test_directory_caption_input_is_data_error(self, trained, capsys, which):
+        tmp, emb, ckpt = trained
+        folder = tmp / "folder"
+        folder.mkdir()
+        args = {"embeddings": str(emb), "features": str(tmp / "img0.annv"), which: str(folder)}
+        capsys.readouterr()
+        assert main(["caption", str(ckpt), args["embeddings"], args["features"]]) == EXIT_DATA
+        assert "folder" in capsys.readouterr().err
+
     def test_empty_manifest_caption_is_data_error(self, workspace):
         tmp, manifest, config = workspace
         emb = tmp / "e.bin"

@@ -7,7 +7,8 @@ from capreg.autodiff import NumericalError, Tensor
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, LSTMLayerParams,
                             greedy_decode, lstm_step, param_count, stacked_step,
                             teacher_forced_loss)
-from capreg.embedding import RESERVED, START, EmbeddingTable, Vocabulary
+from capreg.attention import attend_matrix
+from capreg.embedding import END, RESERVED, START, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet
 
 from test_autodiff import _total, finite_difference_check
@@ -17,10 +18,11 @@ from test_autodiff import _total, finite_difference_check
 # per-op reference for the fused cell
 
 
-def lstm_step_ops(x, layer_state, params):
-    """The LSTM cell built from 17 graph ops; returns (hidden, (hidden, cell))."""
-    h_prev, c_prev = layer_state
+def lstm_step_ops(x, state, params):
+    """The LSTM cell built from 17 graph ops, reading ``state`` through two
+    ``slice_`` and returning (hidden, ``concat([h, c])``)."""
     n = params.hidden
+    h_prev, c_prev = ad.slice_(state, 0, n), ad.slice_(state, n, 2 * n)
     gates = ad.add(ad.add(ad.matmul(params.w_x, x), ad.matmul(params.w_h, h_prev)),
                    params.b)
     i = ad.sigmoid(ad.slice_(gates, 0, n))
@@ -29,7 +31,7 @@ def lstm_step_ops(x, layer_state, params):
     g = ad.tanh(ad.slice_(gates, 3 * n, 4 * n))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
-    return h, (h, c)
+    return h, ad.concat([h, c])
 
 
 def _table(num_words=12, d=8, seed=0):
@@ -56,10 +58,18 @@ class TestLstmStep:
         params = LSTMLayerParams(
             w_x=Tensor(np.zeros((16, 3)), requires_grad=True),
             w_h=Tensor(np.zeros((16, 4)), requires_grad=True),
-            b=Tensor(np.zeros(16), requires_grad=True), hidden=4)
-        h, _ = lstm_step(Tensor(np.ones(3)),
-                         (Tensor(np.zeros(4)), Tensor(np.zeros(4))), params)
+            b=Tensor(np.zeros(16), requires_grad=True))
+        h, _ = lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(8)), params)
         np.testing.assert_array_equal(h.data, 0.0)
+
+    def test_hidden_is_the_width_of_w_h(self):
+        params = LSTMLayerParams(
+            w_x=Tensor(np.zeros((12, 3)), requires_grad=True),
+            w_h=Tensor(np.zeros((12, 3)), requires_grad=True),
+            b=Tensor(np.zeros(12), requires_grad=True))
+        assert params.hidden == 3
+        with pytest.raises(AttributeError):
+            params.hidden = 4
 
     def test_saturated_forget_gate_preserves_cell(self):
         hidden = 4
@@ -68,11 +78,11 @@ class TestLstmStep:
         params = LSTMLayerParams(
             w_x=Tensor(np.zeros((16, 3)), requires_grad=True),
             w_h=Tensor(np.zeros((16, 4)), requires_grad=True),
-            b=Tensor(b, requires_grad=True), hidden=hidden)
+            b=Tensor(b, requires_grad=True))
         c0 = np.array([1.0, -2.0, 3.0, 0.5])
-        _, (_, c1) = lstm_step(Tensor(np.ones(3)),
-                               (Tensor(np.zeros(4)), Tensor(c0)), params)
-        np.testing.assert_allclose(c1.data, c0, atol=1e-12)
+        _, hc = lstm_step(Tensor(np.ones(3)), Tensor(np.concatenate([np.zeros(4), c0])),
+                          params)
+        np.testing.assert_allclose(hc.data[hidden:], c0, atol=1e-12)
 
     def test_matches_hand_rolled_lstm(self):
         rng = np.random.default_rng(2)
@@ -81,7 +91,7 @@ class TestLstmStep:
         x = rng.normal(0, 1, inp)
         h0 = rng.normal(0, 1, hidden)
         c0 = rng.normal(0, 1, hidden)
-        h, (h_same, c) = lstm_step(Tensor(x), (Tensor(h0), Tensor(c0)), params)
+        h, hc = lstm_step(Tensor(x), Tensor(np.concatenate([h0, c0])), params)
 
         def sig(z):
             return 1 / (1 + np.exp(-z))
@@ -89,9 +99,9 @@ class TestLstmStep:
         i, f, o, g = (gates[k * hidden:(k + 1) * hidden] for k in range(4))
         c_ref = sig(f) * c0 + sig(i) * np.tanh(g)
         h_ref = sig(o) * np.tanh(c_ref)
-        np.testing.assert_allclose(c.data, c_ref, atol=1e-12)
+        np.testing.assert_allclose(hc.data[hidden:], c_ref, atol=1e-12)
         np.testing.assert_allclose(h.data, h_ref, atol=1e-12)
-        assert h is h_same
+        np.testing.assert_array_equal(hc.data[:hidden], h.data)
 
 
 class TestFusedCell:
@@ -128,11 +138,11 @@ class TestFusedCell:
         assert any(np.any(g != 0) for g in grads)
         assert tokens == ref_tokens
 
-    @pytest.mark.parametrize("which", range(6))
+    @pytest.mark.parametrize("which", range(5))
     def test_gradients_vs_finite_differences(self, which):
         rng = np.random.default_rng(17 + which)
         hidden, inp = 5, 3
-        args = [rng.normal(0, 1, inp), rng.normal(0, 1, hidden), rng.normal(0, 1, hidden),
+        args = [rng.normal(0, 1, inp), rng.normal(0, 1, 2 * hidden),
                 rng.normal(0, 0.7, (4 * hidden, inp)), rng.normal(0, 0.7, (4 * hidden, hidden)),
                 rng.normal(0, 0.5, 4 * hidden)]
         tensors = [Tensor(a, requires_grad=k == which) for k, a in enumerate(args)]
@@ -149,12 +159,14 @@ class TestFusedCell:
         params = LSTMLayerParams.init(3, 4, np.random.default_rng(18))
         params.w_x.data[...] = 1e308
         with pytest.raises(NumericalError):
-            step(Tensor(np.ones(3)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))), params)
+            step(Tensor(np.ones(3)), Tensor(np.zeros(8)), params)
 
     def test_shape_mismatch(self):
         params = LSTMLayerParams.init(3, 4, np.random.default_rng(19))
         with pytest.raises(ValueError):
-            lstm_step(Tensor(np.ones(5)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))), params)
+            lstm_step(Tensor(np.ones(5)), Tensor(np.zeros(8)), params)
+        with pytest.raises(ValueError):
+            lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(6)), params)
 
 
 class TestStackedStep:
@@ -176,8 +188,7 @@ class TestStackedStep:
         v, c = rng.normal(0, 1, 8), rng.normal(0, 1, 8)
         out, _ = stacked_step(model, Tensor(v), Tensor(c), model.zero_state(),
                               train_mode=True, rng=np.random.default_rng(0))
-        h, _ = lstm_step(Tensor(np.concatenate([v, c])),
-                         (Tensor(np.zeros(16)), Tensor(np.zeros(16))),
+        h, _ = lstm_step(Tensor(np.concatenate([v, c])), Tensor(np.zeros(32)),
                          model.layers[0])
         mask = (np.random.default_rng(0).random(16) >= 0.25) / 0.75
         assert 0 < np.count_nonzero(mask) < 16
@@ -190,8 +201,7 @@ class TestStackedStep:
         v = rng.normal(0, 1, 8)
         c = rng.normal(0, 1, 8)
         out, _ = stacked_step(model, Tensor(v), Tensor(c), model.zero_state())
-        h, _ = lstm_step(Tensor(np.concatenate([v, c])),
-                         (Tensor(np.zeros(16)), Tensor(np.zeros(16))),
+        h, _ = lstm_step(Tensor(np.concatenate([v, c])), Tensor(np.zeros(32)),
                          model.layers[0])
         expected = model.head.w.data @ h.data + model.head.b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -210,12 +220,12 @@ class TestTeacherForcedLoss:
         # zero the trunk-to-head map and plant each target in the head bias:
         # with a one-word caption the bias is the whole output
         model.head.w.data[...] = 0.0
-        target = table.lookup("w3")
-        model.head.b.data[...] = target
+        model.head.b.data[...] = table.lookup("w3")
         loss = teacher_forced_loss(model, _annots(dim=4), ["w3"])
-        # the second step regresses <end>; restrict to the one matching step
-        seq_losses = loss.item()
-        assert seq_losses >= 0
+        # the first step's loss is exactly zero; the second regresses <end>
+        end_loss = ad.mse(model.embed("w3"), model.embed(END)).item()
+        assert end_loss > 0
+        assert loss.item() == end_loss * 0.5
 
     def test_zero_loss_iff_exact_match(self):
         # <end> shares w3's row, so one head output matches both steps
@@ -238,7 +248,16 @@ class TestTeacherForcedLoss:
         # caption [w] scores two steps: <start>->w and w-><end>
         model = _model(seed=7)
         loss = teacher_forced_loss(model, _annots(), ["w1"])
-        assert loss.item() >= 0
+        h_matrix = model.annotation_matrix(_annots())
+        state = model.zero_state()
+        steps = []
+        for prev, target in ((START, "w1"), ("w1", END)):
+            v_prev = model.embed(prev)
+            att = attend_matrix(h_matrix, v_prev, model.attention)
+            out, state = stacked_step(model, v_prev, att.context, state)
+            steps.append(ad.mse(out, model.embed(target)).item())
+        assert steps[0] != steps[1]
+        assert loss.item() == (steps[0] + steps[1]) * 0.5
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -280,6 +299,18 @@ class TestTeacherForcedLoss:
             return teacher_forced_loss(model, _annots(seed=10), ["w1", "w2"],
                                        train_mode=True, rng=rng).item()
         assert run() == run()
+
+
+class TestGraphSize:
+    def test_depth8_step_builds_29_ops(self):
+        # per step: 8 attention ops, the input concat, a cell and an h slice
+        # per layer, the head's matmul and add, the step loss and the add
+        # into the total (the first step adds nothing, the final scale one)
+        model = _model(depth=8)
+        caption = ["w1", "w5", "w2", "w7"]
+        loss = teacher_forced_loss(model, _annots(), caption)
+        ops = [node for node in ad._toposort(loss) if node._backward is not None]
+        assert len(ops) == 29 * (len(caption) + 1)
 
 
 class TestGreedyDecode:

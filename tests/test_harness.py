@@ -177,6 +177,15 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="missing feature file"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("features", ["", ".", "sub"])
+    def test_directory_feature_path(self, tmp_path, features):
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(
+            {"id": "a", "captions": ["x"], "features": features}) + "\n")
+        with pytest.raises(DataError, match="missing feature file"):
+            load_dataset(path)
+
     def test_feature_path_resolved_and_loaded(self, tmp_path):
         annots = AnnotationSet(np.ones((4, 3)), 2, 2)
         save_features(annots, tmp_path / "f.annv")

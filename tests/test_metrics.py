@@ -193,6 +193,10 @@ class TestRougeL:
         corpus = EvalCorpus([(["x"], [["a", "b"]])])
         assert rouge_l(corpus) == 0.0
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="non-empty corpus"):
+            rouge_l(EvalCorpus([]))
+
     def test_matches_dp_oracle_on_random_pairs(self):
         rng = random.Random(3)
         for _ in range(50):
