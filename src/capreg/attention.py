@@ -46,20 +46,18 @@ class AttentionParams:
 
 @dataclass
 class AttentionOutput:
-    context: Tensor   # (D,)
-    weights: Tensor   # (L,)
+    context: Tensor        # (T, D)
+    weights: np.ndarray    # (T, L)
 
 
-def attend_matrix(h_t: Tensor, v_prev: Tensor,
+def attend_matrix(annotations: np.ndarray, words: np.ndarray,
                   params: AttentionParams) -> AttentionOutput:
-    """Softmax-normalized mixture of the columns of a (D, L) annotation
-    matrix, scored with one matmul per stage; the last, ``w_out @ hidden``,
-    is a vector-matrix product. The matrix is a constant of the caption,
-    laid out once by ``CaptionModel.annotation_matrix``."""
-    if h_t.data.ndim != 2 or h_t.shape[1] == 0:
+    """Attention of each of T previous words (the rows of ``words``) over
+    the columns of a (D, L) annotation matrix, as one ``ad.attention`` node.
+    Scores use no decoder state, so a caption's T contexts are known before
+    its first LSTM step. Both arrays are constants of the caption; the matrix
+    is laid out once by ``CaptionModel.annotation_matrix``."""
+    if annotations.ndim != 2 or annotations.shape[1] == 0:
         raise ValueError("attend over an empty annotation set")
-    word_bias = ad.add(ad.matmul(params.w_hidden_word, v_prev), params.b_hidden)
-    hidden = ad.tanh(ad.add_colvec(ad.matmul(params.w_hidden_annot, h_t), word_bias))
-    alphas = ad.softmax(ad.matmul(params.w_out, hidden))
-    context = ad.matmul(h_t, alphas)
-    return AttentionOutput(context=context, weights=alphas)
+    context, weights = ad.attention(annotations, words, *params.tensors())
+    return AttentionOutput(context=context, weights=weights)

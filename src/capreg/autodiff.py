@@ -1,10 +1,16 @@
 """Minimal reverse-mode automatic differentiation engine.
 
-Tensors wrap numpy arrays and record the ops (which take only ``Tensor``
-operands) applied to them; calling ``backward()`` on a scalar result walks
-the recorded graph in reverse topological order and accumulates gradients
-into every tensor with ``requires_grad`` that participated. Gradients
-accumulate additively across fan-out; ``AdamState.step`` zeroes them.
+Tensors wrap numpy arrays and record the ops applied to them; calling
+``backward()`` on a scalar result walks the recorded graph in reverse
+topological order and accumulates gradients into every tensor with
+``requires_grad`` that participated. Gradients accumulate additively across
+fan-out; ``AdamState.step`` zeroes them.
+
+The caption-level ops (``attention``, ``lstm``, ``linear``, ``concat``,
+``mse``, ``cross_entropy``) each cover all T time steps of a caption in one
+node. They take the caption's constants (annotations, previous-word rows,
+targets, dropout masks, a starting state) as plain arrays, which are not
+graph nodes, so the walk forms no gradient term for them.
 
 A tensor holds float32 data as float32 and any other data as float64; ops
 keep the dtype of their operands, so a model built in float32 computes in
@@ -60,11 +66,19 @@ class Tensor:
         result is an error.
 
         The walk keeps each node's pending gradient terms in arrival order,
-        a rank-one term ``u v^T`` unformed; terms for constants are dropped.
-        An inner node's gradient is ``(t1 + t2) + ...``. A parameter gets
+        a weight-gradient product ``U^T V`` (:class:`_Outer`) unformed; terms
+        for constants are dropped. An inner node's gradient is ``(t1 + t2) + ...``. A parameter gets
         ``grad += ((t1 + t2) + ...)``, added up one row block at a time with
-        the same additions in the same order: the same bits, without a
-        temporary the size of the parameter.
+        the same additions in the same order, so without a temporary the
+        size of the parameter. In the caption model every parameter gets
+        exactly one term: ``dZ^T X`` over the caption's T rows, or a sum
+        over them.
+
+        Because the caption-level ops batch what the per-step graph computed
+        one step at a time (a GEMM in place of T matrix-vector products),
+        their results match that graph's within round-off, not bit for bit:
+        the tests hold f64 gradients to 1e-12 of it (relative, normalised by
+        the largest magnitude) and f32 to 1e-4.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise AutodiffError("backward() requires a scalar tensor")
@@ -95,16 +109,22 @@ _BLOCK = 1 << 15
 
 
 class _Outer:
-    """The rank-one gradient term ``u[:, None] * v``, formed block by block."""
+    """The weight-gradient term ``u^T v`` of T-row factors ``u`` (T, m) and
+    ``v`` (T, k), such as ``dZ^T X``, left unformed: a parameter's gradient
+    forms it one row block at a time, so the (m, k) product never exists
+    whole. A vector factor is one row, so T = 1 is the rank-one ``u v^T``."""
 
     __slots__ = ("u", "v", "dtype")
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
-        self.u, self.v = u, v
+        self.u, self.v = np.atleast_2d(u), np.atleast_2d(v)
         self.dtype = np.result_type(u.dtype, v.dtype)
 
+    def block(self, rows, out: np.ndarray) -> np.ndarray:
+        return np.matmul(self.u[:, rows].T, self.v, out=out)
+
     def dense(self) -> np.ndarray:
-        return self.u[:, None] * self.v
+        return self.u.T @ self.v
 
 
 class _Scratch:
@@ -122,12 +142,18 @@ class _Scratch:
 
 
 def _row_blocks(shape) -> list:
-    """Index blocks over the first axis of at most ``_BLOCK`` elements each
-    (one row at least); a 0-d array is one block."""
+    """Index blocks over the first axis of at most ``_BLOCK`` elements each,
+    but of two rows at least: a last single row joins the block before it.
+    A product term's block is then a GEMM, as the whole product is; BLAS
+    sends a one-row product to a matrix-vector kernel, which rounds its sums
+    differently. A 0-d array is one block."""
     if not shape:
         return [...]
-    rows = max(1, _BLOCK // max(1, math.prod(shape[1:])))
-    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
+    rows = max(2, _BLOCK // max(1, math.prod(shape[1:])))
+    edges = [*range(0, shape[0], rows), shape[0]]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _add_sum(grad: np.ndarray, terms: list, scratch: _Scratch) -> None:
@@ -140,13 +166,12 @@ def _add_sum(grad: np.ndarray, terms: list, scratch: _Scratch) -> None:
     for blk in _row_blocks(grad.shape):
         acc, part = scratch.pair(first.dtype, grad[blk].shape)
         if isinstance(first, _Outer):
-            np.multiply(first.u[blk, None], first.v, out=acc)
+            first.block(blk, acc)
         else:
             np.copyto(acc, first[blk])
         for t in rest:
             if isinstance(t, _Outer):
-                np.multiply(t.u[blk, None], t.v, out=part)
-                acc += part
+                acc += t.block(blk, part)
             else:
                 acc += t[blk]
         grad[blk] += acc
@@ -157,7 +182,7 @@ def _dense(term) -> np.ndarray:
 
 
 def _fold(terms: list) -> np.ndarray:
-    """``(t1 + t2) + ...`` over whole arrays, each rank-one term formed."""
+    """``(t1 + t2) + ...`` over whole arrays, each product term formed."""
     total = _dense(terms[0])
     for t in terms[1:]:
         total = total + _dense(t)
@@ -248,14 +273,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-
-    def backward(g):
-        return [g * s * (1.0 - s)]
-    return _result(s, (x,), backward)
-
-
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
@@ -264,17 +281,19 @@ def tanh(x: Tensor) -> Tensor:
     return _result(t, (x,), backward)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ValueError("concat: all inputs must be 1-D")
-    sizes = [p.data.size for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def concat(parts: Sequence) -> Tensor:
+    """Join tensors, and arrays taken as constants, along their last axis."""
+    arrays = [p.data if isinstance(p, Tensor) else np.asarray(p) for p in parts]
+    if len({(a.ndim, a.shape[:-1]) for a in arrays}) != 1 or arrays[0].ndim not in (1, 2):
+        raise ValueError(f"concat: needs 1-D or 2-D parts that agree but in the last axis, "
+                         f"got shapes {[a.shape for a in arrays]}")
+    offsets = np.cumsum([0] + [a.shape[-1] for a in arrays])
+    blocks = [(p, offsets[i], offsets[i + 1]) for i, p in enumerate(parts)
+              if isinstance(p, Tensor)]
 
     def backward(g):
-        return [g[offsets[i]:offsets[i + 1]] for i in range(len(parts))]
-    return _result(np.concatenate([p.data for p in parts]), parts, backward)
+        return [g[..., lo:hi] for _, lo, hi in blocks]
+    return _result(np.concatenate(arrays, axis=-1), [p for p, _, _ in blocks], backward)
 
 
 def slice_(x: Tensor, start: int, stop: int) -> Tensor:
@@ -305,45 +324,124 @@ def scale(x: Tensor, k: float) -> Tensor:
     return _result(x.data * k, (x,), backward)
 
 
-def lstm_cell(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    """One LSTM layer-step as one graph node: from the previous ``[h; c]``
-    node ``state`` to the next ``[h; c]``.
+def attention(annotations: np.ndarray, words: np.ndarray, w_annot: Tensor,
+              w_word: Tensor, b: Tensor, w_out: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Soft attention of T query rows over the L columns ``a_l`` of a (D, L)
+    annotation matrix, as one graph node.
+
+    Row t scores column l as ``w_out . tanh(w_annot a_l + w_word v_t + b)``,
+    with ``v_t`` row t of ``words`` (T, d), and its context is the
+    softmax-weighted sum of the columns. The annotations and the words are
+    constants. Returns the (T, D) context node and the (T, L) weights.
+    """
+    if (annotations.ndim != 2 or words.ndim != 2 or w_annot.shape[1] != annotations.shape[0]
+            or w_word.shape[1] != words.shape[1] or w_word.shape[0] != w_annot.shape[0]
+            or b.shape != w_annot.shape[:1] or w_out.shape != b.shape):
+        raise ValueError(f"attention: incompatible shapes annotations {annotations.shape}, "
+                         f"words {words.shape}, w_annot {w_annot.shape}, w_word {w_word.shape}, "
+                         f"b {b.shape}, w_out {w_out.shape}")
+    proj = _finite(w_annot.data @ annotations)                    # (k, L)
+    bias = words @ w_word.data.T
+    bias += b.data
+    hidden = np.tanh(_finite(bias)[:, :, None] + proj)           # (T, k, L)
+    scores = w_out.data @ hidden                                  # (T, L)
+    scores -= scores.max(axis=1, keepdims=True)
+    alphas = np.exp(scores)
+    alphas /= alphas.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        d_alpha = g @ annotations
+        d_score = alphas * (d_alpha - (d_alpha * alphas).sum(axis=1, keepdims=True))
+        d_pre = w_out.data[:, None] * d_score[:, None, :]
+        d_pre *= 1.0 - hidden * hidden
+        d_bias = d_pre.sum(axis=2)                                # (T, k)
+        return [d_pre.sum(axis=0) @ annotations.T, _Outer(d_bias, words),
+                d_bias.sum(axis=0), np.einsum("tkl,tl->k", hidden, d_score)]
+    context = _result(alphas @ annotations.T, (w_annot, w_word, b, w_out), backward)
+    return context, alphas
+
+
+def lstm(x: Tensor, state: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,
+         mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """One LSTM layer over the T input rows of ``x`` (T, in), as one node.
 
     The gates are packed (input, forget, output, candidate) along the rows
-    of ``w_x`` (4n, in), ``w_h`` (4n, n) and ``b`` (4n,). The forward
-    evaluates the NumPy expressions of the same cell built from ``slice_``,
-    ``matmul``, ``add``, ``sigmoid``, ``tanh``, ``mul`` and ``concat``, in the
-    same order, and the backward writes out that graph's chain rule term by
-    term, so values and gradients are bit-identical to it. The topological
-    sort explores the parents last to first, so it walks a step's history
-    before its input ``x``, as it does in that graph; this keeps the order in
-    which gradients are summed over time steps.
+    of ``w_x`` (4n, in), ``w_h`` (4n, n) and ``b`` (4n,). ``x @ w_x^T + b``
+    is one GEMM over all T steps; only ``w_h h_{t-1}`` runs step by step.
+    ``state`` is the constant ``[h; c]`` (2n,) before the first step, and the
+    optional constant ``mask`` (T, n) scales each step's hidden output, as
+    inverted dropout does; the recurrence reads the unscaled ``h``. Returns
+    the node of the T hidden rows and the ``[h; c]`` after the last step.
+
+    The backward runs the steps in reverse for the pre-activation gradient
+    ``dZ`` (T, 4n), then hands each weight one term: ``dZ^T X``,
+    ``dZ^T H_prev`` and ``sum_t dZ_t``.
     """
-    n = state.data.size // 2
-    if (x.data.ndim != 1 or state.shape != (2 * n,) or b.shape != (4 * n,)
-            or w_h.shape != (4 * n, n) or w_x.shape != (4 * n, x.data.size)):
-        raise ValueError(f"lstm_cell: incompatible shapes x {x.shape}, state {state.shape}, "
-                         f"w_x {w_x.shape}, w_h {w_h.shape}, b {b.shape}")
-    h_prev, c_prev = state.data[:n], state.data[n:]
-    z = _finite(_finite(_finite(w_x.data @ x.data) + _finite(w_h.data @ h_prev)) + b.data)
-    i = _sigmoid(z[:n].copy())
-    f = _sigmoid(z[n:2 * n].copy())
-    o = _sigmoid(z[2 * n:3 * n].copy())
-    g = np.tanh(z[3 * n:].copy())
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
+    n = w_h.shape[1]
+    steps = x.shape[0]
+    if (x.data.ndim != 2 or state.shape != (2 * n,) or b.shape != (4 * n,)
+            or w_h.shape != (4 * n, n) or w_x.shape != (4 * n, x.shape[1])
+            or (mask is not None and mask.shape != (steps, n))):
+        raise ValueError(f"lstm: incompatible shapes x {x.shape}, state {state.shape}, "
+                         f"w_x {w_x.shape}, w_h {w_h.shape}, b {b.shape}, "
+                         f"mask {None if mask is None else mask.shape}")
+    w_hd = w_h.data
+    z = x.data @ w_x.data.T
+    z += b.data
+    gates = np.empty_like(z)                 # i, f, o, g after their activations
+    hs = np.empty((steps + 1, n), z.dtype)   # h_0 .. h_T
+    cs = np.empty((steps + 1, n), z.dtype)   # c_0 .. c_T
+    tcs = np.empty((steps, n), z.dtype)      # tanh(c_1) .. tanh(c_T)
+    hs[0], cs[0] = state[:n], state[n:]
+    for t in range(steps):
+        zt, gt = z[t], gates[t]
+        zt += w_hd @ hs[t]
+        gt[:3 * n] = _sigmoid(zt[:3 * n])
+        np.tanh(zt[3 * n:], out=gt[3 * n:])
+        np.multiply(gt[n:2 * n], cs[t], out=cs[t + 1])
+        cs[t + 1] += gt[:n] * gt[3 * n:]
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(gt[2 * n:3 * n], tcs[t], out=hs[t + 1])
+    # tanh and the sigmoid saturate an overflow into finite values: check
+    # the pre-activations, not only the output
+    _finite(z)
 
     def backward(grad):
-        gh, gc = grad[:n], grad[n:]
-        dc = gc + (gh * o) * (1.0 - tc * tc)
-        dz = np.empty(4 * n, grad.dtype)
-        dz[:n] = (dc * g) * i * (1.0 - i)
-        dz[n:2 * n] = (dc * c_prev) * f * (1.0 - f)
-        dz[2 * n:3 * n] = (gh * tc) * o * (1.0 - o)
-        dz[3 * n:] = (dc * i) * (1.0 - g * g)
-        return [w_x.data.T @ dz, np.concatenate([w_h.data.T @ dz, dc * f]),
-                _Outer(dz, x.data), _Outer(dz, h_prev), dz]
-    return _result(np.concatenate([o * tc, c]), (x, state, w_x, w_h, b), backward)
+        gh_out = grad * mask if mask is not None else grad
+        i, f, o, g = (gates[:, k * n:(k + 1) * n] for k in range(4))
+        dc_dh = o * (1.0 - tcs * tcs)
+        # d z / d c for the input, forget and candidate rows; d z / d h for the output row
+        local = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                                tcs * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+        dz = np.empty_like(z)
+        carry_h = carry_c = 0.0
+        for t in range(steps - 1, -1, -1):
+            gh = gh_out[t] + carry_h
+            dc = gh * dc_dh[t] + carry_c
+            dzt, lt = dz[t], local[t]
+            np.multiply(dc, lt[:n], out=dzt[:n])
+            np.multiply(dc, lt[n:2 * n], out=dzt[n:2 * n])
+            np.multiply(gh, lt[2 * n:3 * n], out=dzt[2 * n:3 * n])
+            np.multiply(dc, lt[3 * n:], out=dzt[3 * n:])
+            if t:
+                carry_h = dzt @ w_hd
+                carry_c = dc * f[t]
+        return [dz @ w_x.data, _Outer(dz, x.data), _Outer(dz, hs[:-1]), dz.sum(axis=0)]
+    hidden = hs[1:] * mask if mask is not None else hs[1:]
+    out = _result(hidden, (x, w_x, w_h, b), backward)
+    return out, np.concatenate([hs[-1], cs[-1]])
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The rows ``x @ w^T + b`` of a (T, in) input, as one node."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or w.shape[1] != x.shape[1] or b.shape != w.shape[:1]:
+        raise ValueError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
+    data = x.data @ w.data.T
+    data += b.data
+
+    def backward(g):
+        return [g @ w.data, _Outer(g, x.data), g.sum(axis=0)]
+    return _result(data, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -363,34 +461,42 @@ def softmax(logits: Tensor) -> Tensor:
     return _result(s, (logits,), backward)
 
 
-def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
-    """Softmax cross entropy -log(S_y) against an integer class index."""
-    n = logits.data.size
-    if not 0 <= target_index < n:
-        raise IndexError(f"target index {target_index} out of range for {n} classes")
-    z = logits.data - logits.data.max()
-    log_z = np.log(np.exp(z).sum())
-    loss = log_z - z[target_index]
-    s = np.exp(z - log_z)
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Softmax cross entropy ``-log S_y``: of a logits vector against one
+    class index, or the mean over the rows of a (T, V) logits matrix against
+    T class indices."""
+    rows = np.atleast_2d(logits.data)
+    y = np.atleast_1d(np.asarray(target))
+    count, n = rows.shape
+    if logits.data.ndim > 2 or y.shape != (count,):
+        raise ValueError(f"cross_entropy: {y.size} targets for logits of shape {logits.shape}")
+    if np.any((y < 0) | (y >= n)):
+        raise IndexError(f"target index {target} out of range for {n} classes")
+    r = np.arange(count)
+    z = rows - rows.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(z).sum(axis=1))
+    loss = np.mean(log_z - z[r, y])
 
     def backward(g):
-        d = s.copy()
-        d[target_index] -= 1.0
-        return [d * float(g)]
-    return _result(np.asarray(loss), (logits,), backward)
+        d = np.exp(z - log_z[:, None])
+        d[r, y] -= 1.0
+        d *= float(g) / count
+        return [d.reshape(logits.shape)]
+    return _result(np.asarray(loss, dtype=rows.dtype), (logits,), backward)
 
 
-def mse(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean of squared componentwise differences."""
+def mse(prediction: Tensor, target: np.ndarray) -> Tensor:
+    """Mean of squared componentwise differences from a constant target.
+    Over T rows of one width it is the mean of the T per-row losses."""
+    target = np.asarray(target)
     if prediction.shape != target.shape:
         raise ValueError(f"mse: shape mismatch {prediction.shape} vs {target.shape}")
-    diff = prediction.data - target.data
+    diff = prediction.data - target
     n = diff.size
 
     def backward(g):
-        d = 2.0 * diff / n * float(g)
-        return [d, -d]
-    return _result(np.asarray(np.mean(diff * diff)), (prediction, target), backward)
+        return [2.0 * diff / n * float(g)]
+    return _result(np.asarray(np.mean(diff * diff)), (prediction,), backward)
 
 
 # ---------------------------------------------------------------------------

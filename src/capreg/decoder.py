@@ -5,6 +5,11 @@ attention context; each deeper layer consumes the hidden output of the layer
 below. The output head is either a linear regression onto the word embedding
 space or a softmax layer over the vocabulary. Dropout (inverted) is applied
 to every layer's hidden output in training mode only.
+
+Training runs each caption layer by layer over all of its T steps: one
+attention node, one node per LSTM layer, one head node and one loss node.
+Decoding runs the same ops one step (T = 1) at a time, carrying each layer's
+``[h; c]``.
 """
 
 from __future__ import annotations
@@ -69,17 +74,21 @@ class OutputHead:
                    b=Tensor(np.zeros(out_dim, dtype), requires_grad=True, name="head.b"))
 
     def apply(self, hidden: Tensor) -> Tensor:
-        return ad.add(ad.matmul(self.w, hidden), self.b)
+        """The head's outputs for the (T, hidden) rows of the top layer."""
+        return ad.linear(hidden, self.w, self.b)
 
     def tensors(self) -> list[Tensor]:
         return [self.w, self.b]
 
 
-def lstm_step(x: Tensor, state: Tensor, params: LSTMLayerParams) -> tuple[Tensor, Tensor]:
-    """Standard LSTM cell, one fused graph op. ``state`` is the layer's
-    previous ``[h; c]``; returns (hidden, new ``[h; c]``)."""
-    hc = ad.lstm_cell(x, state, params.w_x, params.w_h, params.b)
-    return ad.slice_(hc, 0, params.hidden), hc
+def lstm_step(x: Tensor, state: np.ndarray, params: LSTMLayerParams,
+              mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Standard LSTM layer over the T input rows of ``x``, as one ``ad.lstm``
+    node: training calls it once per layer per caption, decoding once per
+    layer per token. ``state`` is the layer's ``[h; c]`` before the first
+    row and ``mask`` an optional (T, hidden) dropout mask on the output.
+    Returns (the T hidden rows, the ``[h; c]`` after the last row)."""
+    return ad.lstm(x, state, params.w_x, params.w_h, params.b, mask)
 
 
 @dataclass
@@ -142,97 +151,96 @@ class CaptionModel:
         out.extend(self.head.tensors())
         return out
 
-    def tensor(self, array) -> Tensor:
-        """A graph constant in the model's dtype."""
-        return Tensor(np.asarray(array, dtype=self.dtype))
-
-    def zero_state(self) -> list[Tensor]:
+    def zero_state(self) -> list[np.ndarray]:
         """Per-layer ``[h; c]`` states, all zero."""
         zeros = np.zeros(2 * self.hidden, self.dtype)
-        return [Tensor(zeros) for _ in range(self.depth)]
+        return [zeros] * self.depth
 
-    def embed(self, token: str) -> Tensor:
-        return self.tensor(self.embedding.lookup(token))
+    def embed_rows(self, tokens: list[str]) -> np.ndarray:
+        """The (T, d) embedding rows of ``tokens``, in the model's dtype."""
+        rows = self.embedding.vectors[self.embedding.vocab.encode_sequence(tokens)]
+        return rows.astype(self.dtype, copy=False)
 
-    def annotation_matrix(self, annotations: AnnotationSet) -> Tensor:
+    def annotation_matrix(self, annotations: AnnotationSet) -> np.ndarray:
         """The (D, L) constant ``attend_matrix`` reads: one column per vector."""
-        return Tensor(np.ascontiguousarray(annotations.vectors.T, dtype=self.dtype))
+        return np.ascontiguousarray(annotations.vectors.T, dtype=self.dtype)
 
 
-def stacked_step(model: CaptionModel, v_prev: Tensor, context: Tensor,
-                 state: list[Tensor], train_mode: bool = False,
+def stacked_step(model: CaptionModel, words: np.ndarray, context: Tensor,
+                 state: list[np.ndarray], train_mode: bool = False,
                  rng: np.random.Generator | None = None
-                 ) -> tuple[Tensor, list[Tensor]]:
-    """One time step through the full stack; ``state`` holds each layer's
-    ``[h; c]``. Returns (head output, new state)."""
+                 ) -> tuple[Tensor, list[np.ndarray]]:
+    """T time steps through the full stack, layer by layer: layer 0 reads the
+    rows ``[word; context]``, each deeper layer the hidden rows below.
+    ``state`` holds each layer's ``[h; c]`` before the first step. Returns
+    (the T rows of head outputs, each layer's ``[h; c]`` after the last).
+
+    In train mode with dropout the masks are drawn in one call, step-major
+    and layer-minor: the draws a step-by-step stack makes in that order.
+    """
     if len(state) != model.depth:
         raise ValueError("decoder state depth does not match model depth")
+    masks = None
     rate = model.dropout_rate
-    x = ad.concat([v_prev, context])
-    new_layers = []
-    for layer, layer_state in zip(model.layers, state):
-        h, new_state = lstm_step(x, layer_state, layer)
-        if train_mode and rate > 0.0:
-            if rng is None:
-                raise ValueError("train-mode dropout needs an RNG")
-            mask = (rng.random(h.data.shape) >= rate) / (1.0 - rate)
-            h = ad.mul(h, model.tensor(mask))
-        new_layers.append(new_state)
-        x = h
-    return model.head.apply(x), new_layers
+    if train_mode and rate > 0.0:
+        if rng is None:
+            raise ValueError("train-mode dropout needs an RNG")
+        draws = rng.random((len(words), model.depth, model.hidden))
+        masks = ((draws >= rate) / (1.0 - rate)).astype(model.dtype, copy=False)
+    x = ad.concat([words, context])
+    new_state = []
+    for ell, (layer, layer_state) in enumerate(zip(model.layers, state)):
+        x, layer_state = lstm_step(x, layer_state, layer,
+                                   None if masks is None else masks[:, ell])
+        new_state.append(layer_state)
+    return model.head.apply(x), new_state
 
 
 def teacher_forced_loss(model: CaptionModel, annotations: AnnotationSet,
                         caption: list[str], train_mode: bool = False,
                         rng: np.random.Generator | None = None) -> Tensor:
-    """Mean per-step loss with ground-truth previous words fed back."""
+    """Mean per-step loss with ground-truth previous words fed back, over
+    the T = len(caption) + 1 steps from ``<start>`` to ``<end>``, built as
+    one graph of a dozen nodes whatever T is."""
     if not caption:
         raise ValueError("empty caption")
-    vocab = model.embedding.vocab
     seq = [START] + list(caption) + [END]
-    h_matrix = model.annotation_matrix(annotations)
-    state = model.zero_state()
-    total = None
-    steps = 0
-    for t in range(1, len(seq)):
-        v_prev = model.embed(seq[t - 1])
-        att = attend_matrix(h_matrix, v_prev, model.attention)
-        out, state = stacked_step(model, v_prev, att.context, state,
-                                  train_mode=train_mode, rng=rng)
-        if model.head.kind == REGRESSION:
-            step_loss = ad.mse(out, model.embed(seq[t]))
-        else:
-            step_loss = ad.cross_entropy(out, vocab.encode(seq[t]))
-        total = step_loss if total is None else ad.add(total, step_loss)
-        steps += 1
-    return ad.scale(total, 1.0 / steps)
+    words = model.embed_rows(seq[:-1])
+    att = attend_matrix(model.annotation_matrix(annotations), words, model.attention)
+    out, _ = stacked_step(model, words, att.context, model.zero_state(),
+                          train_mode=train_mode, rng=rng)
+    if model.head.kind == REGRESSION:
+        return ad.mse(out, model.embed_rows(seq[1:]))
+    return ad.cross_entropy(out, model.embedding.vocab.encode_sequence(seq[1:]))
 
 
 def greedy_decode(model: CaptionModel, annotations: AnnotationSet,
                   max_len: int = 20, return_attention: bool = False):
     """Autoregressive decode; deterministic for a fixed model.
 
-    Regression head: each output vector maps to its nearest vocabulary
-    embedding. Softmax head: argmax over logits. Neither emits <start>,
-    which is never a training target. Stops at <end> or max_len.
+    Each token runs the training ops over one step (T = 1), carrying every
+    layer's ``[h; c]``. Regression head: each output vector maps to its
+    nearest vocabulary embedding. Softmax head: argmax over logits. Neither
+    emits <start>, which is never a training target. Stops at <end> or
+    max_len.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     vocab = model.embedding.vocab
-    h_matrix = model.annotation_matrix(annotations)
+    annots = model.annotation_matrix(annotations)
     state = model.zero_state()
     word = START
     tokens: list[str] = []
     attention_trace: list[np.ndarray] = []
     for _ in range(max_len):
-        v_prev = model.embed(word)
-        att = attend_matrix(h_matrix, v_prev, model.attention)
-        out, state = stacked_step(model, v_prev, att.context, state, train_mode=False)
+        words = model.embed_rows([word])
+        att = attend_matrix(annots, words, model.attention)
+        out, state = stacked_step(model, words, att.context, state)
         if model.head.kind == REGRESSION:
-            word = nearest_word(out.data, model.embedding)
+            word = nearest_word(out.data[0], model.embedding)
         else:
-            word = vocab.decode(1 + int(np.argmax(out.data[1:])))
-        attention_trace.append(att.weights.data.copy())
+            word = vocab.decode(1 + int(np.argmax(out.data[0, 1:])))
+        attention_trace.append(att.weights[0])
         if word == END:
             break
         tokens.append(word)

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -61,6 +62,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"config {f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"config {f.name} is beyond the float range")
         if self.head_kind not in (REGRESSION, SOFTMAX):
             raise ValueError(f"unsupported head kind {self.head_kind!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -69,7 +72,7 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
         if not (math.isfinite(self.decay_factor) and 0.0 < self.decay_factor <= 1.0):
             raise ValueError(f"decay_factor must lie in (0, 1], got {self.decay_factor!r}")
-        for name in ("depth", "hidden", "embed_dim", "annot_dim", "attention_k"):
+        for name in ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "max_decode_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
@@ -84,7 +87,10 @@ class TrainConfig:
         data = {}
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                try:
+                    data = json.load(fh)
+                except RecursionError:
+                    raise ValueError(f"{path}: config nests too deeply") from None
             if not isinstance(data, dict):
                 raise ValueError(f"{path}: config must be a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
@@ -315,13 +321,13 @@ def grad_experiment(vocab_size: int, embed_dim: int,
     softmax_mean = float(np.mean(nontarget_means))
 
     unit_pred = Tensor(np.ones(embed_dim), requires_grad=True)
-    ad.mse(unit_pred, Tensor(np.zeros(embed_dim))).backward()
+    ad.mse(unit_pred, np.zeros(embed_dim)).backward()
     regression_unit = float(np.abs(unit_pred.grad).mean())
 
     reg_means = []
     for _ in range(trials):
         pred = Tensor(rng.normal(0, 1, embed_dim), requires_grad=True)
-        ad.mse(pred, Tensor(rng.normal(0, 1, embed_dim))).backward()
+        ad.mse(pred, rng.normal(0, 1, embed_dim)).backward()
         reg_means.append(float(np.abs(pred.grad).mean()))
     regression_mean = float(np.mean(reg_means))
 

@@ -26,7 +26,7 @@ from capreg.metrics import EvalCorpus, bleu, cider, rouge_l
 from capreg.attention import attend_matrix
 
 from test_attention import attend as reference_attend
-from test_autodiff import _total, finite_difference_check
+from test_autodiff import _total, finite_difference_check, sigmoid
 from test_metrics import (_oracle_bleu, _oracle_cider, _oracle_rouge_l,
                           _random_corpus)
 
@@ -61,6 +61,37 @@ def overfit_depth2():
     return model, records, log
 
 
+def _caption_op_cases(rng):
+    """(f, input) pairs that check each caption-level op through every
+    operand a gradient reaches, over T = 4 rows: attention, the LSTM layer
+    (from a nonzero state, under a dropout mask), the row concat with a
+    constant block, the head, and both losses."""
+    def param(*shape, scale=0.5):
+        return Tensor(rng.normal(0, scale, shape), requires_grad=True)
+    annots, words = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (4, 5))
+    att = [param(7, 6), param(7, 5), param(7), param(7)]
+    x, lstm = param(4, 2, scale=1.0), [param(12, 2), param(12, 3), param(12)]
+    state, mask = rng.normal(0, 1, 6), (rng.random((4, 3)) >= 0.5) * 2.0
+    head = [param(6, 4), param(6)]
+    context, target = rng.normal(0, 1, (4, 6)), rng.normal(0, 1, (4, 6))
+    labels = rng.integers(6, size=4)
+
+    def attention(_):
+        return ad.mse(ad.attention(annots, words, *att)[0], context)
+
+    def outputs():
+        hidden = ad.lstm(x, state, *lstm, mask)[0]
+        return ad.linear(ad.concat([words[:, :1], hidden]), *head)
+
+    def regression(_):
+        return ad.mse(outputs(), target)
+
+    def softmax(_):
+        return ad.cross_entropy(outputs(), labels)
+    return ([(attention, t) for t in att]
+            + [(f, t) for f in (regression, softmax) for t in (x, *lstm, *head)])
+
+
 def test_criterion_1_gradient_correctness(capsys):
     """Finite differences agree with backward() over every op and over the
     full teacher-forced loss of a depth-2/hidden-16/d-8/L-4 model, 20 seeds,
@@ -71,21 +102,23 @@ def test_criterion_1_gradient_correctness(capsys):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(0, 1, 8), requires_grad=True)
         w = Tensor(rng.normal(0, 1, (5, 8)))
-        target8 = Tensor(rng.normal(0, 1, 8))
+        target8 = rng.normal(0, 1, 8)
         label = int(rng.integers(8))
         mix = Tensor(np.linspace(-1, 1, 64).reshape(8, 8))
         op_cases = [
-            lambda t: ad.mse(ad.matmul(w, t), Tensor(np.zeros(5))),
+            lambda t: ad.mse(ad.matmul(w, t), np.zeros(5)),
             lambda t: ad.cross_entropy(t, label),
             lambda t: ad.mse(t, target8),
             lambda t: _total(ad.mul(ad.softmax(t), Tensor(np.arange(8.0)))),
-            lambda t: _total(ad.tanh(ad.sigmoid(t))),
+            lambda t: _total(ad.tanh(sigmoid(t))),
             lambda t: _total(ad.scale(ad.mul(t, t), 1 / 8)),
             lambda t: _total(ad.slice_(ad.concat([t, t]), 2, 13)),
             lambda t: ad.cross_entropy(ad.matmul(t, mix), label),
         ]
         for f in op_cases:
             worst = max(worst, finite_difference_check(f, x, h=1e-5))
+        for f, operand in _caption_op_cases(np.random.default_rng(100 + seed)):
+            worst = max(worst, finite_difference_check(f, operand, h=1e-5))
 
         table = _toy_table(12, 8, seed)
         model = CaptionModel.init(table, depth=2, hidden=16, annot_dim=8,
@@ -180,11 +213,11 @@ def test_criterion_5_attention_properties(overfit_depth2, capsys):
     # shift invariance: a constant added to every score of the per-vector
     # reference scorer leaves attend_matrix's weights
     hs = rng.normal(0, 1, (4, 16))
-    h = Tensor(np.ascontiguousarray(hs.T))  # the (D, L) layout attend_matrix reads
+    h = np.ascontiguousarray(hs.T)  # the (D, L) layout attend_matrix reads
     rng.normal(0, 1, 64)  # the decoder state scores once took; keeps v's draw
-    v = Tensor(rng.normal(0, 1, 16))
-    base = attend_matrix(h, v, model.attention).weights.data.copy()
-    shifted, _ = reference_attend(hs, v.data, model.attention, shift=57.0)
+    v = rng.normal(0, 1, 16)
+    base = attend_matrix(h, v[None], model.attention).weights[0]
+    shifted, _ = reference_attend(hs, v, model.attention, shift=57.0)
     shift_dev = float(np.max(np.abs(shifted - base)))
     assert shift_dev < 1e-9
 
@@ -192,10 +225,8 @@ def test_criterion_5_attention_properties(overfit_depth2, capsys):
     best_dev = 0.0
     for w1 in model.embedding.vocab.index_to_token[:10]:
         for w2 in model.embedding.vocab.index_to_token[:10]:
-            a1 = attend_matrix(h, Tensor(model.embedding.lookup(w1)),
-                               model.attention).weights.data
-            a2 = attend_matrix(h, Tensor(model.embedding.lookup(w2)),
-                               model.attention).weights.data
+            a1 = attend_matrix(h, model.embed_rows([w1]), model.attention).weights[0]
+            a2 = attend_matrix(h, model.embed_rows([w2]), model.attention).weights[0]
             best_dev = max(best_dev, float(np.max(np.abs(a1 - a2))))
     assert best_dev > 1e-3
     with capsys.disabled():

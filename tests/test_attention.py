@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from capreg import autodiff as ad
-from capreg.autodiff import Tensor
 from capreg.attention import AttentionParams, attend_matrix
 
 from test_autodiff import finite_difference_check
@@ -64,44 +63,43 @@ class TestAttend:
         p = _params(seed=6)
         rng = np.random.default_rng(7)
         h = rng.normal(0, 1, 6)
-        out = attend_matrix(Tensor(h[:, None]), Tensor(rng.normal(0, 1, 4)), p)
-        np.testing.assert_allclose(out.weights.data, [1.0])
-        np.testing.assert_allclose(out.context.data, h, atol=1e-12)
+        out = attend_matrix(h[:, None], rng.normal(0, 1, (3, 4)), p)
+        np.testing.assert_allclose(out.weights, 1.0)
+        np.testing.assert_allclose(out.context.data, np.tile(h, (3, 1)), atol=1e-12)
 
     def test_equal_scores_give_uniform_weights(self):
         rng = np.random.default_rng(8)
         hs = rng.normal(0, 1, (5, 6))
-        out = attend_matrix(Tensor(hs.T), Tensor(np.zeros(4)), _zero_params())
-        np.testing.assert_allclose(out.weights.data, 0.2)
-        np.testing.assert_allclose(out.context.data, hs.mean(axis=0), atol=1e-12)
+        out = attend_matrix(hs.T, np.zeros((1, 4)), _zero_params())
+        np.testing.assert_allclose(out.weights, 0.2)
+        np.testing.assert_allclose(out.context.data[0], hs.mean(axis=0), atol=1e-12)
 
     def test_empty_annotations_rejected(self):
         with pytest.raises(ValueError):
-            attend_matrix(Tensor(np.zeros((6, 0))), Tensor(np.zeros(4)), _params())
+            attend_matrix(np.zeros((6, 0)), np.zeros((1, 4)), _params())
 
     def test_matches_brute_force(self):
         p = _params(seed=9)
         rng = np.random.default_rng(10)
         hs = rng.normal(0, 1, (5, 6))
-        v = rng.normal(0, 1, 4)
-        out = attend_matrix(Tensor(hs.T), Tensor(v), p)
-        scores = np.array([p.w_out.data @ np.tanh(p.w_hidden_annot.data @ h
-                                                  + p.w_hidden_word.data @ v
-                                                  + p.b_hidden.data) for h in hs])
-        e = np.exp(scores - scores.max())
-        alpha = e / e.sum()
-        np.testing.assert_allclose(out.weights.data, alpha, atol=1e-12)
-        np.testing.assert_allclose(out.context.data, alpha @ hs, atol=1e-12)
+        vs = rng.normal(0, 1, (3, 4))
+        out = attend_matrix(hs.T, vs, p)
+        for t, v in enumerate(vs):
+            scores = np.array([p.w_out.data @ np.tanh(p.w_hidden_annot.data @ h
+                                                      + p.w_hidden_word.data @ v
+                                                      + p.b_hidden.data) for h in hs])
+            e = np.exp(scores - scores.max())
+            alpha = e / e.sum()
+            np.testing.assert_allclose(out.weights[t], alpha, atol=1e-12)
+            np.testing.assert_allclose(out.context.data[t], alpha @ hs, atol=1e-12)
 
     def test_weights_form_simplex(self):
         p = _params(seed=11)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            out = attend_matrix(Tensor(rng.normal(0, 2, (7, 6)).T),
-                                Tensor(rng.normal(0, 2, 4)), p)
-            w = out.weights.data
-            assert np.all(w >= 0)
-            assert abs(w.sum() - 1.0) < 1e-6
+            out = attend_matrix(rng.normal(0, 2, (7, 6)).T, rng.normal(0, 2, (3, 4)), p)
+            assert np.all(out.weights >= 0)
+            np.testing.assert_allclose(out.weights.sum(axis=1), 1.0, atol=1e-6)
 
     def test_score_shift_invariance(self):
         # adding a constant to every reference score must not change the
@@ -110,7 +108,7 @@ class TestAttend:
         rng = np.random.default_rng(14)
         hs = rng.normal(0, 1, (4, 6))
         v = rng.normal(0, 1, 4)
-        fast = attend_matrix(Tensor(hs.T), Tensor(v), p).weights.data
+        fast = attend_matrix(hs.T, v[None], p).weights[0]
         shifted, _ = attend(hs, v, p, shift=123.45)
         np.testing.assert_allclose(fast, shifted, atol=1e-9)
 
@@ -125,53 +123,68 @@ class TestAttend:
             v = rng.normal(0, 1, 4)
             w_state, s, b_out = rng.normal(0, 1, 5), rng.normal(0, 1, 5), rng.normal(0, 1)
             alpha, context = attend(hs, v, p, shift=w_state @ s + b_out)
-            fast = attend_matrix(Tensor(hs.T), Tensor(v), p)
-            np.testing.assert_allclose(fast.weights.data, alpha, atol=1e-12)
-            np.testing.assert_allclose(fast.context.data, context, atol=1e-12)
+            fast = attend_matrix(hs.T, v[None], p)
+            np.testing.assert_allclose(fast.weights[0], alpha, atol=1e-12)
+            np.testing.assert_allclose(fast.context.data[0], context, atol=1e-12)
 
     def test_previous_word_changes_weights(self):
         p = _params(seed=15)
         rng = np.random.default_rng(16)
-        hs = Tensor(rng.normal(0, 1, (4, 6)).T)
-        w1 = attend_matrix(hs, Tensor(rng.normal(0, 1, 4)), p).weights.data
-        w2 = attend_matrix(hs, Tensor(rng.normal(0, 1, 4)), p).weights.data
-        assert np.max(np.abs(w1 - w2)) > 1e-3
+        hs = rng.normal(0, 1, (4, 6)).T
+        w = attend_matrix(hs, rng.normal(0, 1, (2, 4)), p).weights
+        assert np.max(np.abs(w[0] - w[1])) > 1e-3
 
     def test_gradients_vs_finite_differences(self):
-        # gradients reach the annotations and the previous word
+        # gradients reach every parameter through all T rows; the
+        # annotations and the previous words are constants and get none
         rng = np.random.default_rng(17)
-        hs = Tensor(rng.normal(0, 1, (3, 6)).T.copy(), requires_grad=True)
-        v = Tensor(rng.normal(0, 1, 4), requires_grad=True)
+        hs = rng.normal(0, 1, (3, 6)).T.copy()
+        vs = rng.normal(0, 1, (4, 4))
         p = _params(seed=18)
-        target = Tensor(rng.normal(0, 1, 6))
+        target = rng.normal(0, 1, (4, 6))
 
         def f(_):
-            return ad.mse(attend_matrix(hs, v, p).context, target)
-        for x in (hs, v):
-            assert finite_difference_check(f, x) < 1e-4
-            f(x).backward()
-            assert np.linalg.norm(x.grad) > 1e-6
+            return ad.mse(attend_matrix(hs, vs, p).context, target)
+        for param in p.tensors():
+            assert finite_difference_check(f, param) < 1e-4
+            assert np.linalg.norm(param.grad) == 0.0
+            f(param).backward()
+            assert np.linalg.norm(param.grad) > 1e-6
+            param.grad[...] = 0.0
 
     def test_matrix_form_agrees_with_reference(self):
         rng = np.random.default_rng(21)
         p = _params(seed=22)
         for _ in range(5):
             hs = rng.normal(0, 1, (5, 6))
-            v = rng.normal(0, 1, 4)
-            alpha, context = attend(hs, v, p)
-            fast = attend_matrix(Tensor(hs.T), Tensor(v), p)
-            np.testing.assert_allclose(fast.weights.data, alpha, atol=1e-12)
-            np.testing.assert_allclose(fast.context.data, context, atol=1e-12)
+            vs = rng.normal(0, 1, (3, 4))
+            fast = attend_matrix(hs.T, vs, p)
+            for t, v in enumerate(vs):
+                alpha, context = attend(hs, v, p)
+                np.testing.assert_allclose(fast.weights[t], alpha, atol=1e-12)
+                np.testing.assert_allclose(fast.context.data[t], context, atol=1e-12)
 
     def test_matrix_form_gradients(self):
+        # one row, as decoding runs it
         rng = np.random.default_rng(23)
         p = _params(seed=24)
         h_data = rng.normal(0, 1, (4, 6))
-        v_data = rng.normal(0, 1, 4)
-        target = rng.normal(0, 1, 6)
+        v_data = rng.normal(0, 1, (1, 4))
+        target = rng.normal(0, 1, (1, 6))
 
         def loss(_):
-            out = attend_matrix(Tensor(h_data.T), Tensor(v_data), p)
-            return ad.mse(out.context, Tensor(target))
+            out = attend_matrix(h_data.T, v_data, p)
+            return ad.mse(out.context, target)
         for param in p.tensors():
             assert finite_difference_check(loss, param) < 1e-4
+
+    def test_batched_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(25)
+        p = _params(seed=26)
+        hs = rng.normal(0, 1, (5, 6)).T.copy()
+        vs = rng.normal(0, 1, (7, 4))
+        whole = attend_matrix(hs, vs, p)
+        for t in range(7):
+            row = attend_matrix(hs, vs[t:t + 1], p)
+            np.testing.assert_allclose(row.weights[0], whole.weights[t], rtol=1e-13)
+            np.testing.assert_allclose(row.context.data[0], whole.context.data[t], rtol=1e-13)

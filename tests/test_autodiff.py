@@ -18,6 +18,13 @@ def _reshape(x, shape):
     return ad._result(x.data.reshape(shape), (x,), lambda g: [g.reshape(x.data.shape)])
 
 
+def sigmoid(x):
+    """The logistic function as a graph op of the tests' own: the per-op
+    LSTM cell and the gradient checks use it; ``ad.lstm`` fuses it."""
+    s = ad._sigmoid(x.data)
+    return ad._result(s, (x,), lambda g: [g * s * (1.0 - s)])
+
+
 def _total(x):
     """Sum of every entry as graph ops: a row of ones times the flattened tensor."""
     flat = _reshape(x, (-1,))
@@ -98,7 +105,7 @@ class TestMatmul:
         a = Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
 
         def f(t):
-            return ad.mse(ad.matmul(t, Tensor(b)), Tensor(w))
+            return ad.mse(ad.matmul(t, Tensor(b)), w)
         assert finite_difference_check(f, a) < 1e-6
 
     def test_matvec_gradients(self):
@@ -180,6 +187,19 @@ class TestCrossEntropy:
         x = Tensor(rng.normal(0, 1, 10), requires_grad=True)
         assert finite_difference_check(lambda t: ad.cross_entropy(t, 4), x) < 1e-6
 
+    def test_rows_give_the_mean_of_row_losses(self):
+        rng = np.random.default_rng(12)
+        rows = Tensor(rng.normal(0, 2, (3, 6)), requires_grad=True)
+        labels = [4, 0, 4]
+        loss = ad.cross_entropy(rows, labels)
+        singles = [ad.cross_entropy(Tensor(r), y).item() for r, y in zip(rows.data, labels)]
+        assert loss.item() == pytest.approx(np.mean(singles), rel=1e-15)
+        assert finite_difference_check(lambda t: ad.cross_entropy(t, labels), rows) < 1e-6
+        with pytest.raises(ValueError):
+            ad.cross_entropy(rows, [1, 2])
+        with pytest.raises(IndexError):
+            ad.cross_entropy(rows, [1, 2, 6])
+
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -191,27 +211,27 @@ class TestCrossEntropy:
 class TestMse:
     def test_zero_residual(self):
         v = np.arange(5.0)
-        assert ad.mse(Tensor(v), Tensor(v)).item() == 0.0
+        assert ad.mse(Tensor(v), v).item() == 0.0
 
     def test_constant_offset(self):
         v = np.arange(5.0)
         c = 0.7
-        assert abs(ad.mse(Tensor(v + c), Tensor(v)).item() - c * c) < 1e-12
+        assert abs(ad.mse(Tensor(v + c), v).item() - c * c) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ad.mse(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+            ad.mse(Tensor(np.zeros(3)), np.zeros(4))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(5)
-        t = Tensor(rng.normal(0, 1, 16))
+        t = rng.normal(0, 1, 16)
         x = Tensor(rng.normal(0, 1, 16), requires_grad=True)
         assert finite_difference_check(lambda p: ad.mse(p, t), x) < 1e-6
 
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
-        assert ad.sigmoid(Tensor(np.zeros(3))).data[0] == 0.5
+        assert sigmoid(Tensor(np.zeros(3))).data[0] == 0.5
 
     def test_tanh_at_zero(self):
         assert ad.tanh(Tensor(np.zeros(3))).data[0] == 0.0
@@ -219,6 +239,18 @@ class TestElementwise:
     def test_concat(self):
         out = ad.concat([Tensor([1.0, 2.0]), Tensor([3.0])])
         np.testing.assert_array_equal(out.data, [1, 2, 3])
+
+    def test_concat_rows_with_a_constant_block(self):
+        # the constant array is no graph node and gets no gradient term
+        words = np.arange(6.0).reshape(3, 2)
+        x = Tensor(np.ones((3, 1)), requires_grad=True)
+        out = ad.concat([words, x])
+        np.testing.assert_array_equal(out.data, np.hstack([words, np.ones((3, 1))]))
+        assert out._parents == (x,)
+        _total(ad.mul(out, Tensor(np.arange(9.0).reshape(3, 3)))).backward()
+        np.testing.assert_array_equal(x.grad, [[2.0], [5.0], [8.0]])
+        with pytest.raises(ValueError):
+            ad.concat([words, Tensor(np.ones((2, 1)))])
 
     def test_concat_gradients(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
@@ -232,7 +264,7 @@ class TestElementwise:
         _total(ad.slice_(x, 2, 5)).backward()
         np.testing.assert_array_equal(x.grad, [0, 0, 1, 1, 1, 0])
 
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh])
+    @pytest.mark.parametrize("op", [sigmoid, ad.tanh], ids=["sigmoid", "tanh"])
     def test_activation_gradients(self, op):
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -260,8 +292,8 @@ class TestBackward:
 
         def f(t):
             h1 = ad.tanh(ad.matmul(Tensor(w1), t))
-            h2 = ad.sigmoid(ad.matmul(Tensor(w2), h1))
-            return ad.mse(ad.matmul(Tensor(w3), h2), Tensor(np.ones(3)))
+            h2 = sigmoid(ad.matmul(Tensor(w2), h1))
+            return ad.mse(ad.matmul(Tensor(w3), h2), np.ones(3))
         assert finite_difference_check(f, x) < 1e-4
 
     def test_non_scalar_rejected(self):
@@ -311,7 +343,7 @@ class TestAdam:
         opt = AdamState([p], lr=0.001)
         losses = []
         for _ in range(100):
-            loss = ad.mse(p, Tensor([0.0]))
+            loss = ad.mse(p, np.zeros(1))
             losses.append(loss.item())
             loss.backward()
             opt.step()
@@ -360,7 +392,7 @@ def _oracle_backward(root: Tensor) -> None:
                 if local is None:
                     continue
                 if isinstance(local, ad._Outer):
-                    local = local.u[:, None] * local.v
+                    local = local.dense()
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + local
@@ -504,7 +536,7 @@ class TestFiniteDifferenceCheck:
     def test_sampled_components(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(0, 1, 100), requires_grad=True)
-        err = finite_difference_check(lambda t: ad.mse(t, Tensor(np.zeros(100))),
+        err = finite_difference_check(lambda t: ad.mse(t, np.zeros(100)),
                                       x, max_components=10, rng=rng)
         assert err < 1e-6
 
@@ -516,8 +548,8 @@ class TestInvariants:
             rng = np.random.default_rng(seed)
             x = Tensor(rng.normal(0, 1, 8), requires_grad=True)
             cases = [
-                lambda t: ad.mse(ad.tanh(t), Tensor(np.zeros(8))),
-                lambda t: ad.mse(ad.sigmoid(t), Tensor(np.ones(8))),
+                lambda t: ad.mse(ad.tanh(t), np.zeros(8)),
+                lambda t: ad.mse(sigmoid(t), np.ones(8)),
                 lambda t: ad.cross_entropy(t, 3),
                 lambda t: _total(ad.mul(ad.softmax(t), Tensor(np.arange(8.0)))),
                 lambda t: _total(ad.scale(ad.mul(t, t), 1 / 8)),

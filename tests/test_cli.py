@@ -347,6 +347,34 @@ class TestExitCodes:
                      str(emb), str(tmp / "n.ckpt"), "--lr", lr]) == EXIT_USAGE
         assert "lr must be finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_diverging_lr_is_numerical_abort(self, trained, capsys):
+        # 1e308 is a finite lr: the first Adam step moves every weight by
+        # about 1e308, and the next forward pass overflows
+        tmp, emb, _ = trained
+        capsys.readouterr()
+        assert main(["--config", str(tmp / "config.json"), "train", str(tmp / "train.jsonl"),
+                     str(emb), str(tmp / "n.ckpt"), "--lr", "1e308"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: non-finite values at epoch 0")
+        dump = json.loads(err[err.index("{"):])
+        assert dump["epoch"] == 0 and dump["lr"] == 1e308
+        assert "non-finite" in dump["error"]
+        assert not (tmp / "n.ckpt").exists()
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"lr": ' + "1" * 400 + "}", "lr is beyond the float range"),
+        ('{"depth": ' + "[" * 100_000 + "]" * 100_000 + "}", "nests too deeply")],
+        ids=["huge_int_lr", "deep_nesting"])
+    def test_config_file_found_by_fuzz_is_usage_error(self, trained, capsys, text, match):
+        tmp, emb, _ = trained
+        config = tmp / "bad.json"
+        config.write_text(text)
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", str(tmp / "train.jsonl"), str(emb),
+                     str(tmp / "n.ckpt")]) == EXIT_USAGE
+        assert match in capsys.readouterr().err
+
     def test_grad_experiment_one_word_vocab_is_usage_error(self, capsys):
         assert main(["grad-experiment", "--vocab-size", "1", "--trials", "2"]) == EXIT_USAGE
         assert "vocab_size must be >= 2" in capsys.readouterr().err

@@ -2,36 +2,136 @@ import numpy as np
 import pytest
 
 from capreg import autodiff as ad
-from capreg import decoder
+from capreg import harness
 from capreg.autodiff import NumericalError, Tensor
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, LSTMLayerParams,
                             greedy_decode, lstm_step, param_count, stacked_step,
                             teacher_forced_loss)
-from capreg.attention import attend_matrix
-from capreg.embedding import END, RESERVED, START, EmbeddingTable, Vocabulary
+from capreg.embedding import END, RESERVED, START, EmbeddingTable, Vocabulary, nearest_word
 from capreg.encoder import AnnotationSet
+from capreg.harness import DatasetRecord, TrainConfig
 
-from test_autodiff import _total, finite_difference_check
+from test_autodiff import _total, finite_difference_check, sigmoid
 
 
 # ---------------------------------------------------------------------------
-# per-op reference for the fused cell
+# the per-step path: the oracle of the per-caption graph
+#
+# It builds the graph the decoder built before it batched a caption's steps:
+# per step an 8-op attention, the input concat, one fused cell and an h slice
+# per layer (times a dropout mask in train mode), the head's matmul and add,
+# the step loss and its add into the total. Its fused cell in turn has the
+# 17-op cell as its oracle, bit for bit.
 
 
-def lstm_step_ops(x, state, params):
+def lstm_cell(x, state, w_x, w_h, b):
+    """One LSTM layer-step as one graph node, from the previous ``[h; c]``
+    node ``state`` to the next: the 17-op cell's NumPy expressions in its
+    order, and its chain rule term by term."""
+    n = state.data.size // 2
+    if (x.data.ndim != 1 or state.shape != (2 * n,) or b.shape != (4 * n,)
+            or w_h.shape != (4 * n, n) or w_x.shape != (4 * n, x.data.size)):
+        raise ValueError("lstm_cell: incompatible shapes")
+    h_prev, c_prev = state.data[:n], state.data[n:]
+    z = ad._finite(ad._finite(ad._finite(w_x.data @ x.data) + ad._finite(w_h.data @ h_prev))
+                   + b.data)
+    i = ad._sigmoid(z[:n].copy())
+    f = ad._sigmoid(z[n:2 * n].copy())
+    o = ad._sigmoid(z[2 * n:3 * n].copy())
+    g = np.tanh(z[3 * n:].copy())
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+
+    def backward(grad):
+        gh, gc = grad[:n], grad[n:]
+        dc = gc + (gh * o) * (1.0 - tc * tc)
+        dz = np.empty(4 * n, grad.dtype)
+        dz[:n] = (dc * g) * i * (1.0 - i)
+        dz[n:2 * n] = (dc * c_prev) * f * (1.0 - f)
+        dz[2 * n:3 * n] = (gh * tc) * o * (1.0 - o)
+        dz[3 * n:] = (dc * i) * (1.0 - g * g)
+        return [w_x.data.T @ dz, np.concatenate([w_h.data.T @ dz, dc * f]),
+                ad._Outer(dz, x.data), ad._Outer(dz, h_prev), dz]
+    return ad._result(np.concatenate([o * tc, c]), (x, state, w_x, w_h, b), backward)
+
+
+def lstm_step_ops(x, state, w_x, w_h, b):
     """The LSTM cell built from 17 graph ops, reading ``state`` through two
-    ``slice_`` and returning (hidden, ``concat([h, c])``)."""
-    n = params.hidden
+    ``slice_`` and returning ``concat([h, c])``."""
+    n = w_h.shape[1]
     h_prev, c_prev = ad.slice_(state, 0, n), ad.slice_(state, n, 2 * n)
-    gates = ad.add(ad.add(ad.matmul(params.w_x, x), ad.matmul(params.w_h, h_prev)),
-                   params.b)
-    i = ad.sigmoid(ad.slice_(gates, 0, n))
-    f = ad.sigmoid(ad.slice_(gates, n, 2 * n))
-    o = ad.sigmoid(ad.slice_(gates, 2 * n, 3 * n))
+    gates = ad.add(ad.add(ad.matmul(w_x, x), ad.matmul(w_h, h_prev)), b)
+    i = sigmoid(ad.slice_(gates, 0, n))
+    f = sigmoid(ad.slice_(gates, n, 2 * n))
+    o = sigmoid(ad.slice_(gates, 2 * n, 3 * n))
     g = ad.tanh(ad.slice_(gates, 3 * n, 4 * n))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
-    return h, ad.concat([h, c])
+    return ad.concat([h, c])
+
+
+def per_step_attend(h_t, v_prev, params):
+    """(context, weights) of one previous word over a (D, L) annotation
+    matrix, as 8 graph ops."""
+    word_bias = ad.add(ad.matmul(params.w_hidden_word, v_prev), params.b_hidden)
+    hidden = ad.tanh(ad.add_colvec(ad.matmul(params.w_hidden_annot, h_t), word_bias))
+    alphas = ad.softmax(ad.matmul(params.w_out, hidden))
+    return ad.matmul(h_t, alphas), alphas
+
+
+def per_step_stack(model, v_prev, context, state, cell=lstm_cell, rng=None):
+    """One step through the stack: (head output, each layer's ``[h; c]`` node)."""
+    n, rate = model.hidden, model.dropout_rate
+    x = ad.concat([v_prev, context])
+    new_state = []
+    for layer, hc in zip(model.layers, state):
+        hc = cell(x, hc, layer.w_x, layer.w_h, layer.b)
+        x = ad.slice_(hc, 0, n)
+        if rng is not None and rate > 0.0:
+            mask = (rng.random(n) >= rate) / (1.0 - rate)
+            x = ad.mul(x, Tensor(mask.astype(model.dtype)))
+        new_state.append(hc)
+    return ad.add(ad.matmul(model.head.w, x), model.head.b), new_state
+
+
+def per_step_loss(model, annotations, caption, train_mode=False, rng=None, cell=lstm_cell):
+    """``teacher_forced_loss`` built step by step."""
+    seq = [START] + list(caption) + [END]
+    vocab = model.embedding.vocab
+    h_matrix = Tensor(model.annotation_matrix(annotations))
+    state = [Tensor(s) for s in model.zero_state()]
+    total = None
+    for t in range(1, len(seq)):
+        v_prev = Tensor(model.embed_rows([seq[t - 1]])[0])
+        context, _ = per_step_attend(h_matrix, v_prev, model.attention)
+        out, state = per_step_stack(model, v_prev, context, state, cell,
+                                    rng if train_mode else None)
+        if model.head.kind == REGRESSION:
+            step_loss = ad.mse(out, model.embed_rows([seq[t]])[0])
+        else:
+            step_loss = ad.cross_entropy(out, vocab.encode(seq[t]))
+        total = step_loss if total is None else ad.add(total, step_loss)
+    return ad.scale(total, 1.0 / (len(seq) - 1))
+
+
+def per_step_decode(model, annotations, max_len, cell=lstm_cell):
+    """``greedy_decode`` built step by step."""
+    vocab = model.embedding.vocab
+    h_matrix = Tensor(model.annotation_matrix(annotations))
+    state = [Tensor(s) for s in model.zero_state()]
+    word, tokens = START, []
+    for _ in range(max_len):
+        v_prev = Tensor(model.embed_rows([word])[0])
+        context, _ = per_step_attend(h_matrix, v_prev, model.attention)
+        out, state = per_step_stack(model, v_prev, context, state, cell)
+        if model.head.kind == REGRESSION:
+            word = nearest_word(out.data, model.embedding)
+        else:
+            word = vocab.decode(1 + int(np.argmax(out.data[1:])))
+        if word == END:
+            break
+        tokens.append(word)
+    return tokens
 
 
 def _table(num_words=12, d=8, seed=0):
@@ -53,13 +153,17 @@ def _model(depth=2, hidden=16, d=8, annot_dim=8, k=8, head=REGRESSION,
                              head_kind=head, dropout_rate=dropout, seed=seed)
 
 
+def _state(h, c):
+    return np.concatenate([h, c])
+
+
 class TestLstmStep:
     def test_zero_weights_zero_state(self):
         params = LSTMLayerParams(
             w_x=Tensor(np.zeros((16, 3)), requires_grad=True),
             w_h=Tensor(np.zeros((16, 4)), requires_grad=True),
             b=Tensor(np.zeros(16), requires_grad=True))
-        h, _ = lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(8)), params)
+        h, _ = lstm_step(Tensor(np.ones((2, 3))), np.zeros(8), params)
         np.testing.assert_array_equal(h.data, 0.0)
 
     def test_hidden_is_the_width_of_w_h(self):
@@ -80,56 +184,76 @@ class TestLstmStep:
             w_h=Tensor(np.zeros((16, 4)), requires_grad=True),
             b=Tensor(b, requires_grad=True))
         c0 = np.array([1.0, -2.0, 3.0, 0.5])
-        _, hc = lstm_step(Tensor(np.ones(3)), Tensor(np.concatenate([np.zeros(4), c0])),
-                          params)
-        np.testing.assert_allclose(hc.data[hidden:], c0, atol=1e-12)
+        _, hc = lstm_step(Tensor(np.ones((5, 3))), _state(np.zeros(4), c0), params)
+        np.testing.assert_allclose(hc[hidden:], c0, atol=1e-12)
 
     def test_matches_hand_rolled_lstm(self):
+        # three steps from a nonzero state, against the cell's textbook form
         rng = np.random.default_rng(2)
         hidden, inp = 5, 3
         params = LSTMLayerParams.init(inp, hidden, rng)
-        x = rng.normal(0, 1, inp)
-        h0 = rng.normal(0, 1, hidden)
-        c0 = rng.normal(0, 1, hidden)
-        h, hc = lstm_step(Tensor(x), Tensor(np.concatenate([h0, c0])), params)
+        xs = rng.normal(0, 1, (3, inp))
+        h_ref, c_ref = rng.normal(0, 1, hidden), rng.normal(0, 1, hidden)
+        hs, hc = lstm_step(Tensor(xs), _state(h_ref, c_ref), params)
 
         def sig(z):
             return 1 / (1 + np.exp(-z))
-        gates = params.w_x.data @ x + params.w_h.data @ h0 + params.b.data
-        i, f, o, g = (gates[k * hidden:(k + 1) * hidden] for k in range(4))
-        c_ref = sig(f) * c0 + sig(i) * np.tanh(g)
-        h_ref = sig(o) * np.tanh(c_ref)
-        np.testing.assert_allclose(hc.data[hidden:], c_ref, atol=1e-12)
-        np.testing.assert_allclose(h.data, h_ref, atol=1e-12)
-        np.testing.assert_array_equal(hc.data[:hidden], h.data)
+        for t, x in enumerate(xs):
+            gates = params.w_x.data @ x + params.w_h.data @ h_ref + params.b.data
+            i, f, o, g = (gates[k * hidden:(k + 1) * hidden] for k in range(4))
+            c_ref = sig(f) * c_ref + sig(i) * np.tanh(g)
+            h_ref = sig(o) * np.tanh(c_ref)
+            np.testing.assert_allclose(hs.data[t], h_ref, atol=1e-12)
+        np.testing.assert_allclose(hc[hidden:], c_ref, atol=1e-12)
+        np.testing.assert_array_equal(hc[:hidden], hs.data[-1])
+
+    def test_one_call_equals_steps_carrying_the_state(self):
+        # decoding runs the op one row at a time; training runs all rows
+        rng = np.random.default_rng(3)
+        params = LSTMLayerParams.init(3, 5, rng)
+        xs, state = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, 10)
+        whole, last = lstm_step(Tensor(xs), state, params)
+        for t in range(4):
+            row, state = lstm_step(Tensor(xs[t:t + 1]), state, params)
+            np.testing.assert_allclose(row.data[0], whole.data[t], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(state, last, rtol=1e-13, atol=1e-15)
+
+    def test_mask_scales_the_output_not_the_recurrence(self):
+        rng = np.random.default_rng(4)
+        params = LSTMLayerParams.init(3, 5, rng)
+        xs = Tensor(rng.normal(0, 1, (4, 3)))
+        mask = (rng.random((4, 5)) >= 0.5) * 2.0
+        plain, last = lstm_step(xs, np.zeros(10), params)
+        masked, masked_last = lstm_step(xs, np.zeros(10), params, mask)
+        np.testing.assert_array_equal(masked.data, plain.data * mask)
+        np.testing.assert_array_equal(masked_last, last)
 
 
 class TestFusedCell:
-    """``ad.lstm_cell`` against the per-op cell: equal bits, not a tolerance."""
+    """The oracle's fused cell against the 17-op cell: equal bits, not a
+    tolerance."""
 
     CAPTION = ["w1", "w5", "w2", "w7", "w0", "w3"]
 
     @staticmethod
-    def _run(monkeypatch, step, head, precision):
-        monkeypatch.setattr(decoder, "lstm_step", step)
+    def _run(cell, head, precision):
         model = CaptionModel.init(_table(), depth=8, hidden=16, annot_dim=8,
                                   attention_k=8, head_kind=head, dropout_rate=0.5,
                                   seed=16, precision=precision)
-        loss = teacher_forced_loss(model, _annots(seed=16), TestFusedCell.CAPTION,
-                                   train_mode=True, rng=np.random.default_rng(16))
+        loss = per_step_loss(model, _annots(seed=16), TestFusedCell.CAPTION,
+                             train_mode=True, rng=np.random.default_rng(16), cell=cell)
         loss.backward()
         # an untrained regression head's outputs all lie nearest one word;
         # scaled up, they spread over the table
         model.head.w.data *= 30.0
-        tokens = [greedy_decode(model, _annots(seed=s), max_len=8) for s in range(5)]
+        tokens = [per_step_decode(model, _annots(seed=s), 8, cell) for s in range(5)]
         return loss.data, [p.grad for p in model.parameters()], tokens
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
-    def test_depth8_bit_identical_to_per_op_cell(self, monkeypatch, head, precision):
-        loss, grads, tokens = self._run(monkeypatch, lstm_step, head, precision)
-        ref_loss, ref_grads, ref_tokens = self._run(monkeypatch, lstm_step_ops,
-                                                    head, precision)
+    def test_depth8_bit_identical_to_per_op_cell(self, head, precision):
+        loss, grads, tokens = self._run(lstm_cell, head, precision)
+        ref_loss, ref_grads, ref_tokens = self._run(lstm_step_ops, head, precision)
         assert np.array_equal(loss, ref_loss)
         assert len(grads) == len(ref_grads)
         for g, ref in zip(grads, ref_grads):
@@ -150,66 +274,83 @@ class TestFusedCell:
 
         def f(t):
             parts = tensors[:which] + [t] + tensors[which + 1:]
-            return _total(ad.mul(ad.lstm_cell(*parts), weights))
+            return _total(ad.mul(lstm_cell(*parts), weights))
         assert finite_difference_check(f, tensors[which]) < 1e-6
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("step", [lstm_step, lstm_step_ops])
+    @pytest.mark.parametrize("step", [
+        lambda x, params: lstm_step(Tensor(x[None]), np.zeros(8), params),
+        lambda x, params: lstm_step_ops(Tensor(x), Tensor(np.zeros(8)), *params.tensors()),
+    ], ids=["lstm_step", "lstm_step_ops"])
     def test_huge_input_weights_raise(self, step):
         params = LSTMLayerParams.init(3, 4, np.random.default_rng(18))
         params.w_x.data[...] = 1e308
         with pytest.raises(NumericalError):
-            step(Tensor(np.ones(3)), Tensor(np.zeros(8)), params)
+            step(np.ones(3), params)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_huge_recurrent_weights_raise(self):
+        # the overflow is in w_h h, after the first step; the sigmoid and
+        # tanh would saturate it into finite values
+        params = LSTMLayerParams.init(3, 4, np.random.default_rng(18))
+        params.w_h.data[...] = 1e308
+        with pytest.raises(NumericalError):
+            lstm_step(Tensor(np.ones((3, 3))), np.zeros(8), params)
 
     def test_shape_mismatch(self):
         params = LSTMLayerParams.init(3, 4, np.random.default_rng(19))
         with pytest.raises(ValueError):
-            lstm_step(Tensor(np.ones(5)), Tensor(np.zeros(8)), params)
+            lstm_step(Tensor(np.ones((2, 5))), np.zeros(8), params)
         with pytest.raises(ValueError):
-            lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(6)), params)
+            lstm_step(Tensor(np.ones((2, 3))), np.zeros(6), params)
+        with pytest.raises(ValueError):
+            lstm_step(Tensor(np.ones(3)), np.zeros(8), params)
+        with pytest.raises(ValueError):
+            lstm_step(Tensor(np.ones((2, 3))), np.zeros(8), params, np.ones((3, 4)))
 
 
 class TestStackedStep:
     def test_dropout_disabled_train_eq_eval(self):
         model = _model(dropout=0.0)
         rng = np.random.default_rng(3)
-        v = Tensor(rng.normal(0, 1, 8))
-        c = Tensor(rng.normal(0, 1, 8))
-        state = model.zero_state()
-        out_train, _ = stacked_step(model, v, c, state, train_mode=True,
+        v = rng.normal(0, 1, (3, 8))
+        c = Tensor(rng.normal(0, 1, (3, 8)))
+        out_train, _ = stacked_step(model, v, c, model.zero_state(), train_mode=True,
                                     rng=np.random.default_rng(0))
         out_eval, _ = stacked_step(model, v, c, model.zero_state(), train_mode=False)
         np.testing.assert_array_equal(out_train.data, out_eval.data)
 
     def test_dropout_mask_scales_hidden(self):
-        # inverted dropout: the head sees h * (u >= rate) / (1 - rate)
+        # inverted dropout: the head sees h * (u >= rate) / (1 - rate), with
+        # the masks drawn step-major, layer-minor
         model = _model(depth=1, dropout=0.25)
         rng = np.random.default_rng(4)
-        v, c = rng.normal(0, 1, 8), rng.normal(0, 1, 8)
-        out, _ = stacked_step(model, Tensor(v), Tensor(c), model.zero_state(),
+        v, c = rng.normal(0, 1, (2, 8)), rng.normal(0, 1, (2, 8))
+        out, _ = stacked_step(model, v, Tensor(c), model.zero_state(),
                               train_mode=True, rng=np.random.default_rng(0))
-        h, _ = lstm_step(Tensor(np.concatenate([v, c])), Tensor(np.zeros(32)),
+        h, _ = lstm_step(Tensor(np.concatenate([v, c], axis=1)), np.zeros(32),
                          model.layers[0])
-        mask = (np.random.default_rng(0).random(16) >= 0.25) / 0.75
-        assert 0 < np.count_nonzero(mask) < 16
-        expected = model.head.w.data @ (h.data * mask) + model.head.b.data
+        draws = np.random.default_rng(0)
+        mask = np.stack([draws.random(16) for _ in range(2)]) >= 0.25
+        assert 0 < np.count_nonzero(mask) < 32
+        expected = (h.data * mask / 0.75) @ model.head.w.data.T + model.head.b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_depth_one_reduces_to_lstm_step_plus_head(self):
         model = _model(depth=1)
         rng = np.random.default_rng(5)
-        v = rng.normal(0, 1, 8)
-        c = rng.normal(0, 1, 8)
-        out, _ = stacked_step(model, Tensor(v), Tensor(c), model.zero_state())
-        h, _ = lstm_step(Tensor(np.concatenate([v, c])), Tensor(np.zeros(32)),
+        v = rng.normal(0, 1, (3, 8))
+        c = rng.normal(0, 1, (3, 8))
+        out, _ = stacked_step(model, v, Tensor(c), model.zero_state())
+        h, _ = lstm_step(Tensor(np.concatenate([v, c], axis=1)), np.zeros(32),
                          model.layers[0])
-        expected = model.head.w.data @ h.data + model.head.b.data
+        expected = h.data @ model.head.w.data.T + model.head.b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_state_depth_mismatch(self):
         model = _model(depth=2)
         with pytest.raises(ValueError):
-            stacked_step(model, Tensor(np.zeros(8)), Tensor(np.zeros(8)),
+            stacked_step(model, np.zeros((1, 8)), Tensor(np.zeros((1, 8))),
                          model.zero_state()[:1])
 
 
@@ -222,10 +363,12 @@ class TestTeacherForcedLoss:
         model.head.w.data[...] = 0.0
         model.head.b.data[...] = table.lookup("w3")
         loss = teacher_forced_loss(model, _annots(dim=4), ["w3"])
-        # the first step's loss is exactly zero; the second regresses <end>
-        end_loss = ad.mse(model.embed("w3"), model.embed(END)).item()
+        # the first step's loss is exactly zero; the second regresses <end>.
+        # The loss sums the 2 x d squares in another order than the mean of
+        # the second row does: equal to round-off
+        end_loss = ad.mse(Tensor(table.lookup("w3")), table.lookup(END)).item()
         assert end_loss > 0
-        assert loss.item() == end_loss * 0.5
+        assert loss.item() == pytest.approx(end_loss * 0.5, rel=1e-15)
 
     def test_zero_loss_iff_exact_match(self):
         # <end> shares w3's row, so one head output matches both steps
@@ -245,17 +388,18 @@ class TestTeacherForcedLoss:
             teacher_forced_loss(_model(), _annots(), [])
 
     def test_one_word_caption_is_mean_of_two_steps(self):
-        # caption [w] scores two steps: <start>->w and w-><end>
+        # caption [w] scores two steps: <start>->w and w-><end>; run one
+        # step at a time, carrying the state, as decoding does
         model = _model(seed=7)
         loss = teacher_forced_loss(model, _annots(), ["w1"])
-        h_matrix = model.annotation_matrix(_annots())
+        annots = model.annotation_matrix(_annots())
         state = model.zero_state()
         steps = []
         for prev, target in ((START, "w1"), ("w1", END)):
-            v_prev = model.embed(prev)
-            att = attend_matrix(h_matrix, v_prev, model.attention)
-            out, state = stacked_step(model, v_prev, att.context, state)
-            steps.append(ad.mse(out, model.embed(target)).item())
+            v_prev = model.embed_rows([prev])
+            att = ad.attention(annots, v_prev, *model.attention.tensors())[0]
+            out, state = stacked_step(model, v_prev, att, state)
+            steps.append(ad.mse(out, model.embed_rows([target])).item())
         assert steps[0] != steps[1]
         assert loss.item() == (steps[0] + steps[1]) * 0.5
 
@@ -301,16 +445,149 @@ class TestTeacherForcedLoss:
         assert run() == run()
 
 
+def _ops(loss):
+    return [node for node in ad._toposort(loss) if node._backward is not None]
+
+
 class TestGraphSize:
-    def test_depth8_step_builds_29_ops(self):
-        # per step: 8 attention ops, the input concat, a cell and an h slice
-        # per layer, the head's matmul and add, the step loss and the add
-        # into the total (the first step adds nothing, the final scale one)
-        model = _model(depth=8)
-        caption = ["w1", "w5", "w2", "w7"]
-        loss = teacher_forced_loss(model, _annots(), caption)
-        ops = [node for node in ad._toposort(loss) if node._backward is not None]
-        assert len(ops) == 29 * (len(caption) + 1)
+    @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_depth8_caption_builds_12_ops(self, head, dropout):
+        # one attention op, the input concat, one op per layer, the head and
+        # the loss, whatever the caption's length
+        model = _model(depth=8, head=head, dropout=dropout)
+        for caption in (["w1"], ["w1", "w5", "w2", "w7"], ["w3"] * 12):
+            loss = teacher_forced_loss(model, _annots(), caption, train_mode=True,
+                                       rng=np.random.default_rng(0))
+            assert len(_ops(loss)) == 12
+
+
+def _terms_sent(loss):
+    """(gradient terms the walk sends, those sent to constant leaves) when
+    ``loss.backward()`` runs."""
+    sent = [0, 0]
+    for node in _ops(loss):
+        def counted(g, node=node, local_terms=node._backward):
+            terms = local_terms(g)
+            for parent, term in zip(node._parents, terms):
+                if term is not None:
+                    sent[0] += 1
+                    sent[1] += parent._backward is None and not parent.requires_grad
+            return terms
+        node._backward = counted
+    loss.backward()
+    return tuple(sent)
+
+
+def _relative_error(values, reference):
+    """max |values - reference| over max |reference|."""
+    scale = np.max(np.abs(reference))
+    return float(np.max(np.abs(np.asarray(values, np.float64) - reference)) / scale)
+
+
+# f64 and f32 bounds on the per-caption graph's departure from the per-step
+# oracle: the batched products round differently, nothing else differs
+TOLERANCE = {"f64": 1e-12, "f32": 1e-4}
+
+
+class TestPerCaptionContract:
+    """The per-caption graph against the per-step oracle, at depth 8."""
+
+    CAPTION = TestFusedCell.CAPTION
+
+    @staticmethod
+    def _grads(build, model):
+        loss = build()
+        loss.backward()
+        grads = [p.grad.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.grad[...] = 0.0
+        return loss.item(), grads
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("head,words", [(REGRESSION, 150), (SOFTMAX, 150),
+                                            (SOFTMAX, 20000)])
+    def test_depth8_gradients_match_per_step_oracle(self, head, words, dropout, precision):
+        model = CaptionModel.init(_table(num_words=words), depth=8, hidden=16, annot_dim=8,
+                                  attention_k=8, head_kind=head, dropout_rate=dropout,
+                                  seed=16, precision=precision)
+        annots = _annots(seed=16)
+        loss, grads = self._grads(lambda: teacher_forced_loss(
+            model, annots, self.CAPTION, train_mode=True, rng=np.random.default_rng(5)), model)
+        ref_loss, ref_grads = self._grads(lambda: per_step_loss(
+            model, annots, self.CAPTION, train_mode=True, rng=np.random.default_rng(5)), model)
+        tol = TOLERANCE[precision]
+        assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+        for p, g, ref in zip(model.parameters(), grads, ref_grads):
+            assert g.dtype == ref.dtype
+            assert np.any(ref != 0), p.name
+            assert _relative_error(g, ref) <= tol, p.name
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
+    def test_five_epoch_losses_match_per_step_oracle(self, monkeypatch, head, dropout,
+                                                      precision):
+        rng = np.random.default_rng(21)
+        records = [DatasetRecord(f"img{i}", None,
+                                 [[f"w{j}" for j in rng.integers(12, size=3 + i % 3)]],
+                                 annotations=_annots(seed=30 + i)) for i in range(4)]
+        config = TrainConfig(depth=8, hidden=16, annot_dim=8, attention_k=8, head_kind=head,
+                             dropout_rate=dropout, epochs=5, lr=0.01, seed=3,
+                             precision=precision)
+        _, log = harness.train(config, records, _table())
+        monkeypatch.setattr(harness, "teacher_forced_loss", per_step_loss)
+        _, ref_log = harness.train(config, records, _table())
+        losses = [row["loss"] for row in log.epochs]
+        ref_losses = [row["loss"] for row in ref_log.epochs]
+        assert len(losses) == 5 and ref_losses[-1] < ref_losses[0]
+        bound = 1e-9 if precision == "f64" else TOLERANCE["f32"]
+        for got, ref in zip(losses, ref_losses):
+            assert abs(got - ref) <= bound * abs(ref)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
+    def test_decoded_tokens_match_per_step_oracle(self, head, precision):
+        model = CaptionModel.init(_table(), depth=8, hidden=16, annot_dim=8, attention_k=8,
+                                  head_kind=head, seed=16, precision=precision)
+        model.head.w.data *= 30.0  # spread the untrained outputs over the table
+        decoded = [greedy_decode(model, _annots(seed=s), max_len=8) for s in range(10)]
+        assert len({tuple(t) for t in decoded}) > 1
+        assert decoded == [per_step_decode(model, _annots(seed=s), 8) for s in range(10)]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_no_gradient_terms_for_constants(self, dropout):
+        # a 6-word depth-8 sample: the per-step graph sends terms to its
+        # zero states, word vectors, annotation matrix and dropout masks;
+        # the per-caption ops take those as arrays and form no term for them
+        model = _model(depth=8, dropout=dropout)
+        sent = _terms_sent(teacher_forced_loss(model, _annots(), self.CAPTION, train_mode=True,
+                                               rng=np.random.default_rng(0)))
+        ref_sent = _terms_sent(per_step_loss(model, _annots(), self.CAPTION, train_mode=True,
+                                             rng=np.random.default_rng(0)))
+        assert ref_sent[1] > 0
+        assert sent[1] == 0
+        # one per parameter, and one into each op's input: the loss's, the
+        # head's, each layer's and the concat's context
+        assert sent[0] == len(model.parameters()) + model.depth + 3
+
+
+class TestGradientReach:
+    def test_depth8_layer0_gradient_nonzero(self):
+        model = _model(depth=8, hidden=12, d=6, annot_dim=6, k=4, seed=15)
+        annots = _annots(dim=6, seed=15)
+        loss = teacher_forced_loss(model, annots, ["w1", "w2", "w3", "w4"])
+        loss.backward()
+        norms = [float(np.linalg.norm(layer.w_x.grad)) for layer in model.layers]
+        assert norms[0] > 0
+        # profile is reported for comparison with the softmax head
+        soft = _model(depth=8, hidden=12, d=6, annot_dim=6, k=4,
+                      head=SOFTMAX, seed=15)
+        loss = teacher_forced_loss(soft, annots, ["w1", "w2", "w3", "w4"])
+        loss.backward()
+        soft_norms = [float(np.linalg.norm(layer.w_x.grad)) for layer in soft.layers]
+        assert len(soft_norms) == len(norms) == 8
 
 
 class TestGreedyDecode:
@@ -390,20 +667,3 @@ class TestParamCount:
     def test_positive_dimensions_required(self):
         with pytest.raises(ValueError):
             param_count(0, 16, 8, 50, 8, 8, REGRESSION)
-
-
-class TestGradientReach:
-    def test_depth8_layer0_gradient_nonzero(self):
-        model = _model(depth=8, hidden=12, d=6, annot_dim=6, k=4, seed=15)
-        annots = _annots(dim=6, seed=15)
-        loss = teacher_forced_loss(model, annots, ["w1", "w2", "w3", "w4"])
-        loss.backward()
-        norms = [float(np.linalg.norm(layer.w_x.grad)) for layer in model.layers]
-        assert norms[0] > 0
-        # profile is reported for comparison with the softmax head
-        soft = _model(depth=8, hidden=12, d=6, annot_dim=6, k=4,
-                      head=SOFTMAX, seed=15)
-        loss = teacher_forced_loss(soft, annots, ["w1", "w2", "w3", "w4"])
-        loss.backward()
-        soft_norms = [float(np.linalg.norm(layer.w_x.grad)) for layer in soft.layers]
-        assert len(soft_norms) == len(norms) == 8

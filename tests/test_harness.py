@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -92,6 +93,11 @@ class TestTrainConfig:
     def test_decay_factor_in_unit_interval(self, factor):
         with pytest.raises(ValueError, match="decay_factor must lie in"):
             TrainConfig(decay_factor=factor).validate()
+
+    def test_max_decode_len_positive(self):
+        # checked before training: depth-study decodes only after it trains
+        with pytest.raises(ValueError, match="max_decode_len must be positive"):
+            TrainConfig(max_decode_len=0).validate()
 
     def test_int_is_a_valid_float(self):
         TrainConfig(lr=0, dropout_rate=0).validate()
@@ -537,6 +543,49 @@ def _checkpoint_corruptions(draw, raw):
     else:
         blob = json.dumps(header).encode()
     return _with_crc(body[:8] + struct.pack("<I", len(blob)) + blob + payload)
+
+
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -10**400, 2**63]),
+    st.floats(), st.text(max_size=6), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def _config_files(draw):
+    """Config file bytes: a valid config with some keys changed, an object
+    of any keys, other JSON, nesting past the parser's recursion limit, or
+    raw bytes."""
+    kind = draw(st.sampled_from(["changed", "object", "json", "nested", "bytes"]))
+    if kind == "changed":
+        config = dataclasses.asdict(TrainConfig())
+        config.update(draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES,
+                                           min_size=1, max_size=3)))
+        return json.dumps(config).encode()
+    if kind == "object":
+        keys = st.one_of(st.sampled_from(_CONFIG_KEYS), st.text(max_size=8))
+        return json.dumps(draw(st.dictionaries(keys, _CONFIG_VALUES, max_size=4))).encode()
+    if kind == "json":
+        return json.dumps(draw(st.one_of(_CONFIG_VALUES, st.lists(_CONFIG_VALUES,
+                                                                  max_size=3)))).encode()
+    if kind == "nested":
+        depth = draw(st.sampled_from([3, 100_000]))
+        return b'{"depth": ' + b"[" * depth + b"]" * depth + b"}"
+    return draw(st.one_of(st.binary(max_size=32), st.just(b'{"lr": ' + b"1" * 5000 + b"}")))
+
+
+@given(blob=_config_files())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_config_file_fuzz(tmp_path_factory, blob):
+    """A config file that ``from_file`` and ``validate`` refuse only ever
+    raises ValueError, which the CLI reports as a usage error."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+    path.write_bytes(blob)
+    try:
+        TrainConfig.from_file(path).validate()
+    except ValueError:
+        pass
 
 
 @given(data=st.data())
