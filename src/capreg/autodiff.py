@@ -1,14 +1,15 @@
 """Minimal reverse-mode automatic differentiation engine.
 
 Tensors wrap numpy arrays and record the ops applied to them; calling
-``backward()`` on a scalar result walks the recorded graph in reverse
-topological order and accumulates gradients into every tensor with
-``requires_grad`` that participated. Gradients accumulate additively across
-fan-out; ``AdamState.step`` zeroes them.
+``backward()`` on a scalar result walks the recorded graph down from it and
+adds every gradient term that reaches a tensor with ``requires_grad`` to
+its ``.grad``. The graph must be a tree above its leaves: each op result
+feeds one op. A leaf may feed several, and its terms add up.
+``AdamState.step`` zeroes the gradients.
 
-The caption-level ops (``attention``, ``lstm``, ``linear``, ``concat``,
-``mse``, ``cross_entropy``) each cover all T time steps of a caption in one
-node. They take the caption's constants (annotations, previous-word rows,
+The ops (``attention``, ``lstm``, ``linear``, ``concat``, ``mse``,
+``cross_entropy``) each cover all T time steps of a caption in one node.
+They take the caption's constants (annotations, previous-word rows,
 targets, dropout masks, a starting state) as plain arrays, which are not
 graph nodes, so the walk forms no gradient term for them.
 
@@ -48,7 +49,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], list] | None = None
         self._backward_done = False
         self.name = name
 
@@ -65,14 +66,15 @@ class Tensor:
         One backward pass per forward pass: calling this twice on the same
         result is an error.
 
-        The walk keeps each node's pending gradient terms in arrival order,
-        a weight-gradient product ``U^T V`` (:class:`_Outer`) unformed; terms
-        for constants are dropped. An inner node's gradient is ``(t1 + t2) + ...``. A parameter gets
-        ``grad += ((t1 + t2) + ...)``, added up one row block at a time with
-        the same additions in the same order, so without a temporary the
-        size of the parameter. In the caption model every parameter gets
-        exactly one term: ``dZ^T X`` over the caption's T rows, or a sum
-        over them.
+        The walk hands each op result the one gradient its one consumer
+        sends, and raises :class:`AutodiffError` if it reaches an op result
+        a second time: a second consumer would re-walk the whole subgraph
+        below it. A parameter adds each term it receives to ``.grad`` as it
+        arrives (:func:`_add_term`), so one that feeds two ops gets the sum;
+        terms for constants are dropped. A weight-gradient term arrives as
+        an unformed product ``U^T V`` (:class:`_Outer`). In the caption
+        model every parameter gets exactly one term: ``dZ^T X`` over the
+        caption's T rows, or a sum over them.
 
         Because the caption-level ops batch what the per-step graph computed
         one step at a time (a GEMM in place of T matrix-vector products),
@@ -86,24 +88,28 @@ class Tensor:
             raise AutodiffError("backward() already ran on this graph; re-run the forward pass first")
         self._backward_done = True
 
-        pending: dict[int, list] = {id(self): [np.ones_like(self.data)]}
         scratch = _Scratch()
-        for node in _toposort(self):
-            terms = pending.pop(id(node), None)
-            if terms is None:
-                continue
+        stack = [(self, np.ones_like(self.data))]
+        while stack:
+            node, grad = stack.pop()
             if node._backward is None:
                 if node.requires_grad:  # not a constant root
-                    _add_sum(node.grad, terms, scratch)
+                    _add_term(node.grad, grad, scratch)
                 continue
-            for parent, local in zip(node._parents, node._backward(_fold(terms))):
-                if local is not None and (parent._backward is not None or parent.requires_grad):
-                    pending.setdefault(id(parent), []).append(local)
+            for parent, term in zip(node._parents, node._backward(grad)):
+                if parent._backward is not None:
+                    if parent._backward_done:
+                        raise AutodiffError("an op result feeds more than one op, or an "
+                                            "earlier backward() ran through it")
+                    parent._backward_done = True
+                elif not parent.requires_grad:
+                    continue
+                stack.append((parent, term))
 
 
-# A parameter's gradient is summed, and Adam updates it, over blocks of rows
+# A parameter's gradient is formed, and Adam updates it, over blocks of rows
 # of at most this many elements (256 KB in f64): each block stays in L2
-# cache, and the two scratch buffers a block needs are small enough to be
+# cache, and the scratch buffers a block needs are small enough to be
 # reused rather than faulted in afresh.
 _BLOCK = 1 << 15
 
@@ -112,19 +118,16 @@ class _Outer:
     """The weight-gradient term ``u^T v`` of T-row factors ``u`` (T, m) and
     ``v`` (T, k), such as ``dZ^T X``, left unformed: a parameter's gradient
     forms it one row block at a time, so the (m, k) product never exists
-    whole. A vector factor is one row, so T = 1 is the rank-one ``u v^T``."""
+    whole. A vector factor is one row, so T = 1 is the rank-one ``u v^T``.
+    The ops send it only to their weights, which are parameters."""
 
-    __slots__ = ("u", "v", "dtype")
+    __slots__ = ("u", "v")
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
         self.u, self.v = np.atleast_2d(u), np.atleast_2d(v)
-        self.dtype = np.result_type(u.dtype, v.dtype)
 
     def block(self, rows, out: np.ndarray) -> np.ndarray:
         return np.matmul(self.u[:, rows].T, self.v, out=out)
-
-    def dense(self) -> np.ndarray:
-        return self.u.T @ self.v
 
 
 class _Scratch:
@@ -156,58 +159,15 @@ def _row_blocks(shape) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _add_sum(grad: np.ndarray, terms: list, scratch: _Scratch) -> None:
-    """``grad += ((t1 + t2) + ...)``, bit for bit, one row block at a time."""
-    first, *rest = terms
-    if len({t.dtype for t in terms}) > 1:
-        # numpy promotes mixed dtypes pair by pair: sum whole arrays as it does
-        grad += _fold(terms)
+def _add_term(grad: np.ndarray, term, scratch: _Scratch) -> None:
+    """``grad += term`` in place. A product term is formed one row block at
+    a time into a reused buffer, so no temporary the size of ``grad`` is
+    made; each block is bitwise the matching rows of the whole product."""
+    if not isinstance(term, _Outer):
+        grad += term
         return
     for blk in _row_blocks(grad.shape):
-        acc, part = scratch.pair(first.dtype, grad[blk].shape)
-        if isinstance(first, _Outer):
-            first.block(blk, acc)
-        else:
-            np.copyto(acc, first[blk])
-        for t in rest:
-            if isinstance(t, _Outer):
-                acc += t.block(blk, part)
-            else:
-                acc += t[blk]
-        grad[blk] += acc
-
-
-def _dense(term) -> np.ndarray:
-    return term.dense() if isinstance(term, _Outer) else term
-
-
-def _fold(terms: list) -> np.ndarray:
-    """``(t1 + t2) + ...`` over whole arrays, each product term formed."""
-    total = _dense(terms[0])
-    for t in terms[1:]:
-        total = total + _dense(t)
-    return total
-
-
-def _toposort(root: Tensor) -> list[Tensor]:
-    """Reverse topological order; iterative so deep graphs don't overflow."""
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    order.reverse()
-    return order
+        grad[blk] += term.block(blk, scratch.pair(grad.dtype, grad[blk].shape)[0])
 
 
 def _finite(data: np.ndarray) -> np.ndarray:
@@ -230,55 +190,8 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
 # core ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2-D @ 2-D, matrix @ vector or vector @ matrix."""
-    if (a.data.ndim, b.data.ndim) not in ((2, 2), (2, 1), (1, 2)):
-        raise ValueError(f"matmul: needs 2-D @ 2-D, 2-D @ 1-D or 1-D @ 2-D, "
-                         f"got shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
-
-    if b.data.ndim == 1:
-        def backward(g):
-            return [_Outer(g, b.data), a.data.T @ g]
-    elif a.data.ndim == 1:
-        def backward(g):
-            return [g @ b.data.T, _Outer(a.data, g)]
-    else:
-        def backward(g):
-            return [g @ b.data.T, a.data.T @ g]
-    return _result(data, (a, b), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-
-    def backward(g):
-        return [g, g]
-    return _result(a.data + b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-
-    def backward(g):
-        return [g * b.data, g * a.data]
-    return _result(a.data * b.data, (a, b), backward)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def backward(g):
-        return [g * (1.0 - t * t)]
-    return _result(t, (x,), backward)
 
 
 def concat(parts: Sequence) -> Tensor:
@@ -294,34 +207,6 @@ def concat(parts: Sequence) -> Tensor:
     def backward(g):
         return [g[..., lo:hi] for _, lo, hi in blocks]
     return _result(np.concatenate(arrays, axis=-1), [p for p, _, _ in blocks], backward)
-
-
-def slice_(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of a 1-D tensor."""
-    if x.data.ndim != 1:
-        raise ValueError("slice_: input must be 1-D")
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        return [full]
-    return _result(x.data[start:stop].copy(), (x,), backward)
-
-
-def add_colvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a column vector to every column of a 2-D tensor."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[0] != v.shape[0]:
-        raise ValueError(f"add_colvec: incompatible shapes {m.shape} and {v.shape}")
-
-    def backward(g):
-        return [g, g.sum(axis=1)]
-    return _result(m.data + v.data[:, None], (m, v), backward)
-
-
-def scale(x: Tensor, k: float) -> Tensor:
-    def backward(g):
-        return [g * k]
-    return _result(x.data * k, (x,), backward)
 
 
 def attention(annotations: np.ndarray, words: np.ndarray, w_annot: Tensor,
@@ -445,20 +330,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# losses and heads
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Stable softmax over a 1-D logits vector (max subtraction)."""
-    if logits.data.ndim != 1:
-        raise ValueError("softmax: input must be 1-D")
-    z = logits.data - logits.data.max()
-    e = np.exp(z)
-    s = e / e.sum()
-
-    def backward(g):
-        return [s * (g - np.dot(g, s))]
-    return _result(s, (logits,), backward)
+# losses
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:

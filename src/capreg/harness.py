@@ -127,7 +127,9 @@ def read_jsonl(path, *keys):
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as e:
+                except RecursionError:
+                    raise DataError(f"{path}:{lineno}: JSON nests too deeply") from None
+                except ValueError as e:  # JSONDecodeError, or an int past the digit limit
                     raise DataError(f"{path}:{lineno}: parse error: {e}") from e
                 if not isinstance(obj, dict):
                     raise DataError(f"{path}:{lineno}: expected a JSON object")

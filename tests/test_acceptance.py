@@ -26,7 +26,8 @@ from capreg.metrics import EvalCorpus, bleu, cider, rouge_l
 from capreg.attention import attend_matrix
 
 from test_attention import attend as reference_attend
-from test_autodiff import _total, finite_difference_check, sigmoid
+from test_autodiff import (_total, finite_difference_check, matmul, mul, scale, sigmoid,
+                           slice_, softmax, tanh)
 from test_metrics import (_oracle_bleu, _oracle_cider, _oracle_rouge_l,
                           _random_corpus)
 
@@ -83,13 +84,13 @@ def _caption_op_cases(rng):
         hidden = ad.lstm(x, state, *lstm, mask)[0]
         return ad.linear(ad.concat([words[:, :1], hidden]), *head)
 
-    def regression(_):
+    def regression_head(_):
         return ad.mse(outputs(), target)
 
-    def softmax(_):
+    def softmax_head(_):
         return ad.cross_entropy(outputs(), labels)
     return ([(attention, t) for t in att]
-            + [(f, t) for f in (regression, softmax) for t in (x, *lstm, *head)])
+            + [(f, t) for f in (regression_head, softmax_head) for t in (x, *lstm, *head)])
 
 
 def test_criterion_1_gradient_correctness(capsys):
@@ -106,14 +107,14 @@ def test_criterion_1_gradient_correctness(capsys):
         label = int(rng.integers(8))
         mix = Tensor(np.linspace(-1, 1, 64).reshape(8, 8))
         op_cases = [
-            lambda t: ad.mse(ad.matmul(w, t), np.zeros(5)),
+            lambda t: ad.mse(matmul(w, t), np.zeros(5)),
             lambda t: ad.cross_entropy(t, label),
             lambda t: ad.mse(t, target8),
-            lambda t: _total(ad.mul(ad.softmax(t), Tensor(np.arange(8.0)))),
-            lambda t: _total(ad.tanh(sigmoid(t))),
-            lambda t: _total(ad.scale(ad.mul(t, t), 1 / 8)),
-            lambda t: _total(ad.slice_(ad.concat([t, t]), 2, 13)),
-            lambda t: ad.cross_entropy(ad.matmul(t, mix), label),
+            lambda t: _total(mul(softmax(t), Tensor(np.arange(8.0)))),
+            lambda t: _total(tanh(sigmoid(t))),
+            lambda t: _total(scale(mul(t, t), 1 / 8)),
+            lambda t: _total(slice_(ad.concat([t, t]), 2, 13)),
+            lambda t: ad.cross_entropy(matmul(t, mix), label),
         ]
         for f in op_cases:
             worst = max(worst, finite_difference_check(f, x, h=1e-5))

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capreg.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main)
 from capreg.encoder import AnnotationSet, save_features
 
 from test_embedding import emb_bytes
 from test_encoder import annv_bytes
-from test_harness import checkpoint_header, rewrite_checkpoint
+from test_harness import checkpoint_header, jsonl_files, rewrite_checkpoint
 
 
 @pytest.fixture
@@ -161,6 +162,27 @@ class TestExitCodes:
         cands.write_text(cand_line + "\n")
         refs.write_text(ref_line + "\n")
         assert main(["evaluate", str(cands), str(refs)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("bad_line, match", [
+        ("[" * 100_000, "nests too deeply"),
+        ('{"id": ' + "1" * 5000 + ', "x": 0}', "digits")], ids=["deep-nesting", "huge-int"])
+    @pytest.mark.parametrize("which", ["manifest", "candidates", "references"])
+    def test_line_the_json_parser_refuses_is_data_error(self, tmp_path, capsys, which,
+                                                        bad_line, match):
+        # the parser raises RecursionError or a plain ValueError, not a
+        # JSONDecodeError, for these
+        files = {"manifest": '{"id": "a", "captions": ["a dog"]}',
+                 "candidates": '{"id": "a", "candidate": "a dog"}',
+                 "references": '{"id": "a", "references": ["a dog"]}'}
+        for name, line in files.items():
+            (tmp_path / f"{name}.jsonl").write_text(
+                line + "\n" + (bad_line + "\n" if name == which else ""))
+        argv = (["train-embeddings", str(tmp_path / "manifest.jsonl"), str(tmp_path / "e.bin")]
+                if which == "manifest" else
+                ["evaluate", str(tmp_path / "candidates.jsonl"), str(tmp_path / "references.jsonl")])
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{which}.jsonl:2: " in err and match in err
 
     @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
     def test_no_candidates_is_data_error(self, tmp_path, capsys, text):
@@ -378,3 +400,19 @@ class TestExitCodes:
     def test_grad_experiment_one_word_vocab_is_usage_error(self, capsys):
         assert main(["grad-experiment", "--vocab-size", "1", "--trials", "2"]) == EXIT_USAGE
         assert "vocab_size must be >= 2" in capsys.readouterr().err
+
+
+_IDS = st.one_of(st.sampled_from(["a", "b"]), st.integers(0, 2))
+_SENTENCES = st.one_of(st.sampled_from(["a dog runs", "a cat", ""]), st.text(max_size=12))
+
+
+@given(cands=jsonl_files({"id": _IDS, "candidate": _SENTENCES}),
+       refs=jsonl_files({"id": _IDS, "references": st.lists(_SENTENCES, max_size=3)}))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_evaluate_fuzz(tmp_path_factory, cands, refs):
+    """Malformed candidates or references only ever end in exit 2."""
+    root = tmp_path_factory.getbasetemp()
+    cand_path, ref_path = root / "fuzz_cands.jsonl", root / "fuzz_refs.jsonl"
+    cand_path.write_bytes(cands)
+    ref_path.write_bytes(refs)
+    assert main(["evaluate", str(cand_path), str(ref_path)]) in (EXIT_OK, EXIT_DATA)

@@ -11,7 +11,9 @@ from capreg.embedding import END, RESERVED, START, EmbeddingTable, Vocabulary, n
 from capreg.encoder import AnnotationSet
 from capreg.harness import DatasetRecord, TrainConfig
 
-from test_autodiff import _total, finite_difference_check, sigmoid
+from test_autodiff import (_oracle_backward, _toposort, _total, add, add_colvec,
+                           finite_difference_check, matmul, mul, scale, sigmoid, slice_,
+                           softmax, tanh)
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +23,10 @@ from test_autodiff import _total, finite_difference_check, sigmoid
 # per step an 8-op attention, the input concat, one fused cell and an h slice
 # per layer (times a dropout mask in train mode), the head's matmul and add,
 # the step loss and its add into the total. Its fused cell in turn has the
-# 17-op cell as its oracle, bit for bit.
+# 17-op cell as its oracle, bit for bit. A step's [h; c] node feeds both the
+# next layer and the next step, so its gradients come from the tests' oracle
+# walk, ``_oracle_backward``, which sums the terms of any node: backward()
+# walks a tree and refuses such a graph.
 
 
 def lstm_cell(x, state, w_x, w_h, b):
@@ -59,24 +64,24 @@ def lstm_step_ops(x, state, w_x, w_h, b):
     """The LSTM cell built from 17 graph ops, reading ``state`` through two
     ``slice_`` and returning ``concat([h, c])``."""
     n = w_h.shape[1]
-    h_prev, c_prev = ad.slice_(state, 0, n), ad.slice_(state, n, 2 * n)
-    gates = ad.add(ad.add(ad.matmul(w_x, x), ad.matmul(w_h, h_prev)), b)
-    i = sigmoid(ad.slice_(gates, 0, n))
-    f = sigmoid(ad.slice_(gates, n, 2 * n))
-    o = sigmoid(ad.slice_(gates, 2 * n, 3 * n))
-    g = ad.tanh(ad.slice_(gates, 3 * n, 4 * n))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
+    h_prev, c_prev = slice_(state, 0, n), slice_(state, n, 2 * n)
+    gates = add(add(matmul(w_x, x), matmul(w_h, h_prev)), b)
+    i = sigmoid(slice_(gates, 0, n))
+    f = sigmoid(slice_(gates, n, 2 * n))
+    o = sigmoid(slice_(gates, 2 * n, 3 * n))
+    g = tanh(slice_(gates, 3 * n, 4 * n))
+    c = add(mul(f, c_prev), mul(i, g))
+    h = mul(o, tanh(c))
     return ad.concat([h, c])
 
 
 def per_step_attend(h_t, v_prev, params):
     """(context, weights) of one previous word over a (D, L) annotation
     matrix, as 8 graph ops."""
-    word_bias = ad.add(ad.matmul(params.w_hidden_word, v_prev), params.b_hidden)
-    hidden = ad.tanh(ad.add_colvec(ad.matmul(params.w_hidden_annot, h_t), word_bias))
-    alphas = ad.softmax(ad.matmul(params.w_out, hidden))
-    return ad.matmul(h_t, alphas), alphas
+    word_bias = add(matmul(params.w_hidden_word, v_prev), params.b_hidden)
+    hidden = tanh(add_colvec(matmul(params.w_hidden_annot, h_t), word_bias))
+    alphas = softmax(matmul(params.w_out, hidden))
+    return matmul(h_t, alphas), alphas
 
 
 def per_step_stack(model, v_prev, context, state, cell=lstm_cell, rng=None):
@@ -86,12 +91,12 @@ def per_step_stack(model, v_prev, context, state, cell=lstm_cell, rng=None):
     new_state = []
     for layer, hc in zip(model.layers, state):
         hc = cell(x, hc, layer.w_x, layer.w_h, layer.b)
-        x = ad.slice_(hc, 0, n)
+        x = slice_(hc, 0, n)
         if rng is not None and rate > 0.0:
             mask = (rng.random(n) >= rate) / (1.0 - rate)
-            x = ad.mul(x, Tensor(mask.astype(model.dtype)))
+            x = mul(x, Tensor(mask.astype(model.dtype)))
         new_state.append(hc)
-    return ad.add(ad.matmul(model.head.w, x), model.head.b), new_state
+    return add(matmul(model.head.w, x), model.head.b), new_state
 
 
 def per_step_loss(model, annotations, caption, train_mode=False, rng=None, cell=lstm_cell):
@@ -110,8 +115,8 @@ def per_step_loss(model, annotations, caption, train_mode=False, rng=None, cell=
             step_loss = ad.mse(out, model.embed_rows([seq[t]])[0])
         else:
             step_loss = ad.cross_entropy(out, vocab.encode(seq[t]))
-        total = step_loss if total is None else ad.add(total, step_loss)
-    return ad.scale(total, 1.0 / (len(seq) - 1))
+        total = step_loss if total is None else add(total, step_loss)
+    return scale(total, 1.0 / (len(seq) - 1))
 
 
 def per_step_decode(model, annotations, max_len, cell=lstm_cell):
@@ -242,7 +247,7 @@ class TestFusedCell:
                                   seed=16, precision=precision)
         loss = per_step_loss(model, _annots(seed=16), TestFusedCell.CAPTION,
                              train_mode=True, rng=np.random.default_rng(16), cell=cell)
-        loss.backward()
+        _oracle_backward(loss)
         # an untrained regression head's outputs all lie nearest one word;
         # scaled up, they spread over the table
         model.head.w.data *= 30.0
@@ -274,7 +279,7 @@ class TestFusedCell:
 
         def f(t):
             parts = tensors[:which] + [t] + tensors[which + 1:]
-            return _total(ad.mul(lstm_cell(*parts), weights))
+            return _total(mul(lstm_cell(*parts), weights))
         assert finite_difference_check(f, tensors[which]) < 1e-6
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -446,7 +451,7 @@ class TestTeacherForcedLoss:
 
 
 def _ops(loss):
-    return [node for node in ad._toposort(loss) if node._backward is not None]
+    return [node for node in _toposort(loss) if node._backward is not None]
 
 
 class TestGraphSize:
@@ -462,9 +467,9 @@ class TestGraphSize:
             assert len(_ops(loss)) == 12
 
 
-def _terms_sent(loss):
+def _terms_sent(loss, walk=Tensor.backward):
     """(gradient terms the walk sends, those sent to constant leaves) when
-    ``loss.backward()`` runs."""
+    ``walk`` runs from ``loss``."""
     sent = [0, 0]
     for node in _ops(loss):
         def counted(g, node=node, local_terms=node._backward):
@@ -475,7 +480,7 @@ def _terms_sent(loss):
                     sent[1] += parent._backward is None and not parent.requires_grad
             return terms
         node._backward = counted
-    loss.backward()
+    walk(loss)
     return tuple(sent)
 
 
@@ -496,9 +501,9 @@ class TestPerCaptionContract:
     CAPTION = TestFusedCell.CAPTION
 
     @staticmethod
-    def _grads(build, model):
+    def _grads(build, model, walk=Tensor.backward):
         loss = build()
-        loss.backward()
+        walk(loss)
         grads = [p.grad.copy() for p in model.parameters()]
         for p in model.parameters():
             p.grad[...] = 0.0
@@ -516,7 +521,8 @@ class TestPerCaptionContract:
         loss, grads = self._grads(lambda: teacher_forced_loss(
             model, annots, self.CAPTION, train_mode=True, rng=np.random.default_rng(5)), model)
         ref_loss, ref_grads = self._grads(lambda: per_step_loss(
-            model, annots, self.CAPTION, train_mode=True, rng=np.random.default_rng(5)), model)
+            model, annots, self.CAPTION, train_mode=True, rng=np.random.default_rng(5)), model,
+            _oracle_backward)
         tol = TOLERANCE[precision]
         assert abs(loss - ref_loss) <= tol * abs(ref_loss)
         for p, g, ref in zip(model.parameters(), grads, ref_grads):
@@ -538,6 +544,7 @@ class TestPerCaptionContract:
                              precision=precision)
         _, log = harness.train(config, records, _table())
         monkeypatch.setattr(harness, "teacher_forced_loss", per_step_loss)
+        monkeypatch.setattr(Tensor, "backward", _oracle_backward)
         _, ref_log = harness.train(config, records, _table())
         losses = [row["loss"] for row in log.epochs]
         ref_losses = [row["loss"] for row in ref_log.epochs]
@@ -565,7 +572,7 @@ class TestPerCaptionContract:
         sent = _terms_sent(teacher_forced_loss(model, _annots(), self.CAPTION, train_mode=True,
                                                rng=np.random.default_rng(0)))
         ref_sent = _terms_sent(per_step_loss(model, _annots(), self.CAPTION, train_mode=True,
-                                             rng=np.random.default_rng(0)))
+                                             rng=np.random.default_rng(0)), _oracle_backward)
         assert ref_sent[1] > 0
         assert sent[1] == 0
         # one per parameter, and one into each op's input: the loss's, the

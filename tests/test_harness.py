@@ -600,3 +600,64 @@ def test_load_checkpoint_fuzz(tmp_path_factory, small_checkpoint, data):
     except CheckpointError:
         return
     assert model.embedding is table
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.lists(st.one_of(st.text(max_size=6), st.integers()), max_size=3),
+    st.lists(st.lists(st.text(max_size=4), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def jsonl_files(draw, good: dict):
+    """JSON-lines bytes of one to three lines, each: an object of the keys
+    of ``good`` (a value strategy per key) with some values changed, keys
+    dropped or keys added; other JSON; nesting past the parser's recursion
+    limit; an integer past Python's digit limit; or raw bytes."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["object", "object", "json", "nested", "huge_int", "bytes"]))
+        if kind == "object":
+            obj = {key: draw(values) for key, values in good.items()}
+            for key in draw(st.lists(st.sampled_from(sorted(good)), max_size=2)):
+                if draw(st.booleans()):
+                    obj[key] = draw(_JSON_VALUES)
+                else:
+                    obj.pop(key, None)
+            obj.update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=1)))
+            line = json.dumps(obj).encode()
+        elif kind == "json":
+            line = json.dumps(draw(_JSON_VALUES)).encode()
+        elif kind == "nested":
+            depth = draw(st.sampled_from([3, 100_000]))
+            line = b'{"id": ' + b"[" * depth + b"]" * depth + b"}"
+        elif kind == "huge_int":
+            line = b'{"id": ' + b"1" * 5000 + b"}"
+        else:
+            line = draw(st.binary(max_size=24))
+        lines.append(line)
+    return b"\n".join(lines) + b"\n"
+
+
+_CAPTIONS = st.lists(st.one_of(st.text(max_size=12), st.lists(st.text(max_size=4), max_size=3)),
+                     max_size=3)
+MANIFEST_LINE = {"id": st.one_of(st.text(max_size=4), st.integers()), "captions": _CAPTIONS,
+                 "features": st.sampled_from(["f.annv", "missing.annv", "", "."])}
+
+
+@given(blob=jsonl_files(MANIFEST_LINE))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_load_dataset_fuzz(tmp_path_factory, blob):
+    """A malformed manifest only ever raises DataError, which the CLI
+    reports as a data error."""
+    root = tmp_path_factory.getbasetemp() / "fuzz_manifest"
+    root.mkdir(exist_ok=True)
+    (root / "f.annv").touch()
+    path = root / "train.jsonl"
+    path.write_bytes(blob)
+    try:
+        records = load_dataset(path)
+    except DataError:
+        return
+    assert all(rec.captions and all(rec.captions) for rec in records)
