@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
+Exit codes, one exception type each: 0 success; 1 usage error, a
+``ValueError`` (``CheckpointError`` is one) or an argument argparse refuses;
+2 data error, a ``DataError`` or an ``OSError``; 3 numerical abort, a
+``NumericalError`` (``TrainingAborted`` is one, and adds a JSON dump).
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ import numpy as np
 
 from .autodiff import NumericalError
 from .decoder import REGRESSION, SOFTMAX, greedy_decode, param_count
-from .embedding import EmbeddingError, EmbeddingTable, build_vocab, train_skipgram
-from .encoder import load_features, FeatureFileError
-from .harness import (TrainConfig, TrainingAborted, DataError, load_dataset,
-                      read_jsonl, write_csv, train, grad_experiment,
-                      depth_study, save_checkpoint,
-                      load_checkpoint, CheckpointError, check_annotation_dim)
+from .embedding import EmbeddingTable, build_vocab, train_skipgram
+from .encoder import DataError, load_features
+from .harness import (TrainConfig, TrainingAborted, load_dataset, read_jsonl,
+                      write_csv, train, grad_experiment, depth_study,
+                      save_checkpoint, load_checkpoint, check_annotation_dim)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,8 +74,7 @@ def cmd_train(args) -> int:
 
 def cmd_caption(args) -> int:
     if args.max_len < 1:
-        print("error: --max-len must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--max-len must be >= 1")
     table = EmbeddingTable.load(_resolve(args.embeddings))
     model = load_checkpoint(_resolve(args.checkpoint), table, precision=args.precision or "f64")
     annots = load_features(_resolve(args.features))
@@ -236,13 +237,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, CheckpointError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FeatureFileError, EmbeddingError, OSError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingAborted, NumericalError) as e:
+    except NumericalError as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         if isinstance(e, TrainingAborted):
             print(json.dumps(e.dump, indent=2), file=sys.stderr)

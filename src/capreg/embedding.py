@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .encoder import DataError
+
 START = "<start>"
 END = "<end>"
 UNK = "<unk>"
@@ -29,10 +31,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
-class EmbeddingError(Exception):
-    pass
-
-
 @dataclass
 class Vocabulary:
     """Bijective token <-> index mapping with reserved control tokens."""
@@ -43,10 +41,10 @@ class Vocabulary:
     def __post_init__(self):
         self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
         if len(self.token_to_index) != len(self.index_to_token):
-            raise EmbeddingError("duplicate tokens in vocabulary")
+            raise DataError("duplicate tokens in vocabulary")
         if self.index_to_token[:len(RESERVED)] != list(RESERVED):
-            raise EmbeddingError(f"reserved tokens {RESERVED} must sit at indices "
-                                 f"0..{len(RESERVED) - 1}")
+            raise DataError(f"reserved tokens {RESERVED} must sit at indices "
+                            f"0..{len(RESERVED) - 1}")
 
     def __len__(self):
         return len(self.index_to_token)
@@ -75,7 +73,7 @@ def build_vocab(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
     tokens always occupy indices 0..2.
     """
     if not corpus:
-        raise EmbeddingError("empty corpus")
+        raise DataError("empty corpus")
     counts = Counter()
     for sentence in corpus:
         counts.update(sentence)
@@ -108,12 +106,12 @@ class EmbeddingTable:
         # f64, which nearest_word's rounding bound assumes
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
-            raise EmbeddingError(f"embedding table must be |V| x d with d >= 1, "
-                                 f"got shape {self.vectors.shape}")
+            raise DataError(f"embedding table must be |V| x d with d >= 1, "
+                            f"got shape {self.vectors.shape}")
         if self.vectors.shape[0] != len(self.vocab):
-            raise EmbeddingError("row count does not match vocabulary size")
+            raise DataError("row count does not match vocabulary size")
         if not np.all(np.isfinite(self.vectors)):
-            raise EmbeddingError("non-finite embedding values")
+            raise DataError("non-finite embedding values")
         # read-only, so the cached row norms always describe these rows
         self.vectors.setflags(write=False)
 
@@ -125,9 +123,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def lookup(self, token: str) -> np.ndarray:
-        return self.vectors[self.vocab.encode(token)]
 
     def save(self, path) -> None:
         """Binary layout: magic, version, |V|, d, token list, f32 rows."""
@@ -141,7 +136,7 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        """Read a table ``save`` wrote; any defect is an ``EmbeddingError``.
+        """Read a table ``save`` wrote; any defect is a ``DataError``.
 
         Lengths the header declares are checked against the bytes left in
         the file before anything that size is read, and the payload must
@@ -150,35 +145,35 @@ class EmbeddingTable:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if fh.read(4) != _MAGIC:
-                raise EmbeddingError(f"{path}: bad magic in embedding file")
+                raise DataError(f"{path}: bad magic in embedding file")
             header = fh.read(16)
             if len(header) != 16:
-                raise EmbeddingError(f"{path}: truncated header")
+                raise DataError(f"{path}: truncated header")
             version, nv, d, blob_len = struct.unpack("<IIII", header)
             if version != _VERSION:
-                raise EmbeddingError(f"{path}: unsupported embedding file version {version}")
+                raise DataError(f"{path}: unsupported embedding file version {version}")
             if d < 1:
-                raise EmbeddingError(f"{path}: header declares d = {d}; a table needs d >= 1")
+                raise DataError(f"{path}: header declares d = {d}; a table needs d >= 1")
             if blob_len > size - fh.tell():
-                raise EmbeddingError(f"{path}: truncated token list")
+                raise DataError(f"{path}: truncated token list")
             blob = fh.read(blob_len)
             try:
                 tokens = blob.decode("utf-8").split("\x00")
             except UnicodeDecodeError as e:
-                raise EmbeddingError(f"{path}: token list is not UTF-8") from e
+                raise DataError(f"{path}: token list is not UTF-8") from e
             if len(tokens) != nv:
-                raise EmbeddingError(f"{path}: token list length disagrees with header")
+                raise DataError(f"{path}: token list length disagrees with header")
             extra = size - fh.tell() - nv * d * 4
             if extra < 0:
-                raise EmbeddingError(f"{path}: truncated embedding payload")
+                raise DataError(f"{path}: truncated embedding payload")
             if extra > 0:
-                raise EmbeddingError(f"{path}: {extra} bytes after the embedding payload")
+                raise DataError(f"{path}: {extra} bytes after the embedding payload")
             payload = fh.read(nv * d * 4)
             vectors = np.frombuffer(payload, dtype="<f4").reshape(nv, d).astype(np.float64)
         try:
             return cls(Vocabulary(tokens), vectors)
-        except EmbeddingError as e:
-            raise EmbeddingError(f"{path}: {e}") from e
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from e
 
 
 def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:
@@ -191,9 +186,9 @@ def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (table.dim,):
-        raise EmbeddingError(f"query dimension {v.shape} does not match table dim {table.dim}")
+        raise ValueError(f"query dimension {v.shape} does not match table dim {table.dim}")
     if not np.all(np.isfinite(v)):
-        raise EmbeddingError("non-finite query vector")
+        raise ValueError("non-finite query vector")
     vectors = table.vectors
     # The screen ||e||^2 - 2 e.v is ||e - v||^2 - ||v||^2. It and the exact
     # expression each round to within (d + 2) eps r^2 / 2 of their true value,
@@ -235,13 +230,16 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
     for sent in encoded:
         pairs.extend(skipgram_pairs(sent, window))
     if not pairs:
-        raise EmbeddingError("no training pairs (corpus too short for the window)")
+        raise DataError("no training pairs (corpus too short for the window)")
     pairs = np.asarray(pairs, dtype=np.int64)
 
-    # unigram^0.75 negative-sampling distribution
+    # unigram^0.75 noise as the CDF that rng.choice(nv, negatives, p=noise)
+    # rebuilds per call; searching it draws the same negatives from the same stream
     freq = np.bincount(np.concatenate(encoded), minlength=nv).astype(np.float64)
     noise = freq ** 0.75
     noise /= noise.sum()
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
 
     w_in = (rng.random((nv, d)) - 0.5) / d
     w_out = np.zeros((nv, d))
@@ -251,7 +249,7 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
         for center, context in pairs[order]:
-            neg = rng.choice(nv, size=negatives, p=noise)
+            neg = cdf.searchsorted(rng.random(negatives), side="right")
             targets = np.concatenate(([context], neg))
             labels = np.zeros(negatives + 1)
             labels[0] = 1.0

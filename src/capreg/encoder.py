@@ -14,8 +14,9 @@ _MAGIC = b"ANNV"
 _VERSION = 1
 
 
-class FeatureFileError(Exception):
-    pass
+class DataError(Exception):
+    """A malformed input file or record (features, embeddings, manifest,
+    evaluate files); the CLI exits 2."""
 
 
 @dataclass(frozen=True)
@@ -53,21 +54,21 @@ def load_features(path) -> AnnotationSet:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 24 or raw[:4] != _MAGIC:
-        raise FeatureFileError(f"{path}: not an annotation feature file")
+        raise DataError(f"{path}: not an annotation feature file")
     version, rows, cols, channels = struct.unpack("<IIII", raw[4:20])
     if version != _VERSION:
-        raise FeatureFileError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     expected = 20 + rows * cols * channels * 4 + 4
     if len(raw) != expected:
-        raise FeatureFileError(f"{path}: truncated payload ({len(raw)} of {expected} bytes)")
+        raise DataError(f"{path}: truncated payload ({len(raw)} of {expected} bytes)")
     stored_crc, = struct.unpack("<I", raw[-4:])
     if zlib.crc32(raw[:-4]) != stored_crc:
-        raise FeatureFileError(f"{path}: checksum mismatch")
+        raise DataError(f"{path}: checksum mismatch")
     if rows * cols == 0 or channels == 0:
-        raise FeatureFileError(f"{path}: empty {rows}x{cols}x{channels} grid")
+        raise DataError(f"{path}: empty {rows}x{cols}x{channels} grid")
     grid = np.frombuffer(raw[20:-4], dtype="<f4").reshape(rows, cols, channels)
     vectors = grid.reshape(rows * cols, channels).astype(np.float64)
     try:
         return AnnotationSet(vectors, rows, cols)
     except ValueError as e:
-        raise FeatureFileError(f"{path}: {e}") from e
+        raise DataError(f"{path}: {e}") from e

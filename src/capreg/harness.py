@@ -19,16 +19,12 @@ from .autodiff import Tensor, AdamState, NumericalError
 from .decoder import (CaptionModel, REGRESSION, SOFTMAX, teacher_forced_loss,
                       greedy_decode, param_count)
 from .embedding import EmbeddingTable
-from .encoder import AnnotationSet, load_features
+from .encoder import AnnotationSet, DataError, load_features
 
 logger = logging.getLogger(__name__)
 
 
-class DataError(Exception):
-    pass
-
-
-class TrainingAborted(Exception):
+class TrainingAborted(NumericalError):
     """Numerical failure during training; carries a diagnostic dump."""
 
     def __init__(self, message: str, dump: dict):
@@ -86,11 +82,8 @@ class TrainConfig:
         every override that is not None."""
         data = {}
         if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                try:
-                    data = json.load(fh)
-                except RecursionError:
-                    raise ValueError(f"{path}: config nests too deeply") from None
+            with open(path, "rb") as fh:
+                data = _parse_json(fh.read(), path, ValueError)
             if not isinstance(data, dict):
                 raise ValueError(f"{path}: config must be a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
@@ -116,6 +109,21 @@ class DatasetRecord:
         return self.annotations
 
 
+def _parse_json(text: str | bytes, where, error: type[Exception]):
+    """``json.loads(text)``, bytes as UTF-8; a refusal raises ``error`` naming ``where``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as e:
+        raise error(f"{where}: not UTF-8: {e}") from e
+    except RecursionError:
+        raise error(f"{where}: JSON nests too deeply") from None
+    except json.JSONDecodeError as e:
+        raise error(f"{where}: parse error: {e}") from e
+    except ValueError as e:  # the one other refusal: an int past Python's digit limit
+        raise error(f"{where}: integer too long (more than "
+                    f"{sys.get_int_max_str_digits()} digits)") from e
+
+
 def read_jsonl(path, *keys):
     """Yield (line number, object) for each non-blank line of a JSON-lines
     file. Every line must be a JSON object holding each of ``keys``."""
@@ -125,12 +133,7 @@ def read_jsonl(path, *keys):
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    obj = json.loads(line)
-                except RecursionError:
-                    raise DataError(f"{path}:{lineno}: JSON nests too deeply") from None
-                except ValueError as e:  # JSONDecodeError, or an int past the digit limit
-                    raise DataError(f"{path}:{lineno}: parse error: {e}") from e
+                obj = _parse_json(line, f"{path}:{lineno}", DataError)
                 if not isinstance(obj, dict):
                     raise DataError(f"{path}:{lineno}: expected a JSON object")
                 for key in keys:
@@ -382,8 +385,8 @@ _CKPT_MAGIC = b"CKPT"
 _CKPT_VERSION = 2
 
 
-class CheckpointError(Exception):
-    pass
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be loaded; a ValueError, so the CLI exits 1."""
 
 
 def save_checkpoint(model: CaptionModel, path) -> None:
@@ -416,27 +419,25 @@ def save_checkpoint(model: CaptionModel, path) -> None:
         fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
-_CKPT_DIMS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k")
-# header key -> accepted value types; an int is a valid float
-_CKPT_HEADER = {**{key: (int,) for key in _CKPT_DIMS}, "head_kind": (str,),
-                "dropout_rate": (int, float), "vocab_hash": (int,)}
+_MODEL_KEYS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind",
+               "dropout_rate")
 
 
 def _checkpoint_header(path, blob: bytes) -> dict:
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError as e:  # not UTF-8, not JSON, or an int too long to parse
-        raise CheckpointError(f"{path}: malformed header: {e}") from e
+    header = _parse_json(blob, f"{path}: header", CheckpointError)
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header must be a JSON object")
-    for key, types in _CKPT_HEADER.items():
+    for key in (*_MODEL_KEYS, "vocab_hash"):
         if key not in header:
             raise CheckpointError(f"{path}: header lacks {key!r}")
-        value = header[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise CheckpointError(f"{path}: header {key} has the wrong type: {value!r}")
-        if key in _CKPT_DIMS and value < 1:
-            raise CheckpointError(f"{path}: header {key} must be positive, got {value}")
+    for key in _MODEL_KEYS:
+        try:
+            TrainConfig(**{key: header[key]}).validate()
+        except ValueError as e:
+            raise CheckpointError(f"{path}: header {key}: {e}") from e
+    vocab_hash = header["vocab_hash"]
+    if isinstance(vocab_hash, bool) or not isinstance(vocab_hash, int):
+        raise CheckpointError(f"{path}: header vocab_hash: must be int, got {vocab_hash!r}")
     return header
 
 
@@ -479,14 +480,11 @@ def load_checkpoint(path, embedding: EmbeddingTable,
     if 8 * count > len(body) - off:
         raise CheckpointError(f"{path}: truncated payload: the header declares {count} "
                               f"parameters, {len(body) - off} bytes are left")
-    try:
-        model = CaptionModel.init(
-            embedding, depth=header["depth"], hidden=header["hidden"],
-            annot_dim=header["annot_dim"], attention_k=header["attention_k"],
-            head_kind=header["head_kind"], dropout_rate=header["dropout_rate"],
-            precision=precision)
-    except ValueError as e:
-        raise CheckpointError(f"{path}: {e}") from e
+    model = CaptionModel.init(
+        embedding, depth=header["depth"], hidden=header["hidden"],
+        annot_dim=header["annot_dim"], attention_k=header["attention_k"],
+        head_kind=header["head_kind"], dropout_rate=header["dropout_rate"],
+        precision=precision)
     params = model.parameters()
     if uint("payload") != len(params):
         raise CheckpointError(f"{path}: parameter count mismatch")

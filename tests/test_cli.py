@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capreg import embedding, encoder, harness
+from capreg.autodiff import NumericalError
 from capreg.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main)
+from capreg.embedding import EmbeddingTable
 from capreg.encoder import AnnotationSet, save_features
+from capreg.harness import load_checkpoint, save_checkpoint
 
 from test_embedding import emb_bytes
 from test_encoder import annv_bytes
@@ -116,6 +120,11 @@ class TestReports:
 
 
 class TestExitCodes:
+    def test_one_exception_type_per_exit_code(self):
+        assert harness.DataError is encoder.DataError is embedding.DataError
+        assert issubclass(harness.CheckpointError, ValueError)
+        assert issubclass(harness.TrainingAborted, NumericalError)
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["train-embeddings", str(tmp_path / "nope.jsonl"),
                      str(tmp_path / "e.bin")]) == EXIT_DATA
@@ -165,7 +174,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad_line, match", [
         ("[" * 100_000, "nests too deeply"),
-        ('{"id": ' + "1" * 5000 + ', "x": 0}', "digits")], ids=["deep-nesting", "huge-int"])
+        ('{"id": ' + "1" * 5000 + ', "x": 0}', "integer too long")],
+        ids=["deep-nesting", "huge-int"])
     @pytest.mark.parametrize("which", ["manifest", "candidates", "references"])
     def test_line_the_json_parser_refuses_is_data_error(self, tmp_path, capsys, which,
                                                         bad_line, match):
@@ -183,6 +193,7 @@ class TestExitCodes:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{which}.jsonl:2: " in err and match in err
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
     def test_no_candidates_is_data_error(self, tmp_path, capsys, text):
@@ -338,6 +349,13 @@ class TestExitCodes:
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
         assert "m.ckpt: header lacks 'depth'" in capsys.readouterr().err
 
+    def test_checkpoint_header_nested_too_deeply_is_usage_error(self, trained, capsys):
+        tmp, emb, ckpt = trained
+        rewrite_checkpoint(ckpt, header_blob=b"[" * 100_000 + b"]" * 100_000)
+        capsys.readouterr()
+        assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
+        assert "m.ckpt: header: JSON nests too deeply" in capsys.readouterr().err
+
     def test_checkpoint_header_beyond_its_payload_is_usage_error(self, trained, capsys):
         # the allocator refuses 2^40 hidden units at once: were the header
         # not checked against the file first, this would be a MemoryError
@@ -383,6 +401,35 @@ class TestExitCodes:
         assert dump["epoch"] == 0 and dump["lr"] == 1e308
         assert "non-finite" in dump["error"]
         assert not (tmp / "n.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_while_decoding_is_numerical_abort(self, trained, capsys):
+        # a NumericalError outside training: attention weights near the float
+        # maximum over all-ones features overflow the first projection
+        tmp, emb, ckpt = trained
+        model = load_checkpoint(ckpt, EmbeddingTable.load(emb))
+        model.attention.w_hidden_annot.data[...] = 1.5e308
+        save_checkpoint(model, ckpt)
+        feat = tmp / "ones.annv"
+        save_features(AnnotationSet(np.ones((4, 8)), 2, 2), feat)
+        capsys.readouterr()
+        assert main(["caption", str(ckpt), str(emb), str(feat)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("numerical abort: forward op produced "
+                                           "non-finite values\n")
+
+    @pytest.mark.parametrize("blob, match", [
+        (b'{"lr": 1,}', "parse error: Expecting property name"),
+        (b'{"lr": ' + b"1" * 5000 + b"}", "integer too long"),
+        (b'{"head_kind": "\xff"}', "not UTF-8")], ids=["trailing-comma", "huge-int", "not-utf8"])
+    def test_config_file_the_parser_refuses_is_named(self, workspace, capsys, blob, match):
+        tmp, manifest, _ = workspace
+        config = tmp / "c.json"
+        config.write_bytes(blob)
+        assert main(["--config", str(config), "train", str(manifest), str(tmp / "e.bin"),
+                     str(tmp / "m.ckpt")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: {match}")
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("text, match", [
         ('{"lr": ' + "1" * 400 + "}", "lr is beyond the float range"),

@@ -366,19 +366,20 @@ class TestTeacherForcedLoss:
         # zero the trunk-to-head map and plant each target in the head bias:
         # with a one-word caption the bias is the whole output
         model.head.w.data[...] = 0.0
-        model.head.b.data[...] = table.lookup("w3")
+        w3 = table.vectors[table.vocab.encode("w3")]
+        model.head.b.data[...] = w3
         loss = teacher_forced_loss(model, _annots(dim=4), ["w3"])
         # the first step's loss is exactly zero; the second regresses <end>.
         # The loss sums the 2 x d squares in another order than the mean of
         # the second row does: equal to round-off
-        end_loss = ad.mse(Tensor(table.lookup("w3")), table.lookup(END)).item()
+        end_loss = ad.mse(Tensor(w3), table.vectors[table.vocab.encode(END)]).item()
         assert end_loss > 0
         assert loss.item() == pytest.approx(end_loss * 0.5, rel=1e-15)
 
     def test_zero_loss_iff_exact_match(self):
         # <end> shares w3's row, so one head output matches both steps
         base = _table(d=4, seed=6)
-        shared = base.lookup("w3")
+        shared = base.vectors[base.vocab.encode("w3")]
         vectors = base.vectors.copy()
         vectors[base.vocab.encode("<end>")] = shared
         table = EmbeddingTable(base.vocab, vectors)

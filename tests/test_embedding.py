@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capreg.embedding import (END, RESERVED, START, UNK, EmbeddingError,
-                              EmbeddingTable, Vocabulary, build_vocab,
-                              nearest_word, skipgram_pairs, train_skipgram)
+from capreg.embedding import (END, RESERVED, START, UNK, EmbeddingTable,
+                              Vocabulary, build_vocab, nearest_word,
+                              skipgram_pairs, train_skipgram)
+from capreg.encoder import DataError
 
 
 class TestBuildVocab:
@@ -26,7 +27,7 @@ class TestBuildVocab:
         assert vocab.index_to_token[:3] == [START, END, UNK]
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(DataError):
             build_vocab([], min_count=1)
 
     def test_size_matches_frequency_oracle(self):
@@ -82,16 +83,17 @@ def _orthonormal_table(words, d):
 class TestNearestWord:
     def test_exact_hit(self):
         table = _orthonormal_table(["a", "b", "c"], 6)
-        assert nearest_word(table.lookup("b"), table) == "b"
+        assert nearest_word(table.vectors[table.vocab.encode("b")], table) == "b"
 
     def test_dominant_component(self):
         table = _orthonormal_table(["w1", "w2", "w3"], 6)
-        v = table.lookup("w2") + 0.01 * table.lookup("w1")
+        w1, w2 = (table.vectors[table.vocab.encode(w)] for w in ("w1", "w2"))
+        v = w2 + 0.01 * w1
         assert nearest_word(v, table) == "w2"
 
     def test_dimension_mismatch(self):
         table = _orthonormal_table(["a"], 4)
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(ValueError, match="query dimension"):
             nearest_word(np.zeros(5), table)
 
     def test_matches_linear_scan_oracle(self):
@@ -193,12 +195,12 @@ class TestNearestWordMatchesFullScan:
         table = _orthonormal_table(["a", "b"], 4)
         v = np.zeros(4)
         v[2] = bad
-        with pytest.raises(EmbeddingError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite query"):
             nearest_word(v, table)
 
     def test_vectors_read_only(self):
         table = _orthonormal_table(["a", "b"], 4)
-        nearest_word(table.lookup("a"), table)
+        nearest_word(table.vectors[table.vocab.encode("a")], table)
         with pytest.raises(ValueError):
             table.vectors[3] = 0.0
 
@@ -221,7 +223,8 @@ class TestTrainSkipgram:
 
         def cos(a, b):
             return np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        cat, dog, stone = (table.lookup(w) for w in ("cat", "dog", "stone"))
+        cat, dog, stone = (table.vectors[table.vocab.encode(w)]
+                           for w in ("cat", "dog", "stone"))
         assert cos(cat, dog) > cos(cat, stone)
 
     def test_zero_lr_keeps_initialization(self):
@@ -243,6 +246,51 @@ class TestTrainSkipgram:
         vocab = build_vocab([["a"]], min_count=1)
         with pytest.raises(ValueError):
             train_skipgram([["a"]], vocab, d=1)
+
+    def test_negatives_as_generator_choice_draws_them(self):
+        # a Zipf corpus, so the noise distribution is far from uniform
+        rng = np.random.default_rng(11)
+        corpus = [[f"w{min(int(z), 60)}" for z in rng.zipf(1.3, rng.integers(3, 9))]
+                  for _ in range(60)]
+        vocab = build_vocab(corpus, min_count=1)
+        kwargs = dict(d=16, window=2, epochs=2, negatives=5, lr=0.025, seed=3)
+        table = train_skipgram(corpus, vocab, **kwargs)
+        vectors, losses = _skipgram_choice_oracle(corpus, vocab, **kwargs)
+        assert np.array_equal(table.vectors, vectors)
+        assert table.training_losses == losses
+
+
+def _skipgram_choice_oracle(corpus, vocab, d, window, epochs, negatives, lr, seed):
+    """``train_skipgram`` drawing each pair's negatives with
+    ``rng.choice(nv, size=negatives, p=noise)``, which rebuilds the noise
+    CDF on every call."""
+    rng = np.random.default_rng(seed)
+    nv = len(vocab)
+    encoded = [[vocab.token_to_index[START]] + vocab.encode_sequence(s)
+               + [vocab.token_to_index[END]] for s in corpus]
+    pairs = np.asarray([p for sent in encoded for p in skipgram_pairs(sent, window)],
+                       dtype=np.int64)
+    freq = np.bincount(np.concatenate(encoded), minlength=nv).astype(np.float64)
+    noise = freq ** 0.75
+    noise /= noise.sum()
+    w_in = (rng.random((nv, d)) - 0.5) / d
+    w_out = np.zeros((nv, d))
+    losses = []
+    for _ in range(epochs):
+        epoch_loss = 0.0
+        for center, context in pairs[rng.permutation(len(pairs))]:
+            targets = np.concatenate(([context], rng.choice(nv, size=negatives, p=noise)))
+            labels = np.zeros(negatives + 1)
+            labels[0] = 1.0
+            h = w_in[center]
+            p = 1.0 / (1.0 + np.exp(-(w_out[targets] @ h)))
+            epoch_loss += -np.log(np.clip(np.where(labels == 1, p, 1 - p), 1e-12, None)).sum()
+            err = p - labels
+            grad_h = err @ w_out[targets]
+            w_out[targets] -= lr * np.outer(err, h)
+            w_in[center] -= lr * grad_h
+        losses.append(epoch_loss / len(pairs))
+    return w_in, losses
 
 
 class TestPersistence:
@@ -266,7 +314,7 @@ class TestPersistence:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(DataError):
             EmbeddingTable.load(path)
 
     @pytest.mark.parametrize("cut, match", [(6, "truncated header"),
@@ -276,7 +324,7 @@ class TestPersistence:
         path = tmp_path / "emb.bin"
         EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), np.ones((4, 3))).save(path)
         path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(EmbeddingError, match=match):
+        with pytest.raises(DataError, match=match):
             EmbeddingTable.load(path)
 
     def test_bad_utf8_rejected(self, tmp_path):
@@ -285,7 +333,7 @@ class TestPersistence:
         raw = bytearray(path.read_bytes())
         raw[-3 * 4 * 4 - 1] = 0xFF  # the last byte of the token "x"
         path.write_bytes(bytes(raw))
-        with pytest.raises(EmbeddingError, match="not UTF-8"):
+        with pytest.raises(DataError, match="not UTF-8"):
             EmbeddingTable.load(path)
 
     def test_payload_larger_than_file_rejected(self, tmp_path):
@@ -293,32 +341,32 @@ class TestPersistence:
         raw = emb_bytes(list(RESERVED) + ["x"], d=2**30, values=[])
         path.write_bytes(raw + bytes(64 - len(raw)))
         assert path.stat().st_size == 64
-        with pytest.raises(EmbeddingError, match="truncated embedding payload"):
+        with pytest.raises(DataError, match="truncated embedding payload"):
             EmbeddingTable.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
         EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), np.ones((4, 3))).save(path)
         path.write_bytes(path.read_bytes() + b"\x00" * 12)
-        with pytest.raises(EmbeddingError, match="emb.bin: 12 bytes after the embedding payload"):
+        with pytest.raises(DataError, match="emb.bin: 12 bytes after the embedding payload"):
             EmbeddingTable.load(path)
 
     def test_token_list_longer_than_file_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
         path.write_bytes(emb_bytes(list(RESERVED), d=1, blob_len=2**32 - 1))
-        with pytest.raises(EmbeddingError, match="truncated token list"):
+        with pytest.raises(DataError, match="truncated token list"):
             EmbeddingTable.load(path)
 
     def test_zero_dimension_rejected(self, tmp_path):
-        with pytest.raises(EmbeddingError, match="d >= 1"):
+        with pytest.raises(DataError, match="d >= 1"):
             EmbeddingTable(Vocabulary(list(RESERVED)), np.zeros((3, 0)))
         path = tmp_path / "emb.bin"
         path.write_bytes(emb_bytes(list(RESERVED) + ["x"], d=0))
-        with pytest.raises(EmbeddingError, match="emb.bin: .*d >= 1"):
+        with pytest.raises(DataError, match="emb.bin: .*d >= 1"):
             EmbeddingTable.load(path)
 
     def test_missing_reserved_tokens_rejected(self):
-        with pytest.raises(EmbeddingError, match="reserved tokens"):
+        with pytest.raises(DataError, match="reserved tokens"):
             Vocabulary([START])
 
 
@@ -387,12 +435,12 @@ def _embedding_files(draw):
 @given(raw=_embedding_files())
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_load_fuzz(tmp_path_factory, raw):
-    """A corrupt embedding file only ever raises EmbeddingError."""
+    """A corrupt embedding file only ever raises DataError."""
     path = tmp_path_factory.getbasetemp() / "fuzz.bin"
     path.write_bytes(raw)
     try:
         table = EmbeddingTable.load(path)
-    except EmbeddingError:
+    except DataError:
         return
     assert table.vectors.shape == (len(table.vocab), table.dim)
     assert table.dim >= 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capreg.encoder import (AnnotationSet, FeatureFileError, load_features,
+from capreg.encoder import (AnnotationSet, DataError, load_features,
                             save_features)
 
 
@@ -72,7 +72,7 @@ class TestFeatureFiles:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.annv"
         path.write_bytes(b"XXXX" + b"\x00" * 30)
-        with pytest.raises(FeatureFileError):
+        with pytest.raises(DataError):
             load_features(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -80,7 +80,7 @@ class TestFeatureFiles:
         path = tmp_path / "t.annv"
         save_features(a, path)
         path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FeatureFileError):
+        with pytest.raises(DataError):
             load_features(path)
 
     def test_checksum_mismatch(self, tmp_path):
@@ -90,14 +90,14 @@ class TestFeatureFiles:
         raw = bytearray(path.read_bytes())
         raw[25] ^= 0xFF  # flip a payload byte, keep length
         path.write_bytes(bytes(raw))
-        with pytest.raises(FeatureFileError):
+        with pytest.raises(DataError):
             load_features(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload(self, tmp_path, value):
         path = tmp_path / "n.annv"
         path.write_bytes(annv_bytes(2, 2, 3, [0.0] * 5 + [value] + [0.0] * 6))
-        with pytest.raises(FeatureFileError, match="n.annv: non-finite"):
+        with pytest.raises(DataError, match="n.annv: non-finite"):
             load_features(path)
 
     @pytest.mark.parametrize("rows, cols, channels", [(0, 0, 0), (0, 3, 4), (2, 0, 4),
@@ -105,7 +105,7 @@ class TestFeatureFiles:
     def test_empty_grid(self, tmp_path, rows, cols, channels):
         path = tmp_path / "e.annv"
         path.write_bytes(annv_bytes(rows, cols, channels))
-        with pytest.raises(FeatureFileError, match="e.annv: empty"):
+        with pytest.raises(DataError, match="e.annv: empty"):
             load_features(path)
 
 
@@ -150,12 +150,12 @@ def _feature_files(draw):
 @given(raw=_feature_files())
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_load_features_fuzz(tmp_path_factory, raw):
-    """A corrupt feature file only ever raises FeatureFileError."""
+    """A corrupt feature file only ever raises DataError."""
     path = tmp_path_factory.getbasetemp() / "fuzz.annv"
     path.write_bytes(raw)
     try:
         annotations = load_features(path)
-    except FeatureFileError:
+    except DataError:
         return
     assert annotations.vectors.shape == (annotations.rows * annotations.cols,
                                          annotations.dim)

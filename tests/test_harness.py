@@ -416,23 +416,29 @@ class TestCheckpoint:
         path, table, header = saved
         header[key] = value
         rewrite_checkpoint(path, header)
-        with pytest.raises(CheckpointError, match=f"model.ckpt: header {key} "):
+        with pytest.raises(CheckpointError, match=f"model.ckpt: header {key}: "):
             load_checkpoint(path, table)
 
     @pytest.mark.parametrize("key, value", [("head_kind", "beam"), ("dropout_rate", 1.0)])
     def test_header_value_out_of_range_refused(self, saved, key, value):
+        # TrainConfig.validate refuses these at the header, before
+        # param_count or CaptionModel.init sees them
         path, table, header = saved
         header[key] = value
         rewrite_checkpoint(path, header)
-        with pytest.raises(CheckpointError, match="model.ckpt: "):
+        with pytest.raises(CheckpointError, match=f"model.ckpt: header {key}: "):
             load_checkpoint(path, table)
 
-    @pytest.mark.parametrize("blob", [b'{"depth": 1', b"[1, 2]", b"\xff\xfe"],
-                             ids=["malformed-json", "not-an-object", "not-utf8"])
-    def test_malformed_header_refused(self, saved, blob):
+    @pytest.mark.parametrize("blob, match", [
+        (b'{"depth": 1', "header: parse error"), (b"[1, 2]", "header must be a JSON object"),
+        (b"\xff\xfe", "header: not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "header: JSON nests too deeply"),
+        (b'{"depth": ' + b"1" * 5000 + b"}", "header: integer too long")],
+        ids=["malformed-json", "not-an-object", "not-utf8", "deep-nesting", "huge-int"])
+    def test_malformed_header_refused(self, saved, blob, match):
         path, table, _ = saved
         rewrite_checkpoint(path, header_blob=blob)
-        with pytest.raises(CheckpointError, match="model.ckpt: "):
+        with pytest.raises(CheckpointError, match=f"model.ckpt: {match}"):
             load_checkpoint(path, table)
 
     @pytest.mark.parametrize("cut", [1, 8, 100, 1000])
@@ -537,9 +543,11 @@ def _checkpoint_corruptions(draw, raw):
         blob = json.dumps(draw(st.one_of(st.none(), st.integers(), st.text(max_size=4),
                                          st.lists(st.integers(), max_size=3)))).encode()
     elif kind == "header_bytes":
-        # an int past the digits Python parses is a ValueError, not a JSON one
+        # an int past the digits Python parses is a ValueError, not a JSON
+        # one, and nesting past the recursion limit a RecursionError
         blob = draw(st.one_of(st.binary(max_size=24),
-                              st.just(b'{"depth": ' + b"1" * 5000 + b"}")))
+                              st.just(b'{"depth": ' + b"1" * 5000 + b"}"),
+                              st.just(b"[" * 100_000 + b"]" * 100_000)))
     else:
         blob = json.dumps(header).encode()
     return _with_crc(body[:8] + struct.pack("<I", len(blob)) + blob + payload)
