@@ -8,6 +8,7 @@ import logging
 import math
 import struct
 import sys
+import time
 import zlib
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -201,6 +202,12 @@ def split_validation(records: list[DatasetRecord]) -> tuple[list, list]:
 
 @dataclass
 class TrainLog:
+    """One row per epoch: ``epoch``, ``loss``, ``lr``, ``val_loss`` (None
+    without a validation split); ``forward_s``, ``backward_s`` and
+    ``optimizer_s``, each summed over the epoch's samples, and
+    ``validation_s``, in seconds; ``samples_per_s`` over the wall time of
+    the epoch's training loop; and ``grad_norm_layer{i}``, the last
+    sample's ``||dW_x||`` of each LSTM layer."""
     epochs: list[dict] = field(default_factory=list)
 
 
@@ -213,7 +220,7 @@ def write_csv(rows: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(keys) + "\n")
         for row in rows:
-            fh.write(",".join(str(row[k]) for k in keys) + "\n")
+            fh.write(",".join("" if row[k] is None else str(row[k]) for k in keys) + "\n")
 
 
 def _layer_grad_norms(model: CaptionModel) -> list[float]:
@@ -253,28 +260,40 @@ def train(config: TrainConfig, records: list[DatasetRecord],
         order = rng.permutation(len(samples))
         epoch_loss = 0.0
         grad_norms = None
+        forward_s = backward_s = optimizer_s = 0.0
+        start = time.perf_counter()
         try:
             for idx in order:
                 rec, cap = samples[idx]
+                t0 = time.perf_counter()
                 loss = teacher_forced_loss(model, rec.load_annotations(), cap,
                                            train_mode=True, rng=rng)
+                t1 = time.perf_counter()
                 loss.backward()
                 epoch_loss += loss.item()
                 grad_norms = _layer_grad_norms(model)
+                t2 = time.perf_counter()
                 opt.step()
+                t3 = time.perf_counter()
+                forward_s += t1 - t0
+                backward_s += t2 - t1
+                optimizer_s += t3 - t2
         except NumericalError as e:
             raise TrainingAborted(
                 f"non-finite values at epoch {epoch}",
                 dump={"epoch": epoch, "lr": opt.lr, "error": str(e),
                       "epoch_loss_so_far": epoch_loss}) from e
+        samples_per_s = len(samples) / (time.perf_counter() - start)
         epoch_loss /= len(samples)
         val_loss = None
+        t0 = time.perf_counter()
         if val_set:
             val_loss = float(np.mean([
                 teacher_forced_loss(model, rec.load_annotations(), cap).item()
                 for rec in val_set for cap in rec.captions]))
-        row = {"epoch": epoch, "loss": epoch_loss, "lr": opt.lr,
-               "val_loss": val_loss}
+        row = {"epoch": epoch, "loss": epoch_loss, "lr": opt.lr, "val_loss": val_loss,
+               "forward_s": forward_s, "backward_s": backward_s, "optimizer_s": optimizer_s,
+               "validation_s": time.perf_counter() - t0, "samples_per_s": samples_per_s}
         for i, g in enumerate(grad_norms or []):
             row[f"grad_norm_layer{i}"] = g
         log.epochs.append(row)

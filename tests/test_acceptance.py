@@ -174,10 +174,14 @@ def test_criterion_3_depth8_trainability(capsys):
     layer0_min = min(row["grad_norm_layer0"] for row in log.epochs)
     assert layer0_min > 1e-8
     assert elapsed < 900
+    phases = {k: sum(row[k] for row in log.epochs)
+              for k in ("forward_s", "backward_s", "optimizer_s", "validation_s")}
     with capsys.disabled():
         print(f"\nPASS criterion 3: depth-8 loss {initial:.4f} -> {final:.4f} "
               f"({final / initial:.1%}) in {len(log.epochs)} epochs / {elapsed:.0f}s; "
-              f"min layer-0 grad norm {layer0_min:.3g}")
+              f"min layer-0 grad norm {layer0_min:.3g}; "
+              + ", ".join(f"{k} {v:.1f}" for k, v in phases.items())
+              + f" (optimizer {phases['optimizer_s'] / sum(phases.values()):.0%})")
 
 
 def test_criterion_4_overfit_fidelity(overfit_depth2, capsys):

@@ -23,12 +23,13 @@ from capreg.encoder import AnnotationSet
 
 def _reshape(x, shape):
     """The same values in a new shape."""
-    return ad._result(x.data.reshape(shape), (x,), lambda g: [g.reshape(x.data.shape)])
+    return ad._result("reshape", x.data.reshape(shape), (x,),
+                      lambda g: [g.reshape(x.data.shape)])
 
 
 def sigmoid(x):
     s = ad._sigmoid(x.data)
-    return ad._result(s, (x,), lambda g: [g * s * (1.0 - s)])
+    return ad._result("sigmoid", s, (x,), lambda g: [g * s * (1.0 - s)])
 
 
 def matmul(a, b):
@@ -47,24 +48,24 @@ def matmul(a, b):
     else:
         def backward(g):
             return [g @ b.data.T, a.data.T @ g]
-    return ad._result(a.data @ b.data, (a, b), backward)
+    return ad._result("matmul", a.data @ b.data, (a, b), backward)
 
 
 def add(a, b):
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return ad._result(a.data + b.data, (a, b), lambda g: [g, g])
+    return ad._result("add", a.data + b.data, (a, b), lambda g: [g, g])
 
 
 def mul(a, b):
     if a.shape != b.shape:
         raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    return ad._result(a.data * b.data, (a, b), lambda g: [g * b.data, g * a.data])
+    return ad._result("mul", a.data * b.data, (a, b), lambda g: [g * b.data, g * a.data])
 
 
 def tanh(x):
     t = np.tanh(x.data)
-    return ad._result(t, (x,), lambda g: [g * (1.0 - t * t)])
+    return ad._result("tanh", t, (x,), lambda g: [g * (1.0 - t * t)])
 
 
 def slice_(x, start, stop):
@@ -76,18 +77,19 @@ def slice_(x, start, stop):
         full = np.zeros_like(x.data)
         full[start:stop] = g
         return [full]
-    return ad._result(x.data[start:stop].copy(), (x,), backward)
+    return ad._result("slice_", x.data[start:stop].copy(), (x,), backward)
 
 
 def add_colvec(m, v):
     """Add a column vector to every column of a 2-D tensor."""
     if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[0] != v.shape[0]:
         raise ValueError(f"add_colvec: incompatible shapes {m.shape} and {v.shape}")
-    return ad._result(m.data + v.data[:, None], (m, v), lambda g: [g, g.sum(axis=1)])
+    return ad._result("add_colvec", m.data + v.data[:, None], (m, v),
+                      lambda g: [g, g.sum(axis=1)])
 
 
 def scale(x, k):
-    return ad._result(x.data * k, (x,), lambda g: [g * k])
+    return ad._result("scale", x.data * k, (x,), lambda g: [g * k])
 
 
 def softmax(logits):
@@ -96,7 +98,7 @@ def softmax(logits):
         raise ValueError("softmax: input must be 1-D")
     e = np.exp(logits.data - logits.data.max())
     s = e / e.sum()
-    return ad._result(s, (logits,), lambda g: [s * (g - np.dot(g, s))])
+    return ad._result("softmax", s, (logits,), lambda g: [s * (g - np.dot(g, s))])
 
 
 def _total(x):
@@ -466,27 +468,68 @@ class TestAdam:
             AdamState([Tensor([1.0])])
 
     def test_three_steps_match_whole_array_oracle(self, block):
-        rng = np.random.default_rng(10)
-        shapes = [((300, 130), np.float32), ((70,), np.float64), ((260, 128), np.float64),
-                  ((), np.float64), ((5, 3), np.float32), ((40000,), np.float32)]
-        inits = [rng.normal(0, 1, shape).astype(dt) for shape, dt in shapes]
-        assert max(a.size for a in inits) > ad._BLOCK
-        sides = []
-        for make in (lambda ps: AdamState(ps, lr=0.01), lambda ps: _OracleAdam(ps, 0.01)):
-            params = [Tensor(a.copy(), requires_grad=True) for a in inits]
-            opt = make(params)
-            grad_rng = np.random.default_rng(11)
-            for _ in range(3):
-                for p in params:
-                    p.grad[...] = grad_rng.normal(0, 1, p.shape)
-                opt.step()
-            sides.append((params, opt))
-        (params, opt), (o_params, oracle) = sides
-        for i, (p, q) in enumerate(zip(params, o_params)):
-            assert p.data.dtype == q.data.dtype
-            assert np.array_equal(p.data, q.data), f"parameter {i} differs"
-            assert np.array_equal(opt.m[i], oracle.m[i]) and np.array_equal(opt.v[i], oracle.v[i])
-            assert not p.grad.any()
+        for scale in (1e-8, 1.0, 1e3):
+            _assert_adam_contract(*_adam_both_ways(3, scale))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1.0, 1e3])
+    def test_200_steps_match_whole_array_oracle(self, scale):
+        # at 1e-8 eps is about half of each denominator, so an eps that
+        # misses the bias correction's scale moves every update
+        _assert_adam_contract(*_adam_both_ways(200, scale))
+
+    def test_rate_changed_between_steps_matches_oracle(self, block):
+        # plateau decay multiplies opt.lr between steps; each step reads it
+        lrs = [0.01 * 0.1 ** (t // 4) for t in range(12)]
+        _assert_adam_contract(*_adam_both_ways(12, 1.0, lrs))
+
+
+_ADAM_SHAPES = [((300, 130), np.float32), ((70,), np.float64), ((260, 128), np.float64),
+                ((), np.float64), ((5, 3), np.float32), ((40000,), np.float32)]
+
+
+def _adam_both_ways(steps, scale, lrs=None):
+    """``AdamState`` and ``_OracleAdam`` run from the same parameters over
+    the same gradients, ``scale`` times standard normal; step t runs at
+    rate ``lrs[t]`` (0.01 throughout by default). Also returns the sum of
+    the rates, and the oracle's first moment of ``|g|`` in f64."""
+    rng = np.random.default_rng(10)
+    inits = [rng.normal(0, 1, shape).astype(dt) for shape, dt in _ADAM_SHAPES]
+    assert max(a.size for a in inits) > ad._BLOCK
+    params = [Tensor(a.copy(), requires_grad=True) for a in inits]
+    o_params = [Tensor(a.copy(), requires_grad=True) for a in inits]
+    opt, oracle = AdamState(params, lr=0.01), _OracleAdam(o_params, 0.01)
+    lrs = [0.01] * steps if lrs is None else lrs
+    abs_m = [np.zeros(a.shape) for a in inits]
+    b1 = ad.ADAM_BETA_1
+    grad_rng = np.random.default_rng(11)
+    for lr in lrs:
+        opt.lr = oracle.lr = lr
+        for p, q, a in zip(params, o_params, abs_m):
+            p.grad[...] = scale * grad_rng.normal(0, 1, p.shape)
+            q.grad[...] = p.grad
+            a *= b1
+            a += (1 - b1) * np.abs(p.grad)
+        opt.step()
+        oracle.step()
+    return params, opt, o_params, oracle, sum(lrs), abs_m
+
+
+def _assert_adam_contract(params, opt, o_params, oracle, lr_sum, abs_m):
+    """The folded update is the whole-array one in exact arithmetic; each
+    step moves a parameter by about lr at most, so the two stay within
+    ``4 eps (|q| + lr t)``. A moment is rounded at most three times a step
+    on either side, and an error decays by beta as the moment does, so the
+    un-scaled moments agree within ``4 eps t`` times the moment of ``|g|``."""
+    b1, b2, t = ad.ADAM_BETA_1, ad.ADAM_BETA_2, oracle.t
+    for i, (p, q) in enumerate(zip(params, o_params)):
+        assert p.data.dtype == q.data.dtype
+        eps = np.finfo(q.data.dtype).eps
+        got, want = p.data.astype(np.float64), q.data.astype(np.float64)
+        assert np.all(np.abs(got - want) <= 4 * eps * (np.abs(want) + lr_sum)), \
+            f"parameter {i} differs"
+        assert np.all(np.abs(opt.m[i] * (1 - b1) - oracle.m[i]) <= 4 * eps * t * abs_m[i])
+        assert np.all(np.abs(opt.v[i] * (1 - b2) - oracle.v[i]) <= 4 * eps * t * oracle.v[i])
+        assert not p.grad.any()
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -668,6 +711,40 @@ class TestFiniteDifferenceCheck:
         err = finite_difference_check(lambda t: ad.mse(t, np.zeros(100)),
                                       x, max_components=10, rng=rng)
         assert err < 1e-6
+
+
+def _param(value):
+    return Tensor(value, requires_grad=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("op, message", [
+    ("lstm", "lstm: non-finite values in a (7, 512) array"),
+    ("attention", "attention: non-finite values in a (4, 6) array"),
+    ("linear", "linear: non-finite values in a (3, 2) array"),
+    ("concat", "concat: non-finite values in a (3,) array"),
+    ("mse", "mse: non-finite values in a () array"),
+    ("cross_entropy", "cross_entropy: non-finite values in a () array")])
+def test_numerical_error_names_the_op(op, message):
+    """A forward op whose result, or an array it checks, holds NaN or Inf
+    raises a NumericalError naming the op and that array's shape. Weights
+    of 1e308 times inputs of ones overflow every sum of two or more
+    products; concat can only pass on a non-finite constant part."""
+    huge = np.full((512, 5), 1e308)
+    calls = {
+        "lstm": lambda: ad.lstm(_param(np.ones((7, 5))), np.zeros(256), _param(huge),
+                                _param(np.zeros((512, 128))), _param(np.zeros(512))),
+        "attention": lambda: ad.attention(np.ones((5, 6)), np.ones((2, 3)), _param(huge[:4]),
+                                          *map(_param, (np.ones((4, 3)), np.ones(4),
+                                                        np.ones(4)))),
+        "linear": lambda: ad.linear(_param(np.ones((3, 5))), _param(huge[:2]),
+                                    _param(np.zeros(2))),
+        "concat": lambda: ad.concat([np.array([np.inf]), _param(np.ones(2))]),
+        "mse": lambda: ad.mse(_param(np.full(4, 1e200)), np.zeros(4)),
+        "cross_entropy": lambda: ad.cross_entropy(_param([1e308, -1e308]), 1)}
+    with pytest.raises(ad.NumericalError) as info:
+        calls[op]()
+    assert str(info.value) == message
 
 
 class TestInvariants:

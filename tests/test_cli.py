@@ -64,7 +64,9 @@ class TestPipeline:
         assert main(["--config", str(config), "train", str(manifest),
                      str(emb), str(ckpt), "--log", str(log)]) == EXIT_OK
         assert ckpt.exists()
-        assert log.read_text().splitlines()[0].startswith("epoch,")
+        header = log.read_text().splitlines()[0].split(",")
+        assert header[0] == "epoch" and {"forward_s", "backward_s", "optimizer_s",
+                                         "validation_s", "samples_per_s"} <= set(header)
         capsys.readouterr()
 
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv"),
@@ -414,8 +416,9 @@ class TestExitCodes:
         save_features(AnnotationSet(np.ones((4, 8)), 2, 2), feat)
         capsys.readouterr()
         assert main(["caption", str(ckpt), str(emb), str(feat)]) == EXIT_NUMERICAL
-        assert capsys.readouterr().err == ("numerical abort: forward op produced "
-                                           "non-finite values\n")
+        # the error names the op and the (attention_k, L) projection it checked
+        assert capsys.readouterr().err == ("numerical abort: attention: non-finite values "
+                                           "in a (4, 4) array\n")
 
     @pytest.mark.parametrize("blob, match", [
         (b'{"lr": 1,}', "parse error: Expecting property name"),

@@ -38,8 +38,9 @@ def lstm_cell(x, state, w_x, w_h, b):
             or w_h.shape != (4 * n, n) or w_x.shape != (4 * n, x.data.size)):
         raise ValueError("lstm_cell: incompatible shapes")
     h_prev, c_prev = state.data[:n], state.data[n:]
-    z = ad._finite(ad._finite(ad._finite(w_x.data @ x.data) + ad._finite(w_h.data @ h_prev))
-                   + b.data)
+    op = "lstm_cell"
+    z = ad._finite(op, ad._finite(op, ad._finite(op, w_x.data @ x.data)
+                                  + ad._finite(op, w_h.data @ h_prev)) + b.data)
     i = ad._sigmoid(z[:n].copy())
     f = ad._sigmoid(z[n:2 * n].copy())
     o = ad._sigmoid(z[2 * n:3 * n].copy())
@@ -57,7 +58,7 @@ def lstm_cell(x, state, w_x, w_h, b):
         dz[3 * n:] = (dc * i) * (1.0 - g * g)
         return [w_x.data.T @ dz, np.concatenate([w_h.data.T @ dz, dc * f]),
                 ad._Outer(dz, x.data), ad._Outer(dz, h_prev), dz]
-    return ad._result(np.concatenate([o * tc, c]), (x, state, w_x, w_h, b), backward)
+    return ad._result("lstm_cell", np.concatenate([o * tc, c]), (x, state, w_x, w_h, b), backward)
 
 
 def lstm_step_ops(x, state, w_x, w_h, b):

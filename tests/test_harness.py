@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -269,7 +270,25 @@ class TestTrain:
         write_csv(log.epochs, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
-        assert lines[0].startswith("epoch,loss,lr")
+        assert lines[0].startswith("epoch,loss,lr,val_loss,forward_s,backward_s,optimizer_s,"
+                                   "validation_s,samples_per_s,")
+        # four records make no validation split: the missing val_loss is an empty field
+        assert all(line.split(",")[3] == "" for line in lines[1:])
+
+    def test_phase_times_logged(self):
+        phases = ("forward_s", "backward_s", "optimizer_s", "validation_s")
+        records = _records(n=12)  # img11 is in the validation split
+        start = time.perf_counter()
+        _, log = train(_toy_config(epochs=3), records, _table())
+        elapsed = time.perf_counter() - start
+        for row in log.epochs:
+            assert all(row[k] >= 0 for k in phases) and row["validation_s"] > 0
+            # samples_per_s counts the 11 training samples over the training
+            # loop's wall time, which holds its three phases
+            assert row["samples_per_s"] > 0
+            train_s = row["forward_s"] + row["backward_s"] + row["optimizer_s"]
+            assert train_s <= 11 / row["samples_per_s"] * (1 + 1e-9)
+        assert sum(row[k] for row in log.epochs for k in phases) <= elapsed
 
     def test_no_rows_no_csv(self, tmp_path):
         write_csv([], tmp_path / "log.csv")
