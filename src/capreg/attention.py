@@ -44,20 +44,14 @@ class AttentionParams:
         return [self.w_hidden_annot, self.w_hidden_word, self.b_hidden, self.w_out]
 
 
-@dataclass
-class AttentionOutput:
-    context: Tensor        # (T, D)
-    weights: np.ndarray    # (T, L)
-
-
 def attend_matrix(annotations: np.ndarray, words: np.ndarray,
-                  params: AttentionParams) -> AttentionOutput:
+                  params: AttentionParams) -> tuple[Tensor, np.ndarray]:
     """Attention of each of T previous words (the rows of ``words``) over
-    the columns of a (D, L) annotation matrix, as one ``ad.attention`` node.
+    the columns of a (D, L) annotation matrix, as one ``ad.attention`` node:
+    the (T, D) context rows and the (T, L) weights.
     Scores use no decoder state, so a caption's T contexts are known before
     its first LSTM step. Both arrays are constants of the caption; the matrix
     is laid out once by ``CaptionModel.annotation_matrix``."""
     if annotations.ndim != 2 or annotations.shape[1] == 0:
         raise ValueError("attend over an empty annotation set")
-    context, weights = ad.attention(annotations, words, *params.tensors())
-    return AttentionOutput(context=context, weights=weights)
+    return ad.attention(annotations, words, *params.tensors())

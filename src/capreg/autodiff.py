@@ -31,7 +31,7 @@ class AutodiffError(Exception):
 
 
 class NumericalError(AutodiffError):
-    """A forward op produced NaN or Inf from finite inputs."""
+    """A forward op produced NaN, Inf or values too large to sum."""
 
 
 PRECISIONS = {"f64": np.float64, "f32": np.float32}
@@ -171,10 +171,13 @@ def _add_term(grad: np.ndarray, term, scratch: _Scratch) -> None:
 
 
 def _finite(op: str, data: np.ndarray) -> np.ndarray:
-    # single reduction instead of np.all(np.isfinite(...)): any NaN/Inf in
-    # the array leaves the sum non-finite
+    # one reduction on the fast path: any NaN/Inf in the array leaves the
+    # sum non-finite, and so do finite values too large to sum; both abort
     if not np.isfinite(data.sum()):
-        raise NumericalError(f"{op}: non-finite values in a {data.shape} array")
+        what = ("finite values whose sum overflows" if np.isfinite(data).all()
+                else "non-finite values")
+        raise NumericalError(f"{op}: {what} in a {data.shape} array, "
+                             f"largest |x| {np.abs(data).max():.3g}")
     return data
 
 

@@ -206,8 +206,8 @@ def teacher_forced_loss(model: CaptionModel, annotations: AnnotationSet,
         raise ValueError("empty caption")
     seq = [START] + list(caption) + [END]
     words = model.embed_rows(seq[:-1])
-    att = attend_matrix(model.annotation_matrix(annotations), words, model.attention)
-    out, _ = stacked_step(model, words, att.context, model.zero_state(),
+    context, _ = attend_matrix(model.annotation_matrix(annotations), words, model.attention)
+    out, _ = stacked_step(model, words, context, model.zero_state(),
                           train_mode=train_mode, rng=rng)
     if model.head.kind == REGRESSION:
         return ad.mse(out, model.embed_rows(seq[1:]))
@@ -234,13 +234,13 @@ def greedy_decode(model: CaptionModel, annotations: AnnotationSet,
     attention_trace: list[np.ndarray] = []
     for _ in range(max_len):
         words = model.embed_rows([word])
-        att = attend_matrix(annots, words, model.attention)
-        out, state = stacked_step(model, words, att.context, state)
+        context, weights = attend_matrix(annots, words, model.attention)
+        out, state = stacked_step(model, words, context, state)
         if model.head.kind == REGRESSION:
             word = nearest_word(out.data[0], model.embedding)
         else:
             word = vocab.decode(1 + int(np.argmax(out.data[0, 1:])))
-        attention_trace.append(att.weights[0])
+        attention_trace.append(weights[0])
         if word == END:
             break
         tokens.append(word)

@@ -27,6 +27,8 @@ RESERVED = (START, END, UNK)
 _MAGIC = b"GEMB"
 _VERSION = 1
 
+_SKIPGRAM_LR = 0.025
+
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
@@ -213,11 +215,12 @@ def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:
 
 def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
                    window: int = 2, epochs: int = 5, negatives: int = 5,
-                   lr: float = 0.025, seed: int = 0) -> EmbeddingTable:
+                   seed: int = 0) -> EmbeddingTable:
     """Skip-gram with negative sampling; returns the input matrix as the table.
 
     Sentences get <start>/<end> wrapped before pair extraction so both
-    control tokens receive trained vectors.
+    control tokens receive trained vectors. Each pair takes one SGD step of
+    rate 0.025 on its loss; a target drawn twice gets both terms.
     """
     if d < 2:
         raise ValueError("embedding dimension must be >= 2")
@@ -259,8 +262,8 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
             epoch_loss += -np.log(np.clip(np.where(labels == 1, p, 1 - p), 1e-12, None)).sum()
             err = p - labels
             grad_h = err @ w_out[targets]
-            w_out[targets] -= lr * np.outer(err, h)
-            w_in[center] -= lr * grad_h
+            np.subtract.at(w_out, targets, _SKIPGRAM_LR * np.outer(err, h))
+            w_in[center] -= _SKIPGRAM_LR * grad_h
         losses.append(epoch_loss / len(pairs))
 
     table = EmbeddingTable(vocab, w_in)

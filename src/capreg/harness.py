@@ -33,6 +33,9 @@ class TrainingAborted(NumericalError):
         self.dump = dump
 
 
+_DECAY_FACTOR = 0.1   # plateau decay: lr *= 0.1 after 50 epochs in a row
+_DECAY_PATIENCE = 50  # without a 1% improvement on the best epoch loss
+
 # accepted value types per TrainConfig annotation; an int is a valid float
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -47,12 +50,9 @@ class TrainConfig:
     head_kind: str = REGRESSION
     dropout_rate: float = 0.5
     lr: float = 0.001
-    decay_factor: float = 0.1
-    decay_patience: int = 50      # epochs without >1% improvement before decay
     epochs: int = 100
     seed: int = 0
     precision: str = "f64"
-    max_decode_len: int = 20
 
     def validate(self) -> None:
         for f in fields(self):
@@ -67,9 +67,7 @@ class TrainConfig:
             raise ValueError("dropout rate must lie in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
-        if not (math.isfinite(self.decay_factor) and 0.0 < self.decay_factor <= 1.0):
-            raise ValueError(f"decay_factor must lie in (0, 1], got {self.decay_factor!r}")
-        for name in ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "max_decode_len"):
+        for name in ("depth", "hidden", "embed_dim", "annot_dim", "attention_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
@@ -304,8 +302,8 @@ def train(config: TrainConfig, records: list[DatasetRecord],
             stale = 0
         else:
             stale += 1
-            if stale >= config.decay_patience:
-                opt.lr *= config.decay_factor
+            if stale >= _DECAY_PATIENCE:
+                opt.lr *= _DECAY_FACTOR
                 stale = 0
         if stop_loss_ratio is not None and epoch_loss < stop_loss_ratio * initial_loss:
             break
@@ -381,8 +379,7 @@ def depth_study(config_base: TrainConfig, depths: list[int],
                               cfg.annot_dim, cfg.attention_k, kind)
             for kind in (REGRESSION, SOFTMAX)
         }
-        pairs = [(greedy_decode(model, rec.load_annotations(),
-                                max_len=cfg.max_decode_len), rec.captions)
+        pairs = [(greedy_decode(model, rec.load_annotations()), rec.captions)
                  for rec in records]
         corpus = EvalCorpus(pairs)
         rows.append({
@@ -418,7 +415,6 @@ def save_checkpoint(model: CaptionModel, path) -> None:
         "annot_dim": model.annot_dim,
         "attention_k": model.attention.b_hidden.shape[0],
         "head_kind": model.head.kind,
-        "dropout_rate": model.dropout_rate,
         "vocab_hash": model.embedding.vocab.content_hash(),
     }
     body = bytearray()
@@ -438,8 +434,8 @@ def save_checkpoint(model: CaptionModel, path) -> None:
         fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
-_MODEL_KEYS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind",
-               "dropout_rate")
+# other header keys, such as the "dropout_rate" of older v2 files, are not read
+_MODEL_KEYS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind")
 
 
 def _checkpoint_header(path, blob: bytes) -> dict:
@@ -462,7 +458,7 @@ def _checkpoint_header(path, blob: bytes) -> dict:
 
 def load_checkpoint(path, embedding: EmbeddingTable,
                     precision: str = "f64") -> CaptionModel:
-    """Rebuild a saved model with its parameters in ``precision``."""
+    """Rebuild a saved model, without dropout, with its parameters in ``precision``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != _CKPT_MAGIC:
@@ -502,8 +498,7 @@ def load_checkpoint(path, embedding: EmbeddingTable,
     model = CaptionModel.init(
         embedding, depth=header["depth"], hidden=header["hidden"],
         annot_dim=header["annot_dim"], attention_k=header["attention_k"],
-        head_kind=header["head_kind"], dropout_rate=header["dropout_rate"],
-        precision=precision)
+        head_kind=header["head_kind"], precision=precision)
     params = model.parameters()
     if uint("payload") != len(params):
         raise CheckpointError(f"{path}: parameter count mismatch")

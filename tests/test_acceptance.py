@@ -221,18 +221,18 @@ def test_criterion_5_attention_properties(overfit_depth2, capsys):
     h = np.ascontiguousarray(hs.T)  # the (D, L) layout attend_matrix reads
     rng.normal(0, 1, 64)  # the decoder state scores once took; keeps v's draw
     v = rng.normal(0, 1, 16)
-    base = attend_matrix(h, v[None], model.attention).weights[0]
+    _, base = attend_matrix(h, v[None], model.attention)
     shifted, _ = reference_attend(hs, v, model.attention, shift=57.0)
-    shift_dev = float(np.max(np.abs(shifted - base)))
+    shift_dev = float(np.max(np.abs(shifted - base[0])))
     assert shift_dev < 1e-9
 
     # conditioning on the previous word: two embeddings, all else fixed
     best_dev = 0.0
     for w1 in model.embedding.vocab.index_to_token[:10]:
         for w2 in model.embedding.vocab.index_to_token[:10]:
-            a1 = attend_matrix(h, model.embed_rows([w1]), model.attention).weights[0]
-            a2 = attend_matrix(h, model.embed_rows([w2]), model.attention).weights[0]
-            best_dev = max(best_dev, float(np.max(np.abs(a1 - a2))))
+            _, a1 = attend_matrix(h, model.embed_rows([w1]), model.attention)
+            _, a2 = attend_matrix(h, model.embed_rows([w2]), model.attention)
+            best_dev = max(best_dev, float(np.max(np.abs(a1[0] - a2[0]))))
     assert best_dev > 1e-3
     with capsys.disabled():
         print(f"\nPASS criterion 5: {steps} decode steps, worst |sum(alpha)-1| "

@@ -63,16 +63,16 @@ class TestAttend:
         p = _params(seed=6)
         rng = np.random.default_rng(7)
         h = rng.normal(0, 1, 6)
-        out = attend_matrix(h[:, None], rng.normal(0, 1, (3, 4)), p)
-        np.testing.assert_allclose(out.weights, 1.0)
-        np.testing.assert_allclose(out.context.data, np.tile(h, (3, 1)), atol=1e-12)
+        context, weights = attend_matrix(h[:, None], rng.normal(0, 1, (3, 4)), p)
+        np.testing.assert_allclose(weights, 1.0)
+        np.testing.assert_allclose(context.data, np.tile(h, (3, 1)), atol=1e-12)
 
     def test_equal_scores_give_uniform_weights(self):
         rng = np.random.default_rng(8)
         hs = rng.normal(0, 1, (5, 6))
-        out = attend_matrix(hs.T, np.zeros((1, 4)), _zero_params())
-        np.testing.assert_allclose(out.weights, 0.2)
-        np.testing.assert_allclose(out.context.data[0], hs.mean(axis=0), atol=1e-12)
+        context, weights = attend_matrix(hs.T, np.zeros((1, 4)), _zero_params())
+        np.testing.assert_allclose(weights, 0.2)
+        np.testing.assert_allclose(context.data[0], hs.mean(axis=0), atol=1e-12)
 
     def test_empty_annotations_rejected(self):
         with pytest.raises(ValueError):
@@ -83,23 +83,23 @@ class TestAttend:
         rng = np.random.default_rng(10)
         hs = rng.normal(0, 1, (5, 6))
         vs = rng.normal(0, 1, (3, 4))
-        out = attend_matrix(hs.T, vs, p)
+        context, weights = attend_matrix(hs.T, vs, p)
         for t, v in enumerate(vs):
             scores = np.array([p.w_out.data @ np.tanh(p.w_hidden_annot.data @ h
                                                       + p.w_hidden_word.data @ v
                                                       + p.b_hidden.data) for h in hs])
             e = np.exp(scores - scores.max())
             alpha = e / e.sum()
-            np.testing.assert_allclose(out.weights[t], alpha, atol=1e-12)
-            np.testing.assert_allclose(out.context.data[t], alpha @ hs, atol=1e-12)
+            np.testing.assert_allclose(weights[t], alpha, atol=1e-12)
+            np.testing.assert_allclose(context.data[t], alpha @ hs, atol=1e-12)
 
     def test_weights_form_simplex(self):
         p = _params(seed=11)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            out = attend_matrix(rng.normal(0, 2, (7, 6)).T, rng.normal(0, 2, (3, 4)), p)
-            assert np.all(out.weights >= 0)
-            np.testing.assert_allclose(out.weights.sum(axis=1), 1.0, atol=1e-6)
+            _, weights = attend_matrix(rng.normal(0, 2, (7, 6)).T, rng.normal(0, 2, (3, 4)), p)
+            assert np.all(weights >= 0)
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
     def test_score_shift_invariance(self):
         # adding a constant to every reference score must not change the
@@ -108,9 +108,9 @@ class TestAttend:
         rng = np.random.default_rng(14)
         hs = rng.normal(0, 1, (4, 6))
         v = rng.normal(0, 1, 4)
-        fast = attend_matrix(hs.T, v[None], p).weights[0]
+        _, fast = attend_matrix(hs.T, v[None], p)
         shifted, _ = attend(hs, v, p, shift=123.45)
-        np.testing.assert_allclose(fast, shifted, atol=1e-9)
+        np.testing.assert_allclose(fast[0], shifted, atol=1e-9)
 
     def test_state_term_cancels(self):
         # the decoder-state term w_state.s + b_out that scores once carried
@@ -123,15 +123,15 @@ class TestAttend:
             v = rng.normal(0, 1, 4)
             w_state, s, b_out = rng.normal(0, 1, 5), rng.normal(0, 1, 5), rng.normal(0, 1)
             alpha, context = attend(hs, v, p, shift=w_state @ s + b_out)
-            fast = attend_matrix(hs.T, v[None], p)
-            np.testing.assert_allclose(fast.weights[0], alpha, atol=1e-12)
-            np.testing.assert_allclose(fast.context.data[0], context, atol=1e-12)
+            fast_context, fast_weights = attend_matrix(hs.T, v[None], p)
+            np.testing.assert_allclose(fast_weights[0], alpha, atol=1e-12)
+            np.testing.assert_allclose(fast_context.data[0], context, atol=1e-12)
 
     def test_previous_word_changes_weights(self):
         p = _params(seed=15)
         rng = np.random.default_rng(16)
         hs = rng.normal(0, 1, (4, 6)).T
-        w = attend_matrix(hs, rng.normal(0, 1, (2, 4)), p).weights
+        _, w = attend_matrix(hs, rng.normal(0, 1, (2, 4)), p)
         assert np.max(np.abs(w[0] - w[1])) > 1e-3
 
     def test_gradients_vs_finite_differences(self):
@@ -144,7 +144,7 @@ class TestAttend:
         target = rng.normal(0, 1, (4, 6))
 
         def f(_):
-            return ad.mse(attend_matrix(hs, vs, p).context, target)
+            return ad.mse(attend_matrix(hs, vs, p)[0], target)
         for param in p.tensors():
             assert finite_difference_check(f, param) < 1e-4
             assert np.linalg.norm(param.grad) == 0.0
@@ -158,11 +158,11 @@ class TestAttend:
         for _ in range(5):
             hs = rng.normal(0, 1, (5, 6))
             vs = rng.normal(0, 1, (3, 4))
-            fast = attend_matrix(hs.T, vs, p)
+            fast_context, fast_weights = attend_matrix(hs.T, vs, p)
             for t, v in enumerate(vs):
                 alpha, context = attend(hs, v, p)
-                np.testing.assert_allclose(fast.weights[t], alpha, atol=1e-12)
-                np.testing.assert_allclose(fast.context.data[t], context, atol=1e-12)
+                np.testing.assert_allclose(fast_weights[t], alpha, atol=1e-12)
+                np.testing.assert_allclose(fast_context.data[t], context, atol=1e-12)
 
     def test_matrix_form_gradients(self):
         # one row, as decoding runs it
@@ -173,8 +173,8 @@ class TestAttend:
         target = rng.normal(0, 1, (1, 6))
 
         def loss(_):
-            out = attend_matrix(h_data.T, v_data, p)
-            return ad.mse(out.context, target)
+            context, _ = attend_matrix(h_data.T, v_data, p)
+            return ad.mse(context, target)
         for param in p.tensors():
             assert finite_difference_check(loss, param) < 1e-4
 
@@ -183,8 +183,8 @@ class TestAttend:
         p = _params(seed=26)
         hs = rng.normal(0, 1, (5, 6)).T.copy()
         vs = rng.normal(0, 1, (7, 4))
-        whole = attend_matrix(hs, vs, p)
+        whole_context, whole_weights = attend_matrix(hs, vs, p)
         for t in range(7):
-            row = attend_matrix(hs, vs[t:t + 1], p)
-            np.testing.assert_allclose(row.weights[0], whole.weights[t], rtol=1e-13)
-            np.testing.assert_allclose(row.context.data[0], whole.context.data[t], rtol=1e-13)
+            row_context, row_weights = attend_matrix(hs, vs[t:t + 1], p)
+            np.testing.assert_allclose(row_weights[0], whole_weights[t], rtol=1e-13)
+            np.testing.assert_allclose(row_context.data[0], whole_context.data[t], rtol=1e-13)

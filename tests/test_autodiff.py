@@ -719,17 +719,18 @@ def _param(value):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("op, message", [
-    ("lstm", "lstm: non-finite values in a (7, 512) array"),
-    ("attention", "attention: non-finite values in a (4, 6) array"),
-    ("linear", "linear: non-finite values in a (3, 2) array"),
-    ("concat", "concat: non-finite values in a (3,) array"),
-    ("mse", "mse: non-finite values in a () array"),
-    ("cross_entropy", "cross_entropy: non-finite values in a () array")])
+    ("lstm", "lstm: non-finite values in a (7, 512) array, largest |x| inf"),
+    ("attention", "attention: non-finite values in a (4, 6) array, largest |x| inf"),
+    ("linear", "linear: non-finite values in a (3, 2) array, largest |x| inf"),
+    ("concat", "concat: non-finite values in a (3,) array, largest |x| inf"),
+    ("mse", "mse: non-finite values in a () array, largest |x| inf"),
+    ("cross_entropy", "cross_entropy: non-finite values in a () array, largest |x| inf")])
 def test_numerical_error_names_the_op(op, message):
     """A forward op whose result, or an array it checks, holds NaN or Inf
-    raises a NumericalError naming the op and that array's shape. Weights
-    of 1e308 times inputs of ones overflow every sum of two or more
-    products; concat can only pass on a non-finite constant part."""
+    raises a NumericalError naming the op, that array's shape and its
+    largest magnitude. Weights of 1e308 times inputs of ones overflow every
+    sum of two or more products; concat can only pass on a non-finite
+    constant part."""
     huge = np.full((512, 5), 1e308)
     calls = {
         "lstm": lambda: ad.lstm(_param(np.ones((7, 5))), np.zeros(256), _param(huge),
@@ -745,6 +746,21 @@ def test_numerical_error_names_the_op(op, message):
     with pytest.raises(ad.NumericalError) as info:
         calls[op]()
     assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_numerical_error_tells_overflowing_sum_from_non_finite():
+    """Finite pre-activations too large to sum still abort, and the message
+    says that they are finite: a (7, 512) array of 1e305."""
+    with pytest.raises(ad.NumericalError) as info:
+        ad.lstm(_param(np.ones((7, 1))), np.zeros(256), _param(np.full((512, 1), 1e305)),
+                _param(np.zeros((512, 128))), _param(np.zeros(512)))
+    assert str(info.value) == ("lstm: finite values whose sum overflows in a (7, 512) "
+                               "array, largest |x| 1e+305")
+    nan = np.ones((2, 3))
+    nan[1, 2] = np.nan
+    with pytest.raises(ad.NumericalError, match=r"non-finite values .* largest \|x\| nan"):
+        ad.linear(_param(nan), _param(np.ones((4, 3))), _param(np.zeros(4)))
 
 
 class TestInvariants:

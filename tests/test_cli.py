@@ -418,7 +418,7 @@ class TestExitCodes:
         assert main(["caption", str(ckpt), str(emb), str(feat)]) == EXIT_NUMERICAL
         # the error names the op and the (attention_k, L) projection it checked
         assert capsys.readouterr().err == ("numerical abort: attention: non-finite values "
-                                           "in a (4, 4) array\n")
+                                           "in a (4, 4) array, largest |x| inf\n")
 
     @pytest.mark.parametrize("blob, match", [
         (b'{"lr": 1,}', "parse error: Expecting property name"),
@@ -446,6 +446,17 @@ class TestExitCodes:
         assert main(["--config", str(config), "train", str(tmp / "train.jsonl"), str(emb),
                      str(tmp / "n.ckpt")]) == EXIT_USAGE
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("decay_factor", 0.5), ("decay_patience", 10), ("max_decode_len", 20)])
+    def test_retired_config_key_is_usage_error(self, workspace, capsys, key, value):
+        # refused before any input is read: the embedding file does not exist
+        tmp, manifest, _ = workspace
+        config = tmp / "c.json"
+        config.write_text(json.dumps({key: value}))
+        assert main(["--config", str(config), "train", str(manifest), str(tmp / "e.bin"),
+                     str(tmp / "m.ckpt")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
     def test_grad_experiment_one_word_vocab_is_usage_error(self, capsys):
         assert main(["grad-experiment", "--vocab-size", "1", "--trials", "2"]) == EXIT_USAGE

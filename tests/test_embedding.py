@@ -227,10 +227,10 @@ class TestTrainSkipgram:
                            for w in ("cat", "dog", "stone"))
         assert cos(cat, dog) > cos(cat, stone)
 
-    def test_zero_lr_keeps_initialization(self):
+    def test_zero_epochs_keeps_initialization(self):
         corpus = [["a", "b", "c", "d"]]
         vocab = build_vocab(corpus, min_count=1)
-        table = train_skipgram(corpus, vocab, d=8, epochs=1, lr=0.0, seed=7)
+        table = train_skipgram(corpus, vocab, d=8, epochs=0, seed=7)
         rng = np.random.default_rng(7)
         expected = (rng.random((len(vocab), 8)) - 0.5) / 8
         np.testing.assert_array_equal(table.vectors, expected)
@@ -253,17 +253,94 @@ class TestTrainSkipgram:
         corpus = [[f"w{min(int(z), 60)}" for z in rng.zipf(1.3, rng.integers(3, 9))]
                   for _ in range(60)]
         vocab = build_vocab(corpus, min_count=1)
-        kwargs = dict(d=16, window=2, epochs=2, negatives=5, lr=0.025, seed=3)
+        kwargs = dict(d=16, window=2, epochs=2, negatives=5, seed=3)
         table = train_skipgram(corpus, vocab, **kwargs)
         vectors, losses = _skipgram_choice_oracle(corpus, vocab, **kwargs)
         assert np.array_equal(table.vectors, vectors)
         assert table.training_losses == losses
 
+    def test_dense_pair_gradient_matches_finite_differences(self):
+        # the targets repeat the context and each other
+        rng = np.random.default_rng(12)
+        w_in, w_out = rng.normal(0, 1, (5, 3)), rng.normal(0, 1, (5, 3))
+        targets = np.array([2, 2, 4, 2, 4, 1])
 
-def _skipgram_choice_oracle(corpus, vocab, d, window, epochs, negatives, lr, seed):
+        def loss(w_in, w_out):
+            return _sgns_pair_loss(w_in, w_out, 3, targets)
+        g_in, g_out = _sgns_dense_grads(w_in, w_out, 3, targets)
+        for w, g in ((w_in, g_in), (w_out, g_out)):
+            fd = np.zeros_like(w)
+            for idx in np.ndindex(w.shape):
+                old = w[idx]
+                w[idx] = old + 1e-6
+                up = loss(w_in, w_out)
+                w[idx] = old - 1e-6
+                fd[idx] = (up - loss(w_in, w_out)) / 2e-6
+                w[idx] = old
+            np.testing.assert_allclose(g, fd, atol=1e-8)
+
+    def test_repeated_targets_get_every_term(self):
+        # four words of noise and five negatives: every pair's negatives
+        # repeat each other, and many repeat the pair's context
+        corpus = [["a", "b"]]
+        vocab = build_vocab(corpus, min_count=1)
+        kwargs = dict(d=8, window=2, epochs=3, negatives=5, seed=6)
+        table = train_skipgram(corpus, vocab, **kwargs)
+        seen = []
+
+        def dense_step(w_in, w_out, center, targets):
+            seen.append(targets)
+            g_in, g_out = _sgns_dense_grads(w_in, w_out, center, targets)
+            w_in -= SKIPGRAM_LR * g_in
+            w_out -= SKIPGRAM_LR * g_out
+        vectors, losses = _skipgram_choice_oracle(corpus, vocab, step=dense_step, **kwargs)
+        assert any(t[0] in t[1:] for t in seen)
+        assert all(len(set(t[1:])) < len(t) - 1 for t in seen)
+        np.testing.assert_allclose(table.vectors, vectors, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(table.training_losses, losses, rtol=1e-13)
+
+        def last_row_wins(w_in, w_out, center, targets):
+            # a fancy-index update keeps one term per repeated target
+            ds = _sgns_score_grads(w_in, w_out, center, targets)
+            grad_h = ds @ w_out[targets]
+            w_out[targets] -= SKIPGRAM_LR * np.outer(ds, w_in[center])
+            w_in[center] -= SKIPGRAM_LR * grad_h
+        dropped, _ = _skipgram_choice_oracle(corpus, vocab, step=last_row_wins, **kwargs)
+        assert np.max(np.abs(dropped - vectors)) > 1e-6
+
+
+SKIPGRAM_LR = 0.025
+
+
+def _sgns_score_grads(w_in, w_out, center, targets):
+    """d loss / d score of each target, the first being the positive."""
+    sign = np.where(np.arange(len(targets)) == 0, 1.0, -1.0)
+    scores = w_out[targets] @ w_in[center]
+    return -sign / (1.0 + np.exp(sign * scores))
+
+
+def _sgns_pair_loss(w_in, w_out, center, targets):
+    """-log s(u_c . h) - sum_n log s(-u_n . h) of one pair, h = w_in[center]."""
+    sign = np.where(np.arange(len(targets)) == 0, 1.0, -1.0)
+    return float(np.log1p(np.exp(-sign * (w_out[targets] @ w_in[center]))).sum())
+
+
+def _sgns_dense_grads(w_in, w_out, center, targets):
+    """One pair's loss gradients over the whole of ``w_in`` and ``w_out``,
+    through one-hot selection matrices: a target drawn k times gets the sum
+    of its k terms."""
+    pick_out = np.eye(len(w_out))[targets]            # (targets, |V|)
+    pick_in = np.eye(len(w_in))[[center]]             # (1, |V|)
+    ds = _sgns_score_grads(w_in, w_out, center, targets)
+    h = pick_in @ w_in                                # (1, d)
+    return pick_in.T @ (ds @ pick_out @ w_out)[None], pick_out.T @ (ds[:, None] * h)
+
+
+def _skipgram_choice_oracle(corpus, vocab, d, window, epochs, negatives, seed, step=None):
     """``train_skipgram`` drawing each pair's negatives with
     ``rng.choice(nv, size=negatives, p=noise)``, which rebuilds the noise
-    CDF on every call."""
+    CDF on every call. ``step(w_in, w_out, center, targets)``, if given,
+    updates the two matrices in place of the pair's SGD step."""
     rng = np.random.default_rng(seed)
     nv = len(vocab)
     encoded = [[vocab.token_to_index[START]] + vocab.encode_sequence(s)
@@ -285,10 +362,13 @@ def _skipgram_choice_oracle(corpus, vocab, d, window, epochs, negatives, lr, see
             h = w_in[center]
             p = 1.0 / (1.0 + np.exp(-(w_out[targets] @ h)))
             epoch_loss += -np.log(np.clip(np.where(labels == 1, p, 1 - p), 1e-12, None)).sum()
+            if step is not None:
+                step(w_in, w_out, center, targets)
+                continue
             err = p - labels
             grad_h = err @ w_out[targets]
-            w_out[targets] -= lr * np.outer(err, h)
-            w_in[center] -= lr * grad_h
+            np.subtract.at(w_out, targets, SKIPGRAM_LR * np.outer(err, h))
+            w_in[center] -= SKIPGRAM_LR * grad_h
         losses.append(epoch_loss / len(pairs))
     return w_in, losses
 

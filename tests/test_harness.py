@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from capreg import harness
 from capreg.autodiff import Tensor
 from capreg.cli import EXIT_OK, main
-from capreg.decoder import REGRESSION, SOFTMAX, CaptionModel, teacher_forced_loss
+from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, greedy_decode,
+                            teacher_forced_loss)
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet, save_features
 from capreg.harness import (CheckpointError, DataError, DatasetRecord,
@@ -90,16 +91,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="lr must be finite"):
             TrainConfig(lr=lr).validate()
 
-    @pytest.mark.parametrize("factor", [0.0, -0.1, 1.5, float("nan"), float("inf")])
-    def test_decay_factor_in_unit_interval(self, factor):
-        with pytest.raises(ValueError, match="decay_factor must lie in"):
-            TrainConfig(decay_factor=factor).validate()
-
-    def test_max_decode_len_positive(self):
-        # checked before training: depth-study decodes only after it trains
-        with pytest.raises(ValueError, match="max_decode_len must be positive"):
-            TrainConfig(max_decode_len=0).validate()
-
     def test_int_is_a_valid_float(self):
         TrainConfig(lr=0, dropout_rate=0).validate()
 
@@ -113,10 +104,13 @@ class TestTrainConfig:
         cfg = TrainConfig.from_file(path, depth=3)
         assert cfg.depth == 3 and cfg.hidden == 32
 
-    def test_unknown_keys_rejected(self, tmp_path):
+    # a misspelling, and the keys that plateau decay and decoding no longer read
+    @pytest.mark.parametrize("key, value", [
+        ("dpeth", 5), ("decay_factor", 0.5), ("decay_patience", 10), ("max_decode_len", 20)])
+    def test_unknown_keys_rejected(self, tmp_path, key, value):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dpeth": 5}))
-        with pytest.raises(ValueError):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
             TrainConfig.from_file(path)
 
 
@@ -232,6 +226,14 @@ class TestTrain:
         model, log = train(_toy_config(lr=0.0, epochs=4), _records(), _table())
         losses = [row["loss"] for row in log.epochs]
         assert max(losses) - min(losses) < 1e-12
+
+    def test_plateau_decay(self):
+        # at lr 1e-9 the loss never improves by 1% on epoch 0's, so the rate
+        # drops tenfold once, after epoch 50
+        _, log = train(_toy_config(lr=1e-9, epochs=52), _records(), _table())
+        lrs = [row["lr"] for row in log.epochs]
+        assert lrs[:51] == [1e-9] * 51
+        assert lrs[51] == pytest.approx(1e-10, rel=1e-15)
 
     def test_loss_decreases(self):
         model, log = train(_toy_config(epochs=30), _records(), _table())
@@ -430,7 +432,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value", [
         ("depth", "1"), ("depth", 1.0), ("depth", True), ("depth", 0), ("hidden", -3),
-        ("head_kind", 1), ("dropout_rate", "0"), ("vocab_hash", None)])
+        ("head_kind", 1), ("vocab_hash", None)])
     def test_bad_header_value_refused(self, saved, key, value):
         path, table, header = saved
         header[key] = value
@@ -438,7 +440,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"model.ckpt: header {key}: "):
             load_checkpoint(path, table)
 
-    @pytest.mark.parametrize("key, value", [("head_kind", "beam"), ("dropout_rate", 1.0)])
+    @pytest.mark.parametrize("key, value", [("head_kind", "beam")])
     def test_header_value_out_of_range_refused(self, saved, key, value):
         # TrainConfig.validate refuses these at the header, before
         # param_count or CaptionModel.init sees them
@@ -491,6 +493,28 @@ class TestCheckpoint:
                            match="model.ckpt: truncated payload: the header declares"):
             load_checkpoint(path, table)
 
+    def test_header_stores_no_dropout(self, tmp_path):
+        table = _table()
+        model, _ = train(_toy_config(epochs=1, dropout_rate=0.3), _records(), table)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        assert "dropout_rate" not in checkpoint_header(path)
+        loaded = load_checkpoint(path, table)
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_header_holding_dropout_still_loads(self, tmp_path):
+        # as older v2 files do; decoding never reads it
+        table = _table()
+        model, _ = train(_toy_config(epochs=3, dropout_rate=0.3), _records(), table)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        records = _records()
+        tokens = [greedy_decode(model, r.annotations) for r in records]
+        rewrite_checkpoint(path, {**checkpoint_header(path), "dropout_rate": 0.5})
+        loaded = load_checkpoint(path, table)
+        assert [greedy_decode(loaded, r.annotations) for r in records] == tokens
+
     def test_rewrite_helper_keeps_a_valid_file(self, saved):
         path, table, header = saved
         rewrite_checkpoint(path, header)
@@ -498,7 +522,7 @@ class TestCheckpoint:
 
 
 _CKPT_KEYS = ["depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind",
-              "dropout_rate", "vocab_hash"]
+              "vocab_hash"]
 # A huge depth is left out: were the size check lost, it would build layer
 # after layer instead of failing at once as these sizes do.
 _HUGE_DIMS = ["hidden", "embed_dim", "annot_dim", "attention_k"]
