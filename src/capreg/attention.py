@@ -48,7 +48,7 @@ def attend_matrix(annotations: np.ndarray, words: np.ndarray,
                   params: AttentionParams) -> tuple[Tensor, np.ndarray]:
     """Attention of each of T previous words (the rows of ``words``) over
     the columns of a (D, L) annotation matrix, as one ``ad.attention`` node:
-    the (T, D) context rows and the (T, L) weights.
+    the (T, d + D) rows ``[word; context]`` and the (T, L) weights.
     Scores use no decoder state, so a caption's T contexts are known before
     its first LSTM step. Both arrays are constants of the caption; the matrix
     is laid out once by ``CaptionModel.annotation_matrix``."""

@@ -7,7 +7,7 @@ its ``.grad``. The graph must be a tree above its leaves: each op result
 feeds one op. A leaf may feed several, and its terms add up.
 ``AdamState.step`` zeroes the gradients.
 
-The ops (``attention``, ``lstm``, ``linear``, ``concat``, ``mse``,
+The five ops (``attention``, ``lstm``, ``linear``, ``mse``,
 ``cross_entropy``) each cover all T time steps of a caption in one node.
 They take the caption's constants (annotations, previous-word rows,
 targets, dropout masks, a starting state) as plain arrays, which are not
@@ -197,21 +197,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def concat(parts: Sequence) -> Tensor:
-    """Join tensors, and arrays taken as constants, along their last axis."""
-    arrays = [p.data if isinstance(p, Tensor) else np.asarray(p) for p in parts]
-    if len({(a.ndim, a.shape[:-1]) for a in arrays}) != 1 or arrays[0].ndim not in (1, 2):
-        raise ValueError(f"concat: needs 1-D or 2-D parts that agree but in the last axis, "
-                         f"got shapes {[a.shape for a in arrays]}")
-    offsets = np.cumsum([0] + [a.shape[-1] for a in arrays])
-    blocks = [(p, offsets[i], offsets[i + 1]) for i, p in enumerate(parts)
-              if isinstance(p, Tensor)]
-
-    def backward(g):
-        return [g[..., lo:hi] for _, lo, hi in blocks]
-    return _result("concat", np.concatenate(arrays, axis=-1), [p for p, _, _ in blocks], backward)
-
-
 def attention(annotations: np.ndarray, words: np.ndarray, w_annot: Tensor,
               w_word: Tensor, b: Tensor, w_out: Tensor) -> tuple[Tensor, np.ndarray]:
     """Soft attention of T query rows over the L columns ``a_l`` of a (D, L)
@@ -220,7 +205,9 @@ def attention(annotations: np.ndarray, words: np.ndarray, w_annot: Tensor,
     Row t scores column l as ``w_out . tanh(w_annot a_l + w_word v_t + b)``,
     with ``v_t`` row t of ``words`` (T, d), and its context is the
     softmax-weighted sum of the columns. The annotations and the words are
-    constants. Returns the (T, D) context node and the (T, L) weights.
+    constants. Returns the node of the (T, d + D) rows ``[v_t; context_t]``
+    that the first LSTM layer reads, and the (T, L) weights. The backward
+    drops the first d columns of its gradient: the words are constants.
     """
     if (annotations.ndim != 2 or words.ndim != 2 or w_annot.shape[1] != annotations.shape[0]
             or w_word.shape[1] != words.shape[1] or w_word.shape[0] != w_annot.shape[0]
@@ -236,17 +223,18 @@ def attention(annotations: np.ndarray, words: np.ndarray, w_annot: Tensor,
     scores -= scores.max(axis=1, keepdims=True)
     alphas = np.exp(scores)
     alphas /= alphas.sum(axis=1, keepdims=True)
+    d = words.shape[1]
 
     def backward(g):
-        d_alpha = g @ annotations
+        d_alpha = g[:, d:] @ annotations
         d_score = alphas * (d_alpha - (d_alpha * alphas).sum(axis=1, keepdims=True))
         d_pre = w_out.data[:, None] * d_score[:, None, :]
         d_pre *= 1.0 - hidden * hidden
         d_bias = d_pre.sum(axis=2)                                # (T, k)
         return [d_pre.sum(axis=0) @ annotations.T, _Outer(d_bias, words),
                 d_bias.sum(axis=0), np.einsum("tkl,tl->k", hidden, d_score)]
-    context = _result("attention", alphas @ annotations.T, (w_annot, w_word, b, w_out), backward)
-    return context, alphas
+    rows = np.concatenate([words, alphas @ annotations.T], axis=1)
+    return _result("attention", rows, (w_annot, w_word, b, w_out), backward), alphas
 
 
 def lstm(x: Tensor, state: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,

@@ -90,13 +90,17 @@ def cmd_caption(args) -> int:
 
 
 def _read_by_id(path, key: str, valid, expected: str) -> dict:
-    """{id: obj[key]} over the JSON lines of ``path``; ``valid`` checks each value."""
-    out = {}
+    """{id: obj[key]} over the JSON lines of ``path``; ``valid`` checks each
+    value, and an id may appear on one line only."""
+    out, lines = {}, {}
     for lineno, obj in read_jsonl(path, "id", key):
         if isinstance(obj["id"], (list, dict)):
             raise DataError(f"{path}:{lineno}: 'id' must be a string or a number")
         if not valid(obj[key]):
             raise DataError(f"{path}:{lineno}: {key!r} must be {expected}")
+        if obj["id"] in lines:
+            raise DataError(f"{path}:{lineno}: id {obj['id']!r} repeats line {lines[obj['id']]}")
+        lines[obj["id"]] = lineno
         out[obj["id"]] = obj[key]
     return out
 

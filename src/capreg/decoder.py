@@ -1,10 +1,11 @@
 """Stacked LSTM caption decoder.
 
-Layer 0 consumes the concatenation of the previous word embedding and the
-attention context; each deeper layer consumes the hidden output of the layer
-below. The output head is either a linear regression onto the word embedding
-space or a softmax layer over the vocabulary. Dropout (inverted) is applied
-to every layer's hidden output in training mode only.
+Layer 0 consumes the rows ``[word; context]`` of the previous word embedding
+and its attention context, which the attention node returns; each deeper
+layer consumes the hidden output of the layer below. The output head is
+either a linear regression onto the word embedding space or a softmax layer
+over the vocabulary. Dropout (inverted) is applied to every layer's hidden
+output in training mode only.
 
 Training runs each caption layer by layer over all of its T steps: one
 attention node, one node per LSTM layer, one head node and one loss node.
@@ -166,12 +167,12 @@ class CaptionModel:
         return np.ascontiguousarray(annotations.vectors.T, dtype=self.dtype)
 
 
-def stacked_step(model: CaptionModel, words: np.ndarray, context: Tensor,
-                 state: list[np.ndarray], train_mode: bool = False,
-                 rng: np.random.Generator | None = None
+def stacked_step(model: CaptionModel, inputs: Tensor, state: list[np.ndarray],
+                 train_mode: bool = False, rng: np.random.Generator | None = None
                  ) -> tuple[Tensor, list[np.ndarray]]:
     """T time steps through the full stack, layer by layer: layer 0 reads the
-    rows ``[word; context]``, each deeper layer the hidden rows below.
+    T rows ``[word; context]`` of ``inputs``, the node ``attend_matrix``
+    returns, and each deeper layer the hidden rows below.
     ``state`` holds each layer's ``[h; c]`` before the first step. Returns
     (the T rows of head outputs, each layer's ``[h; c]`` after the last).
 
@@ -185,9 +186,9 @@ def stacked_step(model: CaptionModel, words: np.ndarray, context: Tensor,
     if train_mode and rate > 0.0:
         if rng is None:
             raise ValueError("train-mode dropout needs an RNG")
-        draws = rng.random((len(words), model.depth, model.hidden))
+        draws = rng.random((inputs.shape[0], model.depth, model.hidden))
         masks = ((draws >= rate) / (1.0 - rate)).astype(model.dtype, copy=False)
-    x = ad.concat([words, context])
+    x = inputs
     new_state = []
     for ell, (layer, layer_state) in enumerate(zip(model.layers, state)):
         x, layer_state = lstm_step(x, layer_state, layer,
@@ -201,14 +202,13 @@ def teacher_forced_loss(model: CaptionModel, annotations: AnnotationSet,
                         rng: np.random.Generator | None = None) -> Tensor:
     """Mean per-step loss with ground-truth previous words fed back, over
     the T = len(caption) + 1 steps from ``<start>`` to ``<end>``, built as
-    one graph of a dozen nodes whatever T is."""
+    one graph of depth + 3 nodes whatever T is."""
     if not caption:
         raise ValueError("empty caption")
     seq = [START] + list(caption) + [END]
-    words = model.embed_rows(seq[:-1])
-    context, _ = attend_matrix(model.annotation_matrix(annotations), words, model.attention)
-    out, _ = stacked_step(model, words, context, model.zero_state(),
-                          train_mode=train_mode, rng=rng)
+    inputs, _ = attend_matrix(model.annotation_matrix(annotations),
+                              model.embed_rows(seq[:-1]), model.attention)
+    out, _ = stacked_step(model, inputs, model.zero_state(), train_mode=train_mode, rng=rng)
     if model.head.kind == REGRESSION:
         return ad.mse(out, model.embed_rows(seq[1:]))
     return ad.cross_entropy(out, model.embedding.vocab.encode_sequence(seq[1:]))
@@ -233,9 +233,8 @@ def greedy_decode(model: CaptionModel, annotations: AnnotationSet,
     tokens: list[str] = []
     attention_trace: list[np.ndarray] = []
     for _ in range(max_len):
-        words = model.embed_rows([word])
-        context, weights = attend_matrix(annots, words, model.attention)
-        out, state = stacked_step(model, words, context, state)
+        inputs, weights = attend_matrix(annots, model.embed_rows([word]), model.attention)
+        out, state = stacked_step(model, inputs, state)
         if model.head.kind == REGRESSION:
             word = nearest_word(out.data[0], model.embedding)
         else:

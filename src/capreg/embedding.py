@@ -72,7 +72,8 @@ def build_vocab(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
     """Build a vocabulary from tokenized sentences.
 
     Tokens seen fewer than ``min_count`` times collapse to <unk>. Reserved
-    tokens always occupy indices 0..2.
+    tokens always occupy indices 0..2. A kept token may not hold a NUL,
+    which separates the tokens of a saved table.
     """
     if not corpus:
         raise DataError("empty corpus")
@@ -81,6 +82,9 @@ def build_vocab(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
         counts.update(sentence)
     kept = sorted(t for t, c in counts.items()
                   if c >= min_count and t not in RESERVED)
+    for t in kept:
+        if "\x00" in t:
+            raise DataError(f"token {t!r} holds a NUL, which a saved table cannot store")
     return Vocabulary(list(RESERVED) + kept)
 
 
@@ -247,22 +251,25 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
     w_in = (rng.random((nv, d)) - 0.5) / d
     w_out = np.zeros((nv, d))
 
+    labels = np.zeros(negatives + 1)
+    labels[0] = 1.0
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
+        # each pair's context, then its negatives: one draw of the whole
+        # epoch's uniforms is the stream of one rng.random(negatives) per pair
+        targets = np.empty((len(pairs), negatives + 1), np.int64)
+        targets[:, 0] = pairs[order, 1]
+        targets[:, 1:] = cdf.searchsorted(rng.random((len(pairs), negatives)), side="right")
         epoch_loss = 0.0
-        for center, context in pairs[order]:
-            neg = cdf.searchsorted(rng.random(negatives), side="right")
-            targets = np.concatenate(([context], neg))
-            labels = np.zeros(negatives + 1)
-            labels[0] = 1.0
+        for center, tgt in zip(pairs[order, 0], targets):
             h = w_in[center]
-            scores = w_out[targets] @ h
-            p = 1.0 / (1.0 + np.exp(-scores))
+            rows = w_out[tgt]
+            p = 1.0 / (1.0 + np.exp(-(rows @ h)))
             epoch_loss += -np.log(np.clip(np.where(labels == 1, p, 1 - p), 1e-12, None)).sum()
             err = p - labels
-            grad_h = err @ w_out[targets]
-            np.subtract.at(w_out, targets, _SKIPGRAM_LR * np.outer(err, h))
+            grad_h = err @ rows
+            np.subtract.at(w_out, tgt, _SKIPGRAM_LR * np.outer(err, h))
             w_in[center] -= _SKIPGRAM_LR * grad_h
         losses.append(epoch_loss / len(pairs))
 

@@ -61,12 +61,12 @@ def load_features(path) -> AnnotationSet:
     expected = 20 + rows * cols * channels * 4 + 4
     if len(raw) != expected:
         raise DataError(f"{path}: truncated payload ({len(raw)} of {expected} bytes)")
-    stored_crc, = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(raw[:-4]) != stored_crc:
+    body = memoryview(raw)[:-4]  # check and read the checksummed bytes, without a copy
+    if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
         raise DataError(f"{path}: checksum mismatch")
     if rows * cols == 0 or channels == 0:
         raise DataError(f"{path}: empty {rows}x{cols}x{channels} grid")
-    grid = np.frombuffer(raw[20:-4], dtype="<f4").reshape(rows, cols, channels)
+    grid = np.frombuffer(body[20:], dtype="<f4").reshape(rows, cols, channels)
     vectors = grid.reshape(rows * cols, channels).astype(np.float64)
     try:
         return AnnotationSet(vectors, rows, cols)

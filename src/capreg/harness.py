@@ -463,9 +463,9 @@ def load_checkpoint(path, embedding: EmbeddingTable,
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    if zlib.crc32(raw[:-4]) != struct.unpack("<I", raw[-4:])[0]:
+    body = memoryview(raw)[:-4]  # check and parse the checksummed bytes, without a copy
+    if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
         raise CheckpointError(f"{path}: checksum mismatch")
-    body = memoryview(raw)[:-4]  # parse within the checksummed bytes, without a copy
     off = 4
 
     def take(n: int, what: str) -> memoryview:

@@ -26,8 +26,8 @@ from capreg.metrics import EvalCorpus, bleu, cider, rouge_l
 from capreg.attention import attend_matrix
 
 from test_attention import attend as reference_attend
-from test_autodiff import (_total, finite_difference_check, matmul, mul, scale, sigmoid,
-                           slice_, softmax, tanh)
+from test_autodiff import (_total, concat, finite_difference_check, matmul, mul, scale,
+                           sigmoid, slice_, softmax, tanh)
 from test_metrics import (_oracle_bleu, _oracle_cider, _oracle_rouge_l,
                           _random_corpus)
 
@@ -78,11 +78,11 @@ def _caption_op_cases(rng):
     labels = rng.integers(6, size=4)
 
     def attention(_):
-        return ad.mse(ad.attention(annots, words, *att)[0], context)
+        return ad.mse(ad.attention(annots, words, *att)[0], np.hstack([words, context]))
 
     def outputs():
         hidden = ad.lstm(x, state, *lstm, mask)[0]
-        return ad.linear(ad.concat([words[:, :1], hidden]), *head)
+        return ad.linear(concat([words[:, :1], hidden]), *head)
 
     def regression_head(_):
         return ad.mse(outputs(), target)
@@ -113,7 +113,7 @@ def test_criterion_1_gradient_correctness(capsys):
             lambda t: _total(mul(softmax(t), Tensor(np.arange(8.0)))),
             lambda t: _total(tanh(sigmoid(t))),
             lambda t: _total(scale(mul(t, t), 1 / 8)),
-            lambda t: _total(slice_(ad.concat([t, t]), 2, 13)),
+            lambda t: _total(slice_(concat([t, t]), 2, 13)),
             lambda t: ad.cross_entropy(matmul(t, mix), label),
         ]
         for f in op_cases:

@@ -27,6 +27,12 @@ def attend(hs, v_prev, params, shift=0.0):
     return alpha, sum(a * h for a, h in zip(alpha, hs))
 
 
+def _context(rows):
+    """The context columns of attend_matrix's rows ``[word; context]``: the
+    last D = 6 of the tests' annotation vectors."""
+    return rows.data[:, -6:]
+
+
 def _params(annot_dim=6, word_dim=4, k=3, seed=0):
     rng = np.random.default_rng(seed)
     return AttentionParams.init(annot_dim, word_dim, k, rng)
@@ -63,16 +69,16 @@ class TestAttend:
         p = _params(seed=6)
         rng = np.random.default_rng(7)
         h = rng.normal(0, 1, 6)
-        context, weights = attend_matrix(h[:, None], rng.normal(0, 1, (3, 4)), p)
+        rows, weights = attend_matrix(h[:, None], rng.normal(0, 1, (3, 4)), p)
         np.testing.assert_allclose(weights, 1.0)
-        np.testing.assert_allclose(context.data, np.tile(h, (3, 1)), atol=1e-12)
+        np.testing.assert_allclose(_context(rows), np.tile(h, (3, 1)), atol=1e-12)
 
     def test_equal_scores_give_uniform_weights(self):
         rng = np.random.default_rng(8)
         hs = rng.normal(0, 1, (5, 6))
-        context, weights = attend_matrix(hs.T, np.zeros((1, 4)), _zero_params())
+        rows, weights = attend_matrix(hs.T, np.zeros((1, 4)), _zero_params())
         np.testing.assert_allclose(weights, 0.2)
-        np.testing.assert_allclose(context.data[0], hs.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(_context(rows)[0], hs.mean(axis=0), atol=1e-12)
 
     def test_empty_annotations_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +89,10 @@ class TestAttend:
         rng = np.random.default_rng(10)
         hs = rng.normal(0, 1, (5, 6))
         vs = rng.normal(0, 1, (3, 4))
-        context, weights = attend_matrix(hs.T, vs, p)
+        rows, weights = attend_matrix(hs.T, vs, p)
+        # the rows layer 0 reads: each previous word, then its context
+        assert rows.shape == (3, 10)
+        np.testing.assert_array_equal(rows.data[:, :4], vs)
         for t, v in enumerate(vs):
             scores = np.array([p.w_out.data @ np.tanh(p.w_hidden_annot.data @ h
                                                       + p.w_hidden_word.data @ v
@@ -91,7 +100,7 @@ class TestAttend:
             e = np.exp(scores - scores.max())
             alpha = e / e.sum()
             np.testing.assert_allclose(weights[t], alpha, atol=1e-12)
-            np.testing.assert_allclose(context.data[t], alpha @ hs, atol=1e-12)
+            np.testing.assert_allclose(_context(rows)[t], alpha @ hs, atol=1e-12)
 
     def test_weights_form_simplex(self):
         p = _params(seed=11)
@@ -123,9 +132,9 @@ class TestAttend:
             v = rng.normal(0, 1, 4)
             w_state, s, b_out = rng.normal(0, 1, 5), rng.normal(0, 1, 5), rng.normal(0, 1)
             alpha, context = attend(hs, v, p, shift=w_state @ s + b_out)
-            fast_context, fast_weights = attend_matrix(hs.T, v[None], p)
+            fast_rows, fast_weights = attend_matrix(hs.T, v[None], p)
             np.testing.assert_allclose(fast_weights[0], alpha, atol=1e-12)
-            np.testing.assert_allclose(fast_context.data[0], context, atol=1e-12)
+            np.testing.assert_allclose(_context(fast_rows)[0], context, atol=1e-12)
 
     def test_previous_word_changes_weights(self):
         p = _params(seed=15)
@@ -141,7 +150,7 @@ class TestAttend:
         hs = rng.normal(0, 1, (3, 6)).T.copy()
         vs = rng.normal(0, 1, (4, 4))
         p = _params(seed=18)
-        target = rng.normal(0, 1, (4, 6))
+        target = np.hstack([vs, rng.normal(0, 1, (4, 6))])
 
         def f(_):
             return ad.mse(attend_matrix(hs, vs, p)[0], target)
@@ -158,11 +167,11 @@ class TestAttend:
         for _ in range(5):
             hs = rng.normal(0, 1, (5, 6))
             vs = rng.normal(0, 1, (3, 4))
-            fast_context, fast_weights = attend_matrix(hs.T, vs, p)
+            fast_rows, fast_weights = attend_matrix(hs.T, vs, p)
             for t, v in enumerate(vs):
                 alpha, context = attend(hs, v, p)
                 np.testing.assert_allclose(fast_weights[t], alpha, atol=1e-12)
-                np.testing.assert_allclose(fast_context.data[t], context, atol=1e-12)
+                np.testing.assert_allclose(_context(fast_rows)[t], context, atol=1e-12)
 
     def test_matrix_form_gradients(self):
         # one row, as decoding runs it
@@ -170,11 +179,11 @@ class TestAttend:
         p = _params(seed=24)
         h_data = rng.normal(0, 1, (4, 6))
         v_data = rng.normal(0, 1, (1, 4))
-        target = rng.normal(0, 1, (1, 6))
+        target = np.hstack([v_data, rng.normal(0, 1, (1, 6))])
 
         def loss(_):
-            context, _ = attend_matrix(h_data.T, v_data, p)
-            return ad.mse(context, target)
+            rows, _ = attend_matrix(h_data.T, v_data, p)
+            return ad.mse(rows, target)
         for param in p.tensors():
             assert finite_difference_check(loss, param) < 1e-4
 
@@ -183,8 +192,8 @@ class TestAttend:
         p = _params(seed=26)
         hs = rng.normal(0, 1, (5, 6)).T.copy()
         vs = rng.normal(0, 1, (7, 4))
-        whole_context, whole_weights = attend_matrix(hs, vs, p)
+        whole_rows, whole_weights = attend_matrix(hs, vs, p)
         for t in range(7):
-            row_context, row_weights = attend_matrix(hs, vs[t:t + 1], p)
+            rows, row_weights = attend_matrix(hs, vs[t:t + 1], p)
             np.testing.assert_allclose(row_weights[0], whole_weights[t], rtol=1e-13)
-            np.testing.assert_allclose(row_context.data[0], whole_context.data[t], rtol=1e-13)
+            np.testing.assert_allclose(rows.data[0], whole_rows.data[t], rtol=1e-13)

