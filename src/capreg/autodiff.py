@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation engine.
 
-Tensors wrap numpy arrays and record the ops applied to them; calling
-``backward()`` on a scalar result walks the recorded graph down from it and
-adds every gradient term that reaches a tensor with ``requires_grad`` to
-its ``.grad``. The graph must be a tree above its leaves: each op result
-feeds one op. A leaf may feed several, and its terms add up.
-``AdamState.step`` zeroes the gradients.
+A tensor is a parameter, a leaf with a ``.grad``, or an op result, which
+records its parents and backward and has no ``.grad``. ``backward()`` on a
+scalar result walks the recorded graph down from it and adds every gradient
+term that reaches a parameter to its ``.grad``. The graph must be a tree
+above its leaves: each op result feeds one op. A parameter may feed
+several, and its terms add up. ``AdamState.step`` zeroes the gradients.
 
 The five ops (``attention``, ``lstm``, ``linear``, ``mse``,
 ``cross_entropy``) each cover all T time steps of a caption in one node.
@@ -38,16 +38,14 @@ PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 
 class Tensor:
-    """An n-dimensional array participating in the differentiation graph."""
+    """A parameter, with a ``.grad``, or an op result (:func:`_result`)."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_backward_done", "name")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_backward_done", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = np.zeros_like(self.data)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], list] | None = None
         self._backward_done = False
@@ -70,9 +68,9 @@ class Tensor:
         sends, and raises :class:`AutodiffError` if it reaches an op result
         a second time: a second consumer would re-walk the whole subgraph
         below it. A parameter adds each term it receives to ``.grad`` as it
-        arrives (:func:`_add_term`), so one that feeds two ops gets the sum;
-        terms for constants are dropped. A weight-gradient term arrives as
-        an unformed product ``U^T V`` (:class:`_Outer`). In the caption
+        arrives (:func:`_add_term`), so one that feeds two ops gets the sum.
+        A weight-gradient term arrives as an unformed product ``U^T V``
+        (:class:`_Outer`). In the caption
         model every parameter gets exactly one term: ``dZ^T X`` over the
         caption's T rows, or a sum over them.
 
@@ -93,8 +91,7 @@ class Tensor:
         while stack:
             node, grad = stack.pop()
             if node._backward is None:
-                if node.requires_grad:  # not a constant root
-                    _add_term(node.grad, grad, scratch)
+                _add_term(node.grad, grad, scratch)
                 continue
             for parent, term in zip(node._parents, node._backward(grad)):
                 if parent._backward is not None:
@@ -102,8 +99,6 @@ class Tensor:
                         raise AutodiffError("an op result feeds more than one op, or an "
                                             "earlier backward() ran through it")
                     parent._backward_done = True
-                elif not parent.requires_grad:
-                    continue
                 stack.append((parent, term))
 
 
@@ -183,9 +178,9 @@ def _finite(op: str, data: np.ndarray) -> np.ndarray:
 
 def _result(op: str, data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], list]) -> Tensor:
-    out = Tensor(_finite(op, data))
-    out._parents = tuple(parents)
-    out._backward = backward
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.name = _finite(op, data), None, None
+    out._parents, out._backward, out._backward_done = tuple(parents), backward, False
     return out
 
 
@@ -377,9 +372,8 @@ class AdamState:
 
     def __init__(self, params: Iterable[Tensor], lr: float = 0.001):
         self.params = list(params)
-        for p in self.params:
-            if not p.requires_grad:
-                raise AutodiffError("Adam over a tensor without requires_grad")
+        if any(p.grad is None for p in self.params):
+            raise AutodiffError("Adam over an op result; only a parameter has a .grad")
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -399,8 +393,6 @@ class AdamState:
         k = math.sqrt((1 - b2) / c2)
         alpha, eps = self.lr * (1 - b1) / (c1 * k), ADAM_EPS / k
         for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                raise AutodiffError("adam step with missing gradient")
             for blk in _row_blocks(p.data.shape):
                 g, mb, vb, x = p.grad[blk], m[blk], v[blk], p.data[blk]
                 t1, t2 = self._scratch.pair(x.dtype, x.shape)

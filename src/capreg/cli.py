@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes, one exception type each: 0 success; 1 usage error, a
-``ValueError`` (``CheckpointError`` is one) or an argument argparse refuses;
-2 data error, a ``DataError`` or an ``OSError``; 3 numerical abort, a
-``NumericalError`` (``TrainingAborted`` is one, and adds a JSON dump).
+Exit codes: 0 success; 1 usage error, a ``ValueError`` (``CheckpointError``
+is one), an argument argparse refuses or a ``MemoryError``; 2 data error, a
+``DataError`` or an ``OSError``; 3 numerical abort, a ``NumericalError``
+(``TrainingAborted`` is one, and adds a JSON dump).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _read_by_id(path, key: str, valid, expected: str) -> dict:
     value, and an id may appear on one line only."""
     out, lines = {}, {}
     for lineno, obj in read_jsonl(path, "id", key):
-        if isinstance(obj["id"], (list, dict)):
+        if obj["id"] is None or isinstance(obj["id"], (bool, list, dict)):
             raise DataError(f"{path}:{lineno}: 'id' must be a string or a number")
         if not valid(obj[key]):
             raise DataError(f"{path}:{lineno}: {key!r} must be {expected}")
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, OSError) as e:

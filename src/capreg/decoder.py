@@ -44,10 +44,10 @@ class LSTMLayerParams:
         b[hidden:2 * hidden] = 1.0  # forget-gate bias opens the cell path early
         return cls(
             w_x=Tensor(ad.xavier_uniform(rng, input_dim, hidden, (4 * hidden, input_dim), dtype),
-                       requires_grad=True, name=f"lstm{layer_index}.w_x"),
+                       name=f"lstm{layer_index}.w_x"),
             w_h=Tensor(ad.xavier_uniform(rng, hidden, hidden, (4 * hidden, hidden), dtype),
-                       requires_grad=True, name=f"lstm{layer_index}.w_h"),
-            b=Tensor(b, requires_grad=True, name=f"lstm{layer_index}.b"),
+                       name=f"lstm{layer_index}.w_h"),
+            b=Tensor(b, name=f"lstm{layer_index}.b"),
         )
 
     @property
@@ -71,8 +71,8 @@ class OutputHead:
             raise ValueError(f"unknown head kind {kind!r}")
         return cls(kind,
                    w=Tensor(ad.xavier_uniform(rng, hidden, out_dim, (out_dim, hidden), dtype),
-                            requires_grad=True, name="head.w"),
-                   b=Tensor(np.zeros(out_dim, dtype), requires_grad=True, name="head.b"))
+                            name="head.w"),
+                   b=Tensor(np.zeros(out_dim, dtype), name="head.b"))
 
     def apply(self, hidden: Tensor) -> Tensor:
         """The head's outputs for the (T, hidden) rows of the top layer."""

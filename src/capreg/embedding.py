@@ -72,8 +72,8 @@ def build_vocab(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
     """Build a vocabulary from tokenized sentences.
 
     Tokens seen fewer than ``min_count`` times collapse to <unk>. Reserved
-    tokens always occupy indices 0..2. A kept token may not hold a NUL,
-    which separates the tokens of a saved table.
+    tokens always occupy indices 0..2. A kept token may hold neither a NUL,
+    which separates a saved table's tokens, nor a surrogate UTF-8 refuses.
     """
     if not corpus:
         raise DataError("empty corpus")
@@ -85,6 +85,10 @@ def build_vocab(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
     for t in kept:
         if "\x00" in t:
             raise DataError(f"token {t!r} holds a NUL, which a saved table cannot store")
+        try:
+            t.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"token {t!r} holds a surrogate, which UTF-8 cannot encode") from None
     return Vocabulary(list(RESERVED) + kept)
 
 

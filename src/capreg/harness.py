@@ -10,7 +10,7 @@ import struct
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,10 @@ _DECAY_PATIENCE = 50  # without a 1% improvement on the best epoch loss
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when built: a bad value raises ValueError."""
+
     depth: int = 2
     hidden: int = 128
     embed_dim: int = 64
@@ -54,7 +56,7 @@ class TrainConfig:
     seed: int = 0
     precision: str = "f64"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
@@ -70,8 +72,9 @@ class TrainConfig:
         for name in ("depth", "hidden", "embed_dim", "annot_dim", "attention_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "seed"):  # numpy refuses a negative seed only once training starts
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.precision not in ad.PRECISIONS:
             raise ValueError("precision must be f32 or f64")
 
@@ -234,7 +237,6 @@ def train(config: TrainConfig, records: list[DatasetRecord],
     below that fraction of the initial epoch loss. The model is built in
     ``config.precision``.
     """
-    config.validate()
     train_set, val_set = split_validation(records)
     if not train_set:
         train_set, val_set = records, []
@@ -329,26 +331,26 @@ def grad_experiment(vocab_size: int, embed_dim: int,
         raise ValueError("embed_dim and trials must be positive")
     rng = np.random.default_rng(seed)
 
-    uniform = Tensor(np.zeros(vocab_size), requires_grad=True)
+    uniform = Tensor(np.zeros(vocab_size))
     ad.cross_entropy(uniform, 0).backward()
     uniform_nontarget = float(np.abs(uniform.grad[1:]).mean())
 
     nontarget_means = []
     for _ in range(trials):
-        logits = Tensor(rng.normal(0, 1, vocab_size), requires_grad=True)
+        logits = Tensor(rng.normal(0, 1, vocab_size))
         y = int(rng.integers(vocab_size))
         ad.cross_entropy(logits, y).backward()
         g = np.abs(logits.grad)
         nontarget_means.append((g.sum() - g[y]) / (vocab_size - 1))
     softmax_mean = float(np.mean(nontarget_means))
 
-    unit_pred = Tensor(np.ones(embed_dim), requires_grad=True)
+    unit_pred = Tensor(np.ones(embed_dim))
     ad.mse(unit_pred, np.zeros(embed_dim)).backward()
     regression_unit = float(np.abs(unit_pred.grad).mean())
 
     reg_means = []
     for _ in range(trials):
-        pred = Tensor(rng.normal(0, 1, embed_dim), requires_grad=True)
+        pred = Tensor(rng.normal(0, 1, embed_dim))
         ad.mse(pred, rng.normal(0, 1, embed_dim)).backward()
         reg_means.append(float(np.abs(pred.grad).mean()))
     regression_mean = float(np.mean(reg_means))
@@ -372,7 +374,7 @@ def depth_study(config_base: TrainConfig, depths: list[int],
         raise ValueError("depth list is empty")
     rows = []
     for depth in depths:
-        cfg = TrainConfig(**{**asdict(config_base), "depth": depth})
+        cfg = replace(config_base, depth=depth)
         model, log = train(cfg, records, embedding)
         counts = {
             kind: param_count(depth, cfg.hidden, embedding.dim, len(embedding.vocab),
@@ -447,7 +449,7 @@ def _checkpoint_header(path, blob: bytes) -> dict:
             raise CheckpointError(f"{path}: header lacks {key!r}")
     for key in _MODEL_KEYS:
         try:
-            TrainConfig(**{key: header[key]}).validate()
+            TrainConfig(**{key: header[key]})
         except ValueError as e:
             raise CheckpointError(f"{path}: header {key}: {e}") from e
     vocab_hash = header["vocab_hash"]

@@ -68,7 +68,7 @@ def _caption_op_cases(rng):
     (from a nonzero state, under a dropout mask), the row concat with a
     constant block, the head, and both losses."""
     def param(*shape, scale=0.5):
-        return Tensor(rng.normal(0, scale, shape), requires_grad=True)
+        return Tensor(rng.normal(0, scale, shape))
     annots, words = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (4, 5))
     att = [param(7, 6), param(7, 5), param(7), param(7)]
     x, lstm = param(4, 2, scale=1.0), [param(12, 2), param(12, 3), param(12)]
@@ -101,7 +101,7 @@ def test_criterion_1_gradient_correctness(capsys):
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(0, 1, 8), requires_grad=True)
+        x = Tensor(rng.normal(0, 1, 8))
         w = Tensor(rng.normal(0, 1, (5, 8)))
         target8 = rng.normal(0, 1, 8)
         label = int(rng.integers(8))

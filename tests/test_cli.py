@@ -165,13 +165,19 @@ class TestExitCodes:
         ('{"id": "x", "candidate": "a dog"}', '{"id": "x", "references": ["a dog", 3]}'),
         ('{"id": "x", "candidate": ["a", "dog"]}', '{"id": "x", "references": ["a dog"]}'),
         ('{"id": ["x"], "candidate": "a dog"}', '{"id": "x", "references": ["a dog"]}'),
+        # true is the same dict key as 1, so these would match and score 100
+        ('{"id": true, "candidate": "a dog"}', '{"id": 1, "references": ["a dog"]}'),
+        ('{"id": false, "candidate": "a dog"}', '{"id": 0, "references": ["a dog"]}'),
+        ('{"id": null, "candidate": "a dog"}', '{"id": null, "references": ["a dog"]}'),
+        ('{"id": 1, "candidate": "a dog"}', '{"id": true, "references": ["a dog"]}'),
         ('{"id": "x", "candidate": "a dog"}\n{"id": "x", "candidate": "a cat"}',
          '{"id": "x", "references": ["a dog"]}'),
         ('{"id": "x", "candidate": "a dog"}',
          '{"id": "x", "references": ["a dog"]}\n{"id": "x", "references": ["a cat"]}'),
     ], ids=["no-candidate-key", "malformed-json", "not-an-object", "no-references-key",
             "references-a-string", "references-empty", "reference-not-a-string",
-            "candidate-not-a-string", "id-a-list", "candidate-id-repeated",
+            "candidate-not-a-string", "id-a-list", "id-true", "id-false", "id-null",
+            "reference-id-true", "candidate-id-repeated",
             "reference-id-repeated"])
     def test_bad_evaluate_input_is_data_error(self, tmp_path, cand_line, ref_line):
         cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
@@ -271,6 +277,40 @@ class TestExitCodes:
                      "--epochs", "1"]) == EXIT_DATA
         assert not emb.exists()
         assert "token 'dog\\x00x' holds a NUL" in capsys.readouterr().err
+
+    def test_lone_surrogate_in_a_caption_token_is_data_error(self, workspace, capsys):
+        # valid JSON, but the saved table's UTF-8 token list cannot hold it;
+        # refused before skip-gram trains, so nothing is written
+        tmp, manifest, config = workspace
+        manifest.write_text(manifest.read_text().replace("a dog runs", "a dog\\ud800 runs"))
+        emb = tmp / "e.bin"
+        assert main(["train-embeddings", str(manifest), str(emb), "--dim", "8",
+                     "--epochs", "1"]) == EXIT_DATA
+        assert not emb.exists()
+        assert "token 'dog\\ud800' holds a surrogate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, options, config_text", [
+        ("train", ["--dropout-rate", "1.5"], None),
+        ("train", [], '{"depth": "8"}'),
+        ("depth-study", [], '{"lr": -1}')], ids=["flag", "config-train", "config-depth-study"])
+    def test_bad_config_is_usage_error_before_any_input_is_read(self, tmp_path, capsys,
+                                                                 command, options, config_text):
+        # the manifest is missing, a data error, but the config is checked first
+        argv = []
+        if config_text is not None:
+            (tmp_path / "c.json").write_text(config_text)
+            argv = ["--config", str(tmp_path / "c.json")]
+        argv += [command, str(tmp_path / "missing.jsonl"), str(tmp_path / "e.bin"), *options]
+        if command == "train":
+            argv.append(str(tmp_path / "m.ckpt"))
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_size_too_large_to_allocate_is_usage_error(self, capsys):
+        # 8 PB in one array: numpy refuses it on any host without allocating it
+        assert main(["grad-experiment", "--vocab-size", str(10**15)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, field", [("train", "depth"), ("depth-study", "hidden")])
     def test_mistyped_config_value_is_usage_error(self, workspace, capsys, command, field):

@@ -166,17 +166,17 @@ def _state(h, c):
 class TestLstmStep:
     def test_zero_weights_zero_state(self):
         params = LSTMLayerParams(
-            w_x=Tensor(np.zeros((16, 3)), requires_grad=True),
-            w_h=Tensor(np.zeros((16, 4)), requires_grad=True),
-            b=Tensor(np.zeros(16), requires_grad=True))
+            w_x=Tensor(np.zeros((16, 3))),
+            w_h=Tensor(np.zeros((16, 4))),
+            b=Tensor(np.zeros(16)))
         h, _ = lstm_step(Tensor(np.ones((2, 3))), np.zeros(8), params)
         np.testing.assert_array_equal(h.data, 0.0)
 
     def test_hidden_is_the_width_of_w_h(self):
         params = LSTMLayerParams(
-            w_x=Tensor(np.zeros((12, 3)), requires_grad=True),
-            w_h=Tensor(np.zeros((12, 3)), requires_grad=True),
-            b=Tensor(np.zeros(12), requires_grad=True))
+            w_x=Tensor(np.zeros((12, 3))),
+            w_h=Tensor(np.zeros((12, 3))),
+            b=Tensor(np.zeros(12)))
         assert params.hidden == 3
         with pytest.raises(AttributeError):
             params.hidden = 4
@@ -186,9 +186,9 @@ class TestLstmStep:
         b = np.full(4 * hidden, -50.0)       # shut input/output/candidate
         b[hidden:2 * hidden] = 50.0          # saturate the forget gate
         params = LSTMLayerParams(
-            w_x=Tensor(np.zeros((16, 3)), requires_grad=True),
-            w_h=Tensor(np.zeros((16, 4)), requires_grad=True),
-            b=Tensor(b, requires_grad=True))
+            w_x=Tensor(np.zeros((16, 3))),
+            w_h=Tensor(np.zeros((16, 4))),
+            b=Tensor(b))
         c0 = np.array([1.0, -2.0, 3.0, 0.5])
         _, hc = lstm_step(Tensor(np.ones((5, 3))), _state(np.zeros(4), c0), params)
         np.testing.assert_allclose(hc[hidden:], c0, atol=1e-12)
@@ -275,7 +275,7 @@ class TestFusedCell:
         args = [rng.normal(0, 1, inp), rng.normal(0, 1, 2 * hidden),
                 rng.normal(0, 0.7, (4 * hidden, inp)), rng.normal(0, 0.7, (4 * hidden, hidden)),
                 rng.normal(0, 0.5, 4 * hidden)]
-        tensors = [Tensor(a, requires_grad=k == which) for k, a in enumerate(args)]
+        tensors = [Tensor(a) for a in args]
         weights = Tensor(rng.normal(0, 1, 2 * hidden))  # weighs both h and c
 
         def f(t):
@@ -472,9 +472,10 @@ class TestGraphSize:
         assert len(_ops(out)) == 10
 
 
-def _terms_sent(loss, walk=Tensor.backward):
-    """(gradient terms the walk sends, those sent to constant leaves) when
-    ``walk`` runs from ``loss``."""
+def _terms_sent(loss, params, walk=Tensor.backward):
+    """(gradient terms the walk sends, those sent to leaves other than
+    ``params``) when ``walk`` runs from ``loss``."""
+    params = {id(p) for p in params}
     sent = [0, 0]
     for node in _ops(loss):
         def counted(g, node=node, local_terms=node._backward):
@@ -482,7 +483,7 @@ def _terms_sent(loss, walk=Tensor.backward):
             for parent, term in zip(node._parents, terms):
                 if term is not None:
                     sent[0] += 1
-                    sent[1] += parent._backward is None and not parent.requires_grad
+                    sent[1] += parent._backward is None and id(parent) not in params
             return terms
         node._backward = counted
     walk(loss)
@@ -574,10 +575,12 @@ class TestPerCaptionContract:
         # zero states, word vectors, annotation matrix and dropout masks;
         # the per-caption ops take those as arrays and form no term for them
         model = _model(depth=8, dropout=dropout)
+        params = model.parameters()
         sent = _terms_sent(teacher_forced_loss(model, _annots(), self.CAPTION, train_mode=True,
-                                               rng=np.random.default_rng(0)))
+                                               rng=np.random.default_rng(0)), params)
         ref_sent = _terms_sent(per_step_loss(model, _annots(), self.CAPTION, train_mode=True,
-                                             rng=np.random.default_rng(0)), _oracle_backward)
+                                             rng=np.random.default_rng(0)), params,
+                               _oracle_backward)
         assert ref_sent[1] > 0
         assert sent[1] == 0
         # one per parameter, and one into each op's input: the loss's, the

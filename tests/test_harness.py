@@ -69,30 +69,46 @@ def _toy_config(**kw):
 
 class TestTrainConfig:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_bad_head_kind(self):
         with pytest.raises(ValueError):
-            TrainConfig(head_kind="beam").validate()
+            TrainConfig(head_kind="beam")
 
     def test_dropout_range(self):
         with pytest.raises(ValueError):
-            TrainConfig(dropout_rate=1.0).validate()
+            TrainConfig(dropout_rate=1.0)
 
     @pytest.mark.parametrize("field, value", [
         ("depth", "8"), ("depth", 8.0), ("depth", True), ("lr", "0.1"),
         ("lr", False), ("head_kind", 1)])
     def test_field_types_checked(self, field, value):
         with pytest.raises(ValueError, match=f"config {field} must be"):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -1e-3])
     def test_lr_finite_and_non_negative(self, lr):
         with pytest.raises(ValueError, match="lr must be finite"):
-            TrainConfig(lr=lr).validate()
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("field", ["epochs", "seed"])
+    def test_counts_non_negative(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            TrainConfig(**{field: -1})
 
     def test_int_is_a_valid_float(self):
-        TrainConfig(lr=0, dropout_rate=0).validate()
+        TrainConfig(lr=0, dropout_rate=0)
+
+    def test_frozen_once_built(self):
+        # checked when built, so a later assignment cannot make it invalid
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().dropout_rate = 1.5
+
+    def test_file_value_checked_when_read(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"dropout_rate": 1.5}')
+        with pytest.raises(ValueError, match="dropout rate"):
+            TrainConfig.from_file(path)
 
     def test_no_file_gives_defaults_and_overrides(self):
         cfg = TrainConfig.from_file(None, depth=3, hidden=None)
@@ -442,7 +458,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value", [("head_kind", "beam")])
     def test_header_value_out_of_range_refused(self, saved, key, value):
-        # TrainConfig.validate refuses these at the header, before
+        # building a TrainConfig refuses these at the header, before
         # param_count or CaptionModel.init sees them
         path, table, header = saved
         header[key] = value
@@ -629,12 +645,12 @@ def _config_files(draw):
 @given(blob=_config_files())
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_config_file_fuzz(tmp_path_factory, blob):
-    """A config file that ``from_file`` and ``validate`` refuse only ever
+    """A config file that ``from_file`` refuses only ever
     raises ValueError, which the CLI reports as a usage error."""
     path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
     path.write_bytes(blob)
     try:
-        TrainConfig.from_file(path).validate()
+        TrainConfig.from_file(path)
     except ValueError:
         pass
 
