@@ -1,11 +1,15 @@
 """Minimal reverse-mode automatic differentiation engine.
 
-A tensor is a parameter, a leaf with a ``.grad``, or an op result, which
-records its parents and backward and has no ``.grad``. ``backward()`` on a
-scalar result walks the recorded graph down from it and adds every gradient
-term that reaches a parameter to its ``.grad``. The graph must be a tree
-above its leaves: each op result feeds one op. A parameter may feed
-several, and its terms add up. ``AdamState.step`` zeroes the gradients.
+A tensor is a parameter, a leaf that collects gradient terms in ``.terms``,
+or an op result, which records its parents and backward and has no terms
+(``None``). ``backward()`` on a scalar result walks the recorded graph down
+from it and appends every gradient term that reaches a parameter to its
+``.terms``, unsummed. The graph must be a tree above its leaves: each op
+result feeds one op. A parameter may feed several, and its terms add up.
+No parameter holds a dense gradient: ``AdamState.step`` forms each row
+block of a parameter's gradient from its terms in a reused buffer, updates
+the parameter from it and empties the list. ``Tensor.gradient()`` forms
+the whole sum the same way, for a reader such as a logged norm.
 
 The five ops (``attention``, ``lstm``, ``linear``, ``mse``,
 ``cross_entropy``) each cover all T time steps of a caption in one node.
@@ -38,14 +42,17 @@ PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 
 class Tensor:
-    """A parameter, with a ``.grad``, or an op result (:func:`_result`)."""
+    """A parameter, or an op result (:func:`_result`). A parameter's
+    ``terms`` lists the gradient terms ``backward()`` has sent it since the
+    last step, in arrival order, each a dense array of its shape or an
+    unformed product (:class:`_Outer`); an op result's is ``None``."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_backward_done", "name")
+    __slots__ = ("data", "terms", "_parents", "_backward", "_backward_done", "name")
 
     def __init__(self, data, name: str | None = None):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
-        self.grad = np.zeros_like(self.data)
+        self.terms: list | None = []
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], list] | None = None
         self._backward_done = False
@@ -58,6 +65,16 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    def gradient(self) -> np.ndarray:
+        """The sum of this parameter's terms, formed whole and block by
+        block as ``AdamState.step`` forms it: zeros if it has none."""
+        if self.terms is None:
+            raise AutodiffError("an op result has no gradient; only a parameter collects terms")
+        out = np.empty_like(self.data)
+        for rows in _row_blocks(out.shape):
+            _form(self.terms, rows, out[rows], np.empty_like(out[rows]))
+        return out
+
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
 
@@ -67,12 +84,12 @@ class Tensor:
         The walk hands each op result the one gradient its one consumer
         sends, and raises :class:`AutodiffError` if it reaches an op result
         a second time: a second consumer would re-walk the whole subgraph
-        below it. A parameter adds each term it receives to ``.grad`` as it
-        arrives (:func:`_add_term`), so one that feeds two ops gets the sum.
-        A weight-gradient term arrives as an unformed product ``U^T V``
-        (:class:`_Outer`). In the caption
-        model every parameter gets exactly one term: ``dZ^T X`` over the
-        caption's T rows, or a sum over them.
+        below it. A parameter appends each term it receives to ``.terms``
+        as it arrives, so one that feeds two ops, or two walks before a
+        step, gets the sum. A weight-gradient term arrives as an unformed
+        product ``U^T V`` (:class:`_Outer`). In the caption model every
+        parameter gets exactly one term: ``dZ^T X`` over the caption's T
+        rows, or a sum over them.
 
         Because the caption-level ops batch what the per-step graph computed
         one step at a time (a GEMM in place of T matrix-vector products),
@@ -86,12 +103,11 @@ class Tensor:
             raise AutodiffError("backward() already ran on this graph; re-run the forward pass first")
         self._backward_done = True
 
-        scratch = _Scratch()
         stack = [(self, np.ones_like(self.data))]
         while stack:
             node, grad = stack.pop()
             if node._backward is None:
-                _add_term(node.grad, grad, scratch)
+                node.terms.append(grad)
                 continue
             for parent, term in zip(node._parents, node._backward(grad)):
                 if parent._backward is not None:
@@ -114,7 +130,10 @@ class _Outer:
     ``v`` (T, k), such as ``dZ^T X``, left unformed: a parameter's gradient
     forms it one row block at a time, so the (m, k) product never exists
     whole. A vector factor is one row, so T = 1 is the rank-one ``u v^T``.
-    The ops send it only to their weights, which are parameters."""
+    The ops send it only to their weights, which are parameters. It is
+    formed when the step runs, so its factors must not be a parameter's
+    data, which the step may already have updated; the caption model's are
+    activations and constants."""
 
     __slots__ = ("u", "v")
 
@@ -126,17 +145,17 @@ class _Outer:
 
 
 class _Scratch:
-    """Two reusable flat buffers per dtype, grown to the largest block asked for."""
+    """Three reusable flat buffers per dtype, grown to the largest block asked for."""
 
     def __init__(self):
-        self._bufs: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+        self._bufs: dict[np.dtype, tuple[np.ndarray, ...]] = {}
 
-    def pair(self, dtype, shape) -> tuple[np.ndarray, np.ndarray]:
+    def take(self, dtype, shape) -> tuple[np.ndarray, ...]:
         n = math.prod(shape)
         bufs = self._bufs.get(dtype)
         if bufs is None or bufs[0].size < n:
-            bufs = self._bufs[dtype] = (np.empty(n, dtype), np.empty(n, dtype))
-        return bufs[0][:n].reshape(shape), bufs[1][:n].reshape(shape)
+            bufs = self._bufs[dtype] = tuple(np.empty(n, dtype) for _ in range(3))
+        return tuple(b[:n].reshape(shape) for b in bufs)
 
 
 def _row_blocks(shape) -> list:
@@ -154,15 +173,21 @@ def _row_blocks(shape) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _add_term(grad: np.ndarray, term, scratch: _Scratch) -> None:
-    """``grad += term`` in place. A product term is formed one row block at
-    a time into a reused buffer, so no temporary the size of ``grad`` is
-    made; each block is bitwise the matching rows of the whole product."""
-    if not isinstance(term, _Outer):
-        grad += term
-        return
-    for blk in _row_blocks(grad.shape):
-        grad[blk] += term.block(blk, scratch.pair(grad.dtype, grad[blk].shape)[0])
+def _form(terms: list, rows, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Rows ``rows`` of the sum of ``terms`` into ``out``, zeros if there
+    are none. The first term is written there and each later one added in
+    arrival order, which gives the bits of adding each in turn to zeros,
+    but for the sign of a zero. A product term's block, bitwise the
+    matching rows of the whole product, is formed in place or, after the
+    first term, in ``tmp`` of ``out``'s shape."""
+    if not terms:
+        out.fill(0.0)
+    for i, term in enumerate(terms):
+        block = term.block(rows, tmp if i else out) if isinstance(term, _Outer) else term[rows]
+        if i:
+            out += block
+        elif block is not out:
+            np.copyto(out, block)
 
 
 def _finite(op: str, data: np.ndarray) -> np.ndarray:
@@ -179,7 +204,7 @@ def _finite(op: str, data: np.ndarray) -> np.ndarray:
 def _result(op: str, data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], list]) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data, out.grad, out.name = _finite(op, data), None, None
+    out.data, out.terms, out.name = _finite(op, data), None, None
     out._parents, out._backward, out._backward_done = tuple(parents), backward, False
     return out
 
@@ -368,12 +393,14 @@ ADAM_EPS = 1e-8
 
 class AdamState:
     """Adam with bias correction over a fixed parameter list. ``m[i]`` and ``v[i]``
-    hold Kingma and Ba's moments pre-divided: ``m / (1 - beta1)``, ``v / (1 - beta2)``."""
+    hold Kingma and Ba's moments pre-divided: ``m / (1 - beta1)``, ``v / (1 - beta2)``.
+    No gradient is stored: a step forms each row block of a parameter's
+    gradient from its terms, uses it and reuses the buffer for the next."""
 
     def __init__(self, params: Iterable[Tensor], lr: float = 0.001):
         self.params = list(params)
-        if any(p.grad is None for p in self.params):
-            raise AutodiffError("Adam over an op result; only a parameter has a .grad")
+        if any(p.terms is None for p in self.params):
+            raise AutodiffError("Adam over an op result; only a parameter collects gradient terms")
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -381,12 +408,15 @@ class AdamState:
         self._scratch = _Scratch()
 
     def step(self) -> None:
-        """Apply one update from the accumulated gradients, then zero them:
-        ``p -= lr m_hat / (sqrt(v_hat) + eps)`` with the bias corrections
-        ``c = 1 - beta^t`` folded in (Kingma and Ba 2015, section 2), as
-        ``p -= alpha m / (sqrt(v) + eps / k)`` with ``k = sqrt((1 - beta2) / c2)``
-        and ``alpha = lr (1 - beta1) / (c1 k)``: 11 passes and one divide per row
-        block, in two reused buffers. The tests hold it to the textbook form."""
+        """Apply one update from each parameter's gradient terms, then empty
+        them: ``p -= lr m_hat / (sqrt(v_hat) + eps)`` with the bias
+        corrections ``c = 1 - beta^t`` folded in (Kingma and Ba 2015,
+        section 2), as ``p -= alpha m / (sqrt(v) + eps / k)`` with
+        ``k = sqrt((1 - beta2) / c2)`` and ``alpha = lr (1 - beta1) / (c1 k)``.
+        Per row block the gradient is formed from the terms (:func:`_form`),
+        then 10 passes, one of them a divide, update ``m``, ``v`` and ``p``,
+        in three reused buffers. A parameter with no terms steps with a zero
+        gradient. The tests hold it to the textbook form."""
         self.t += 1
         b1, b2 = ADAM_BETA_1, ADAM_BETA_2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
@@ -394,8 +424,9 @@ class AdamState:
         alpha, eps = self.lr * (1 - b1) / (c1 * k), ADAM_EPS / k
         for p, m, v in zip(self.params, self.m, self.v):
             for blk in _row_blocks(p.data.shape):
-                g, mb, vb, x = p.grad[blk], m[blk], v[blk], p.data[blk]
-                t1, t2 = self._scratch.pair(x.dtype, x.shape)
+                mb, vb, x = m[blk], v[blk], p.data[blk]
+                g, t1, t2 = self._scratch.take(x.dtype, x.shape)
+                _form(p.terms, blk, g, t1)
                 mb *= b1
                 mb += g
                 np.multiply(g, g, out=t1)
@@ -406,7 +437,7 @@ class AdamState:
                 np.divide(mb, t2, out=t1)
                 t1 *= alpha
                 x -= t1
-                g.fill(0.0)
+            p.terms.clear()
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

@@ -161,10 +161,21 @@ def cmd_param_report(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: numpy's generators take non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="capreg",
                                      description="Caption decoder toolkit")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_seed, default=None)
     parser.add_argument("--config", type=str, default=None)
     parser.add_argument("--precision", choices=("f32", "f64"), default=None)
     sub = parser.add_subparsers(dest="command", required=True)

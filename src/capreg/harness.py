@@ -225,7 +225,7 @@ def write_csv(rows: list[dict], path) -> None:
 
 
 def _layer_grad_norms(model: CaptionModel) -> list[float]:
-    return [float(np.linalg.norm(layer.w_x.grad)) for layer in model.layers]
+    return [float(np.linalg.norm(layer.w_x.gradient())) for layer in model.layers]
 
 
 def train(config: TrainConfig, records: list[DatasetRecord],
@@ -271,7 +271,8 @@ def train(config: TrainConfig, records: list[DatasetRecord],
                 t1 = time.perf_counter()
                 loss.backward()
                 epoch_loss += loss.item()
-                grad_norms = _layer_grad_norms(model)
+                if idx == order[-1]:  # the logged norms are the last sample's
+                    grad_norms = _layer_grad_norms(model)
                 t2 = time.perf_counter()
                 opt.step()
                 t3 = time.perf_counter()
@@ -333,26 +334,26 @@ def grad_experiment(vocab_size: int, embed_dim: int,
 
     uniform = Tensor(np.zeros(vocab_size))
     ad.cross_entropy(uniform, 0).backward()
-    uniform_nontarget = float(np.abs(uniform.grad[1:]).mean())
+    uniform_nontarget = float(np.abs(uniform.gradient()[1:]).mean())
 
     nontarget_means = []
     for _ in range(trials):
         logits = Tensor(rng.normal(0, 1, vocab_size))
         y = int(rng.integers(vocab_size))
         ad.cross_entropy(logits, y).backward()
-        g = np.abs(logits.grad)
+        g = np.abs(logits.gradient())
         nontarget_means.append((g.sum() - g[y]) / (vocab_size - 1))
     softmax_mean = float(np.mean(nontarget_means))
 
     unit_pred = Tensor(np.ones(embed_dim))
     ad.mse(unit_pred, np.zeros(embed_dim)).backward()
-    regression_unit = float(np.abs(unit_pred.grad).mean())
+    regression_unit = float(np.abs(unit_pred.gradient()).mean())
 
     reg_means = []
     for _ in range(trials):
         pred = Tensor(rng.normal(0, 1, embed_dim))
         ad.mse(pred, rng.normal(0, 1, embed_dim)).backward()
-        reg_means.append(float(np.abs(pred.grad).mean()))
+        reg_means.append(float(np.abs(pred.gradient()).mean()))
     regression_mean = float(np.mean(reg_means))
 
     return {

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capreg import autodiff as ad
-from capreg.autodiff import AdamState, AutodiffError, Tensor
+from capreg.autodiff import PRECISIONS, AdamState, AutodiffError, Tensor
 from capreg.decoder import REGRESSION, SOFTMAX, CaptionModel, teacher_forced_loss
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
 from capreg.encoder import AnnotationSet
@@ -143,15 +144,15 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor,
     carries roundoff noise of order eps*|f|/h, which would otherwise dominate
     the floored denominator.
     """
-    if x.grad is None:
+    if x.terms is None:
         raise AutodiffError("finite_difference_check needs a parameter, not an op result")
-    x.grad[...] = 0.0
+    x.terms.clear()
     out = f(x)
     if out.data.size != 1:
         raise AutodiffError("finite_difference_check requires a scalar-valued function")
     out.backward()
-    analytic = x.grad.copy()
-    x.grad[...] = 0.0
+    analytic = x.gradient()
+    x.terms.clear()
 
     flat = x.data.reshape(-1)
     indices = np.arange(flat.size)
@@ -262,13 +263,14 @@ class TestCrossEntropy:
         loss = ad.cross_entropy(logits, 0)
         assert abs(loss.item() - math.log(4)) < 1e-12
         loss.backward()
-        np.testing.assert_allclose(logits.grad, [-0.75, 0.25, 0.25, 0.25])
+        np.testing.assert_allclose(logits.gradient(), [-0.75, 0.25, 0.25, 0.25])
 
     def test_uniform_20000_nontarget_components(self):
         logits = Tensor(np.zeros(20000))
         ad.cross_entropy(logits, 7).backward()
-        np.testing.assert_allclose(logits.grad[:7], 5e-5, atol=1e-15)
-        np.testing.assert_allclose(logits.grad[8:], 5e-5, atol=1e-15)
+        g = logits.gradient()
+        np.testing.assert_allclose(g[:7], 5e-5, atol=1e-15)
+        np.testing.assert_allclose(g[8:], 5e-5, atol=1e-15)
 
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
@@ -297,7 +299,7 @@ class TestCrossEntropy:
         for _ in range(10):
             logits = Tensor(rng.normal(0, 2, 9))
             ad.cross_entropy(logits, int(rng.integers(9))).backward()
-            assert abs(logits.grad.sum()) < 1e-9
+            assert abs(logits.gradient().sum()) < 1e-9
 
 
 class TestMse:
@@ -340,7 +342,7 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data, np.hstack([words, np.ones((3, 1))]))
         assert out._parents == (x,)
         _total(mul(out, Tensor(np.arange(9.0).reshape(3, 3)))).backward()
-        np.testing.assert_array_equal(x.grad, [[2.0], [5.0], [8.0]])
+        np.testing.assert_array_equal(x.gradient(), [[2.0], [5.0], [8.0]])
         with pytest.raises(ValueError):
             concat([words, Tensor(np.ones((2, 1)))])
 
@@ -348,13 +350,13 @@ class TestElementwise:
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0])
         _total(mul(concat([a, b]), Tensor([1.0, 2.0, 3.0]))).backward()
-        np.testing.assert_array_equal(a.grad, [1.0, 2.0])
-        np.testing.assert_array_equal(b.grad, [3.0])
+        np.testing.assert_array_equal(a.gradient(), [1.0, 2.0])
+        np.testing.assert_array_equal(b.gradient(), [3.0])
 
     def test_slice_gradients(self):
         x = Tensor(np.arange(6.0))
         _total(slice_(x, 2, 5)).backward()
-        np.testing.assert_array_equal(x.grad, [0, 0, 1, 1, 1, 0])
+        np.testing.assert_array_equal(x.gradient(), [0, 0, 1, 1, 1, 0])
 
     @pytest.mark.parametrize("op", [sigmoid, tanh], ids=["sigmoid", "tanh"])
     def test_activation_gradients(self, op):
@@ -364,16 +366,39 @@ class TestElementwise:
             assert finite_difference_check(lambda t: _total(op(t)), x) < 1e-7
 
 
+class TestTerms:
+    def test_parameter_collects_terms_and_op_result_has_none(self):
+        x = Tensor(np.arange(3.0))
+        assert x.terms == []
+        np.testing.assert_array_equal(x.gradient(), np.zeros(3))
+        y = tanh(x)
+        assert y.terms is None
+        with pytest.raises(AutodiffError, match="op result"):
+            y.gradient()
+        _total(y).backward()
+        assert len(x.terms) == 1 and y.terms is None
+        np.testing.assert_array_equal(x.gradient(), 1.0 - np.tanh(x.data) ** 2)
+        np.testing.assert_array_equal(x.gradient(), x.gradient())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gradient_keeps_the_parameter_dtype_and_shape(self, dtype):
+        for shape in [(), (5,), (3, 4)]:
+            x = Tensor(np.ones(shape, dtype))
+            assert x.gradient().shape == shape and x.gradient().dtype == dtype
+            _total(x).backward()
+            assert np.array_equal(x.gradient(), np.ones(shape, dtype))
+
+
 class TestBackward:
     def test_identity(self):
         x = Tensor(np.asarray(3.0))
         x.backward()
-        assert x.grad == 1.0
+        assert x.gradient() == 1.0
 
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0])
         _total(mul(x, x)).backward()
-        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        np.testing.assert_array_equal(x.gradient(), [2.0, 4.0])
 
     def test_three_layer_mlp_vs_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -404,7 +429,7 @@ class TestBackward:
         x = Tensor(np.asarray(2.0))
         y = mul(x, x)  # x used twice
         add(y, x).backward()
-        assert x.grad == 5.0  # 2x + 1
+        assert x.gradient() == 5.0  # 2x + 1
 
     def test_deep_chain_no_recursion_limit(self):
         x = Tensor(np.asarray(0.1))
@@ -412,7 +437,7 @@ class TestBackward:
         for _ in range(5000):
             out = mul(out, Tensor(np.asarray(1.0)))
         out.backward()
-        assert x.grad == 1.0
+        assert x.gradient() == 1.0
 
     @pytest.mark.parametrize("consumers", ["one op twice", "two ops"])
     def test_op_result_feeding_two_ops_rejected(self, consumers):
@@ -449,8 +474,9 @@ class TestBackward:
         # d loss / d out is 2 (out - target) / 24, split into each op's rows
         g = np.split(2.0 * (np.hstack([x @ w.data.T + b.data for x in xs]) - target) / 24, 2,
                      axis=1)
-        np.testing.assert_allclose(w.grad, g[0].T @ xs[0] + g[1].T @ xs[1], rtol=1e-13)
-        np.testing.assert_allclose(b.grad, g[0].sum(axis=0) + g[1].sum(axis=0), rtol=1e-13)
+        np.testing.assert_allclose(w.gradient(), g[0].T @ xs[0] + g[1].T @ xs[1], rtol=1e-13)
+        np.testing.assert_allclose(b.gradient(), g[0].sum(axis=0) + g[1].sum(axis=0),
+                                   rtol=1e-13)
 
 
 class TestAdam:
@@ -464,7 +490,7 @@ class TestAdam:
         p = Tensor([0.0])
         opt = AdamState([p], lr=0.01)
         for _ in range(50):
-            p.grad[:] = 3.0
+            p.terms.append(np.full(1, 3.0))
             opt.step()
         assert p.data[0] < 0
 
@@ -483,6 +509,21 @@ class TestAdam:
         p = Tensor([1.0])
         with pytest.raises(AutodiffError, match="op result"):
             AdamState([p, ad.mse(p, np.zeros(1))])
+
+    def test_two_walks_before_a_step_sum_their_terms(self, block):
+        rng = np.random.default_rng(15)
+        init = rng.normal(0, 1, (9, 4))
+        p, q = Tensor(init.copy()), Tensor(init.copy())
+        opt, ref = AdamState([p], lr=0.01), AdamState([q], lr=0.01)
+        xs = rng.normal(0, 1, (2, 3, 4))
+        for x in xs:
+            ad.mse(ad.linear(Tensor(x), p, Tensor(np.zeros(9))), np.ones((3, 9))).backward()
+        assert len(p.terms) == 2
+        q.terms.append(p.gradient())
+        opt.step()
+        ref.step()
+        assert p.terms == [] and np.array_equal(p.data, q.data)
+        assert not np.array_equal(p.data, init)
 
     def test_three_steps_match_whole_array_oracle(self, block):
         for scale in (1e-8, 1.0, 1e3):
@@ -522,10 +563,11 @@ def _adam_both_ways(steps, scale, lrs=None):
     for lr in lrs:
         opt.lr = oracle.lr = lr
         for p, q, a in zip(params, o_params, abs_m):
-            p.grad[...] = scale * grad_rng.normal(0, 1, p.shape)
-            q.grad[...] = p.grad
+            g = np.asarray(scale * grad_rng.normal(0, 1, p.shape), p.data.dtype)
+            p.terms.append(g)
+            q.terms.append(g)
             a *= b1
-            a += (1 - b1) * np.abs(p.grad)
+            a += (1 - b1) * np.abs(g)
         opt.step()
         oracle.step()
     return params, opt, o_params, oracle, sum(lrs), abs_m
@@ -546,7 +588,7 @@ def _assert_adam_contract(params, opt, o_params, oracle, lr_sum, abs_m):
             f"parameter {i} differs"
         assert np.all(np.abs(opt.m[i] * (1 - b1) - oracle.m[i]) <= 4 * eps * t * abs_m[i])
         assert np.all(np.abs(opt.v[i] * (1 - b2) - oracle.v[i]) <= 4 * eps * t * oracle.v[i])
-        assert not p.grad.any()
+        assert p.terms == [] and q.terms == []
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -573,7 +615,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def _oracle_backward(root: Tensor) -> None:
     """The walk over any graph, in reverse topological order, with every
     local dense: each node's terms are summed whole, as they arrive, and a
-    parameter's sum is added to ``.grad`` when the walk reaches it. An op
+    parameter's sum is appended to its ``.terms`` when the walk reaches it. An op
     result may feed several ops, as in the per-step oracle of the caption
     graph, which runs on it."""
     grads = {id(root): np.ones_like(root.data)}
@@ -582,7 +624,7 @@ def _oracle_backward(root: Tensor) -> None:
         if g is None:
             continue
         if node._backward is None:
-            node.grad += g
+            node.terms.append(g)
         else:
             for parent, local in zip(node._parents, node._backward(g)):
                 if isinstance(local, ad._Outer):
@@ -606,7 +648,7 @@ class _OracleAdam:
         self.t += 1
         b1, b2 = ad.ADAM_BETA_1, ad.ADAM_BETA_2
         for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+            g = p.gradient()
             m *= b1
             m += (1 - b1) * g
             v *= b2
@@ -614,19 +656,20 @@ class _OracleAdam:
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)
-            p.grad[...] = 0.0
+            p.terms.clear()
 
 
 def _grads_both_ways(build, params, prior=None):
     """Gradients from the oracle walk and from backward() on one graph,
-    each added to ``prior`` (zeros by default)."""
+    each added to ``prior`` (zeros by default), which is each parameter's
+    first term."""
     loss = build()
     out = []
     for walk in (_oracle_backward, Tensor.backward):
         for i, p in enumerate(params):
-            p.grad[...] = 0.0 if prior is None else prior[i]
+            p.terms[:] = [] if prior is None else [prior[i]]
         walk(loss)
-        out.append([p.grad.copy() for p in params])
+        out.append([p.gradient() for p in params])
     return out
 
 
@@ -681,8 +724,8 @@ class TestBlockedGradientSums:
             outer = [_total(matmul(w, x)) for x in xs]  # g u^T: rank one
             return add(add(outer[0], dense), add(outer[1], outer[2]))
         (oracle,), (walked,) = _grads_both_ways(build, [w])
-        # the walk adds the four terms to .grad as they arrive, the oracle
-        # sums them first: each order is within 3 roundings of the exact sum
+        # gradient() adds the four terms in the walk's arrival order, the
+        # oracle in its own: each order is within 3 roundings of the exact sum
         # of c and the rows x_i
         bound = 4 * np.finfo(dtype).eps * (np.abs(c.data) + sum(np.abs(x.data) for x in xs))
         assert walked.dtype == oracle.dtype == dtype
@@ -702,6 +745,90 @@ class TestBlockedGradientSums:
             prior=first[0])
         assert not np.array_equal(oracle[0], first[0][0])
         _assert_grads_equal(oracle, blocked)
+
+
+class _OracleFoldedAdam:
+    """The folded step as whole-array expressions, on a dense gradient per
+    parameter formed whole: zeros plus each term in arrival order."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = ad.ADAM_BETA_1, ad.ADAM_BETA_2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        k = math.sqrt((1 - b2) / c2)
+        alpha, eps = self.lr * (1 - b1) / (c1 * k), ad.ADAM_EPS / k
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = np.zeros_like(p.data)
+            for term in p.terms:
+                g += term.u.T @ term.v if isinstance(term, ad._Outer) else term
+            p.terms.clear()
+            m *= b1
+            m += g
+            v *= b2
+            v += g * g
+            p.data -= alpha * (m / (np.sqrt(v) + eps))
+
+
+class TestStepFormsTheGradient:
+    """No parameter holds a dense gradient: the step forms each row block
+    from the terms backward() sent, with the bits of a dense gradient."""
+
+    @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_depth8_three_steps_equal_dense_oracle(self, block, head, precision):
+        rng = np.random.default_rng(16)
+        vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(300)])
+        table = EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 16)))
+        annots = AnnotationSet(rng.normal(0, 1, (4, 16)), 2, 2)
+        models = [CaptionModel.init(table, depth=8, hidden=96, annot_dim=16, attention_k=8,
+                                    head_kind=head, dropout_rate=0.5, seed=5,
+                                    precision=precision) for _ in range(2)]
+        opt = AdamState(models[0].parameters(), lr=0.01)
+        oracle = _OracleFoldedAdam(models[1].parameters(), 0.01)
+        captions = [["w1", "w7", "w1", "w250"], ["w3"], ["w9", "w2", "w299"]]
+        for step, caption in enumerate(captions):
+            losses = [teacher_forced_loss(m, annots, caption, train_mode=True,
+                                          rng=np.random.default_rng(step)) for m in models]
+            assert np.array_equal(losses[0].data, losses[1].data)
+            losses[0].backward()
+            opt.step()
+            _oracle_backward(losses[1])
+            oracle.step()
+            for i, (p, q) in enumerate(zip(*(m.parameters() for m in models))):
+                assert p.data.dtype == q.data.dtype == PRECISIONS[precision]
+                assert np.array_equal(p.data, q.data), f"step {step}, parameter {i} differs"
+                assert p.terms == []
+
+    def test_backward_and_step_allocate_less_than_the_softmax_head(self):
+        # the model holds its parameters and Adam its two moments; nothing
+        # the size of a parameter is allocated besides: a dense gradient
+        # of the 20,003 x 128 head would be 20.5 MB
+        rng = np.random.default_rng(17)
+        vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(20000)])
+        table = EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 16)))
+        annots = AnnotationSet(rng.normal(0, 1, (4, 16)), 2, 2)
+        tracemalloc.start()
+        try:
+            model = CaptionModel.init(table, depth=1, hidden=128, annot_dim=16,
+                                      attention_k=8, head_kind=SOFTMAX, seed=1)
+            opt = AdamState(model.parameters())
+            loss = teacher_forced_loss(model, annots, ["w1", "w7", "w19999"])
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        head = model.head.w.data.nbytes
+        assert model.head.w.shape == (20003, 128)
+        assert peak - before < head
+        assert before - 3 * sum(p.data.nbytes for p in model.parameters()) < head
 
 
 class TestFiniteDifferenceCheck:
@@ -810,7 +937,7 @@ class TestPrecisionModes:
         x = Tensor(np.linspace(-1, 1, 8).astype(np.float32))
         loss = ad.cross_entropy(tanh(matmul(x, Tensor(np.ones((8, 8), np.float32)))), 2)
         loss.backward()
-        assert loss.data.dtype == x.grad.dtype == np.float32
+        assert loss.data.dtype == x.gradient().dtype == np.float32
 
     def test_unknown_mode_rejected(self):
         table = EmbeddingTable(Vocabulary(list(RESERVED)), np.zeros((3, 4)))

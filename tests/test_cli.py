@@ -306,6 +306,21 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize("command", ["train-embeddings", "train", "caption", "evaluate",
+                                         "grad-experiment", "depth-study", "param-report"])
+    def test_bad_seed_is_usage_error_before_any_input_is_read(self, tmp_path, capsys,
+                                                              command, seed):
+        # every input path is missing, a data error, but the parser refuses
+        # the seed first; numpy's generators take non-negative integers only
+        paths = {"train-embeddings": 2, "train": 3, "caption": 3, "evaluate": 2,
+                 "depth-study": 2}
+        missing = [str(tmp_path / f"missing{i}") for i in range(paths.get(command, 0))]
+        assert main(["--seed", seed, command, *missing]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+        assert not list(tmp_path.iterdir())
+
     def test_size_too_large_to_allocate_is_usage_error(self, capsys):
         # 8 PB in one array: numpy refuses it on any host without allocating it
         assert main(["grad-experiment", "--vocab-size", str(10**15)]) == EXIT_USAGE
