@@ -251,7 +251,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # an op's own check reports an overflow or NaN, in one line: numpy's
+        # RuntimeWarning would repeat it first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

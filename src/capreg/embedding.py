@@ -232,6 +232,9 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
     """
     if d < 2:
         raise ValueError("embedding dimension must be >= 2")
+    for name, value in (("negatives", negatives), ("epochs", epochs)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     nv = len(vocab)
 

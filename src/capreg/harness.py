@@ -401,7 +401,7 @@ def depth_study(config_base: TrainConfig, depths: list[int],
 # checkpointing
 
 _CKPT_MAGIC = b"CKPT"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -409,9 +409,12 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(model: CaptionModel, path) -> None:
-    """Versioned binary container: JSON hyperparameter header plus named
-    float64 tensor payloads, CRC-protected."""
-    header = {
+    """Format v3: ``CKPT``, version, header length, a JSON header, every
+    parameter's little-endian float64 values back to back, and a CRC32. The
+    header holds the hyperparameters, the vocabulary hash and ``params``, each
+    parameter's name and shape in ``model.parameters()`` order, the payload's."""
+    params = model.parameters()
+    header = json.dumps({
         "depth": model.depth,
         "hidden": model.hidden,
         "embed_dim": model.embedding.dim,
@@ -419,25 +422,18 @@ def save_checkpoint(model: CaptionModel, path) -> None:
         "attention_k": model.attention.b_hidden.shape[0],
         "head_kind": model.head.kind,
         "vocab_hash": model.embedding.vocab.content_hash(),
-    }
-    body = bytearray()
-    header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    body += struct.pack("<I", len(header_blob)) + header_blob
-    params = model.parameters()
-    body += struct.pack("<I", len(params))
-    for p in params:
-        name = (p.name or "").encode("utf-8")
-        body += struct.pack("<I", len(name)) + name
-        body += struct.pack("<I", p.data.ndim)
-        body += struct.pack(f"<{p.data.ndim}I", *p.data.shape)
-        body += p.data.astype("<f8").tobytes()
-    blob = _CKPT_MAGIC + struct.pack("<I", _CKPT_VERSION) + bytes(body)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob)))
+        "params": [[p.name, list(p.shape)] for p in params],
+    }, sort_keys=True).encode("utf-8")
+    crc = 0
+    with open(path, "wb") as fh:  # streamed: no blob of the whole file is built
+        for chunk in (_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(header)) + header,
+                      *(np.ascontiguousarray(p.data, "<f8") for p in params)):
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+        fh.write(struct.pack("<I", crc))
 
 
-# other header keys, such as the "dropout_rate" of older v2 files, are not read
+# other header keys, such as a "dropout_rate" some files hold, are not read
 _MODEL_KEYS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind")
 
 
@@ -445,7 +441,7 @@ def _checkpoint_header(path, blob: bytes) -> dict:
     header = _parse_json(blob, f"{path}: header", CheckpointError)
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header must be a JSON object")
-    for key in (*_MODEL_KEYS, "vocab_hash"):
+    for key in (*_MODEL_KEYS, "vocab_hash", "params"):
         if key not in header:
             raise CheckpointError(f"{path}: header lacks {key!r}")
     for key in _MODEL_KEYS:
@@ -469,22 +465,13 @@ def load_checkpoint(path, embedding: EmbeddingTable,
     body = memoryview(raw)[:-4]  # check and parse the checksummed bytes, without a copy
     if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
         raise CheckpointError(f"{path}: checksum mismatch")
-    off = 4
-
-    def take(n: int, what: str) -> memoryview:
-        nonlocal off
-        if off + n > len(body):
-            raise CheckpointError(f"{path}: truncated {what}")
-        off += n
-        return body[off - n:off]
-
-    def uint(what: str) -> int:
-        return struct.unpack("<I", take(4, what))[0]
-
-    version = uint("header")
+    version, = struct.unpack_from("<I", body, 4)
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    header = _checkpoint_header(path, bytes(take(uint("header"), "header")))
+    start = 12 + int.from_bytes(body[8:12], "little")  # past the header
+    if len(body) < 12 or start > len(body):
+        raise CheckpointError(f"{path}: truncated header")
+    header = _checkpoint_header(path, bytes(body[12:start]))
     if header["vocab_hash"] != embedding.vocab.content_hash():
         raise CheckpointError(f"{path}: checkpoint vocabulary does not match the "
                               f"embedding table")
@@ -495,27 +482,21 @@ def load_checkpoint(path, embedding: EmbeddingTable,
     count = param_count(header["depth"], header["hidden"], header["embed_dim"],
                         len(embedding.vocab), header["annot_dim"], header["attention_k"],
                         header["head_kind"])
-    if 8 * count > len(body) - off:
+    left = len(body) - start
+    if 8 * count > left:
         raise CheckpointError(f"{path}: truncated payload: the header declares {count} "
-                              f"parameters, {len(body) - off} bytes are left")
+                              f"parameters, {left} bytes are left")
+    if 8 * count < left:
+        raise CheckpointError(f"{path}: {left - 8 * count} bytes after the last parameter")
     model = CaptionModel.init(
         embedding, depth=header["depth"], hidden=header["hidden"],
         annot_dim=header["annot_dim"], attention_k=header["attention_k"],
         head_kind=header["head_kind"], precision=precision)
     params = model.parameters()
-    if uint("payload") != len(params):
-        raise CheckpointError(f"{path}: parameter count mismatch")
-    for p in params:
-        name = bytes(take(uint("payload"), "payload")).decode("utf-8", errors="replace")
-        if name != (p.name or ""):
-            raise CheckpointError(f"{path}: parameter order mismatch: {name} vs {p.name}")
-        ndim = uint("payload")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "payload"))
-        if tuple(shape) != p.data.shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name}")
-        count = int(np.prod(shape)) if shape else 1
-        p.data = np.frombuffer(take(count * 8, "payload"), dtype="<f8"
-                               ).reshape(shape).astype(model.dtype)
-    if off != len(body):
-        raise CheckpointError(f"{path}: {len(body) - off} bytes after the last parameter")
+    if header["params"] != [[p.name, list(p.shape)] for p in params]:
+        raise CheckpointError(f"{path}: header params do not match the model's names and shapes")
+    values = np.frombuffer(body, "<f8", count, start)
+    for p in params:  # one at a time, replacing init's array: no second model in memory
+        n = p.data.size
+        p.data, values = values[:n].reshape(p.shape).astype(model.dtype), values[n:]
     return model

@@ -138,6 +138,14 @@ class TestExitCodes:
         tmp, manifest, config = workspace
         assert main(["caption", "x", "y", "z", "--max-len", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("option", ["--negatives", "--epochs"])
+    def test_negative_skipgram_count_is_usage_error(self, workspace, capsys, option):
+        tmp, manifest, _ = workspace
+        out = tmp / "neg.bin"
+        assert main(["train-embeddings", str(manifest), str(out), option, "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {option[2:]} must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_corrupt_manifest_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n")
@@ -472,7 +480,7 @@ class TestExitCodes:
                      str(emb), str(tmp / "n.ckpt"), "--lr", lr]) == EXIT_USAGE
         assert "lr must be finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_diverging_lr_is_numerical_abort(self, trained, capsys):
         # 1e308 is a finite lr: the first Adam step moves every weight by
         # about 1e308, and the next forward pass overflows
@@ -487,7 +495,7 @@ class TestExitCodes:
         assert "non-finite" in dump["error"]
         assert not (tmp / "n.ckpt").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_while_decoding_is_numerical_abort(self, trained, capsys):
         # a NumericalError outside training: attention weights near the float
         # maximum over all-ones features overflow the first projection
@@ -502,6 +510,20 @@ class TestExitCodes:
         # the error names the op and the (attention_k, L) projection it checked
         assert capsys.readouterr().err == ("numerical abort: attention: non-finite values "
                                            "in a (4, 4) array, largest |x| inf\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_sum_overflow_while_decoding_is_one_line(self, trained, capsys):
+        # a finite layer-0 bias near the float maximum: each of the 32 gate
+        # pre-activations stays finite, and the op's check finds their sum overflows
+        tmp, emb, ckpt = trained
+        model = load_checkpoint(ckpt, EmbeddingTable.load(emb))
+        model.layers[0].b.data[...] = 1e307
+        save_checkpoint(model, ckpt)
+        capsys.readouterr()
+        assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: lstm: finite values whose sum overflows")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("blob, match", [
         (b'{"lr": 1,}', "parse error: Expecting property name"),

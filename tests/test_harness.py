@@ -408,15 +408,16 @@ class TestCheckpoint:
             assert b.data.dtype == np.float32
             np.testing.assert_array_equal(b.data, a.data.astype(np.float32))
 
-    def test_version1_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version1_refused(self, tmp_path, version):
         table = _table()
         model, _ = train(_toy_config(epochs=1), _records(), table)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         raw = bytearray(path.read_bytes()[:-4])
-        raw[4:8] = struct.pack("<I", 1)
+        raw[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
-        with pytest.raises(CheckpointError, match="unsupported version 1"):
+        with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
             load_checkpoint(path, table)
 
     def test_corrupted_file_refused(self, tmp_path):
@@ -438,7 +439,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         return path, table, checkpoint_header(path)
 
-    @pytest.mark.parametrize("key", ["depth", "annot_dim", "head_kind", "vocab_hash"])
+    @pytest.mark.parametrize("key", ["depth", "annot_dim", "head_kind", "vocab_hash", "params"])
     def test_missing_header_key_refused(self, saved, key):
         path, table, header = saved
         del header[key]
@@ -520,7 +521,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_header_holding_dropout_still_loads(self, tmp_path):
-        # as older v2 files do; decoding never reads it
+        # the loader ignores header keys it does not read; decoding never reads this one
         table = _table()
         model, _ = train(_toy_config(epochs=3, dropout_rate=0.3), _records(), table)
         path = tmp_path / "model.ckpt"
@@ -531,6 +532,32 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, table)
         assert [greedy_decode(loaded, r.annotations) for r in records] == tokens
 
+    def test_payload_is_the_parameters_in_header_order(self, tmp_path):
+        table = _table()
+        model, _ = train(_toy_config(depth=2, epochs=1), _records(), table)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        params = model.parameters()
+        assert checkpoint_header(path)["params"] == [[p.name, list(p.shape)] for p in params]
+        raw = path.read_bytes()
+        hlen, = struct.unpack_from("<I", raw, 8)
+        assert raw[12 + hlen:-4] == b"".join(p.data.astype("<f8").tobytes() for p in params)
+
+    @pytest.mark.parametrize("change", ["rename", "reshape", "swap"])
+    def test_header_params_unlike_the_model_refused(self, saved, change):
+        path, table, header = saved
+        params = header["params"]
+        if change == "rename":
+            params[0][0] = "lstm0.w_y"
+        elif change == "reshape":
+            params[0][1] = params[0][1][::-1]
+        else:  # two entries of one shape: the payload's size is unchanged
+            assert params[3][1] == params[4][1]
+            params[3], params[4] = params[4], params[3]
+        rewrite_checkpoint(path, header)
+        with pytest.raises(CheckpointError, match="model.ckpt: header params do not match"):
+            load_checkpoint(path, table)
+
     def test_rewrite_helper_keeps_a_valid_file(self, saved):
         path, table, header = saved
         rewrite_checkpoint(path, header)
@@ -538,7 +565,7 @@ class TestCheckpoint:
 
 
 _CKPT_KEYS = ["depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind",
-              "vocab_hash"]
+              "vocab_hash", "params"]
 # A huge depth is left out: were the size check lost, it would build layer
 # after layer instead of failing at once as these sizes do.
 _HUGE_DIMS = ["hidden", "embed_dim", "annot_dim", "attention_k"]
@@ -582,7 +609,7 @@ def _checkpoint_corruptions(draw, raw):
         magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"CKPT"))
         return _with_crc(magic + body[4:])
     if kind == "version":
-        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 2))
+        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 3))
         return _with_crc(body[:4] + struct.pack("<I", version) + body[8:])
     if kind == "trailing":
         return _with_crc(body + draw(st.binary(min_size=1, max_size=16)))
