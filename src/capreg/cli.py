@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -30,15 +28,6 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
-def _data_root() -> Path:
-    return Path(os.environ.get("CAPREG_DATA_ROOT", "."))
-
-
-def _resolve(path: str) -> Path:
-    p = Path(path)
-    return p if p.is_absolute() or p.exists() else _data_root() / path
-
-
 def _build_config(args) -> TrainConfig:
     return TrainConfig.from_file(args.config, **{
         k: getattr(args, k, None) for k in
@@ -47,7 +36,7 @@ def _build_config(args) -> TrainConfig:
 
 
 def cmd_train_embeddings(args) -> int:
-    records = load_dataset(_resolve(args.manifest))
+    records = load_dataset(args.manifest)
     corpus = [cap for rec in records for cap in rec.captions]
     vocab = build_vocab(corpus, min_count=args.min_count)
     table = train_skipgram(corpus, vocab, d=args.dim, window=args.window,
@@ -60,8 +49,8 @@ def cmd_train_embeddings(args) -> int:
 
 def cmd_train(args) -> int:
     config = _build_config(args)
-    records = load_dataset(_resolve(args.manifest))
-    table = EmbeddingTable.load(_resolve(args.embeddings))
+    records = load_dataset(args.manifest)
+    table = EmbeddingTable.load(args.embeddings)
     model, log = train(config, records, table)
     save_checkpoint(model, args.output)
     if args.log:
@@ -75,9 +64,9 @@ def cmd_train(args) -> int:
 def cmd_caption(args) -> int:
     if args.max_len < 1:
         raise ValueError("--max-len must be >= 1")
-    table = EmbeddingTable.load(_resolve(args.embeddings))
-    model = load_checkpoint(_resolve(args.checkpoint), table, precision=args.precision or "f64")
-    annots = load_features(_resolve(args.features))
+    table = EmbeddingTable.load(args.embeddings)
+    model = load_checkpoint(args.checkpoint, table, precision=args.precision or "f64")
+    annots = load_features(args.features)
     check_annotation_dim(args.features, annots, model.annot_dim)
     tokens, trace = greedy_decode(model, annots, max_len=args.max_len,
                                   return_attention=True)
@@ -108,11 +97,10 @@ def _read_by_id(path, key: str, valid, expected: str) -> dict:
 def cmd_evaluate(args) -> int:
     from .metrics import EvalCorpus, bleu, rouge_l, cider
 
-    cand_path = _resolve(args.candidates)
-    cands = _read_by_id(cand_path, "candidate", lambda c: isinstance(c, str), "a string")
+    cands = _read_by_id(args.candidates, "candidate", lambda c: isinstance(c, str), "a string")
     if not cands:
-        raise DataError(f"{cand_path}: no candidates")
-    refs = _read_by_id(_resolve(args.references), "references",
+        raise DataError(f"{args.candidates}: no candidates")
+    refs = _read_by_id(args.references, "references",
                        lambda rs: isinstance(rs, list) and rs
                        and all(isinstance(r, str) for r in rs),
                        "a non-empty list of strings")
@@ -139,8 +127,8 @@ def cmd_grad_experiment(args) -> int:
 
 def cmd_depth_study(args) -> int:
     config = _build_config(args)
-    records = load_dataset(_resolve(args.manifest))
-    table = EmbeddingTable.load(_resolve(args.embeddings))
+    records = load_dataset(args.manifest)
+    table = EmbeddingTable.load(args.embeddings)
     rows = depth_study(config, args.depths, records, table)
     print(json.dumps(rows, indent=2))
     if args.csv:

@@ -8,7 +8,6 @@ regressed vectors back to words by nearest-neighbor lookup.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
 from collections import Counter
@@ -135,51 +134,47 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
     def save(self, path) -> None:
-        """Binary layout: magic, version, |V|, d, token list, f32 rows."""
+        """Binary layout: magic, version, |V|, d, token-list bytes, token list, f32 rows."""
         tokens_blob = b"\x00".join(t.encode("utf-8") for t in self.vocab.index_to_token)
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<III", _VERSION, len(self.vocab), self.dim))
-            fh.write(struct.pack("<I", len(tokens_blob)))
+            fh.write(struct.pack("<IIII", _VERSION, len(self.vocab), self.dim, len(tokens_blob)))
             fh.write(tokens_blob)
-            fh.write(self.vectors.astype("<f4").tobytes())
+            fh.write(self.vectors.astype("<f4"))
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         """Read a table ``save`` wrote; any defect is a ``DataError``.
 
-        Lengths the header declares are checked against the bytes left in
-        the file before anything that size is read, and the payload must
-        end the file.
+        The whole file is read at once; each length the header declares is
+        checked against it before it is used, and the payload must end the
+        file.
         """
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if fh.read(4) != _MAGIC:
-                raise DataError(f"{path}: bad magic in embedding file")
-            header = fh.read(16)
-            if len(header) != 16:
-                raise DataError(f"{path}: truncated header")
-            version, nv, d, blob_len = struct.unpack("<IIII", header)
-            if version != _VERSION:
-                raise DataError(f"{path}: unsupported embedding file version {version}")
-            if d < 1:
-                raise DataError(f"{path}: header declares d = {d}; a table needs d >= 1")
-            if blob_len > size - fh.tell():
-                raise DataError(f"{path}: truncated token list")
-            blob = fh.read(blob_len)
-            try:
-                tokens = blob.decode("utf-8").split("\x00")
-            except UnicodeDecodeError as e:
-                raise DataError(f"{path}: token list is not UTF-8") from e
-            if len(tokens) != nv:
-                raise DataError(f"{path}: token list length disagrees with header")
-            extra = size - fh.tell() - nv * d * 4
-            if extra < 0:
-                raise DataError(f"{path}: truncated embedding payload")
-            if extra > 0:
-                raise DataError(f"{path}: {extra} bytes after the embedding payload")
-            payload = fh.read(nv * d * 4)
-            vectors = np.frombuffer(payload, dtype="<f4").reshape(nv, d).astype(np.float64)
+            raw = fh.read()
+        if raw[:4] != _MAGIC:
+            raise DataError(f"{path}: bad magic in embedding file")
+        if len(raw) < 20:
+            raise DataError(f"{path}: truncated header")
+        version, nv, d, blob_len = struct.unpack_from("<IIII", raw, 4)
+        if version != _VERSION:
+            raise DataError(f"{path}: unsupported embedding file version {version}")
+        if d < 1:
+            raise DataError(f"{path}: header declares d = {d}; a table needs d >= 1")
+        if blob_len > len(raw) - 20:
+            raise DataError(f"{path}: truncated token list")
+        try:
+            tokens = raw[20:20 + blob_len].decode("utf-8").split("\x00")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: token list is not UTF-8") from e
+        if len(tokens) != nv:
+            raise DataError(f"{path}: token list length disagrees with header")
+        extra = len(raw) - 20 - blob_len - nv * d * 4
+        if extra < 0:
+            raise DataError(f"{path}: truncated embedding payload")
+        if extra > 0:
+            raise DataError(f"{path}: {extra} bytes after the embedding payload")
+        vectors = np.frombuffer(raw, "<f4", nv * d, 20 + blob_len).reshape(nv, d)
         try:
             return cls(Vocabulary(tokens), vectors)
         except DataError as e:
@@ -247,13 +242,9 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
         raise DataError("no training pairs (corpus too short for the window)")
     pairs = np.asarray(pairs, dtype=np.int64)
 
-    # unigram^0.75 noise as the CDF that rng.choice(nv, negatives, p=noise)
-    # rebuilds per call; searching it draws the same negatives from the same stream
     freq = np.bincount(np.concatenate(encoded), minlength=nv).astype(np.float64)
     noise = freq ** 0.75
     noise /= noise.sum()
-    cdf = noise.cumsum()
-    cdf /= cdf[-1]
 
     w_in = (rng.random((nv, d)) - 0.5) / d
     w_out = np.zeros((nv, d))
@@ -263,11 +254,9 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
-        # each pair's context, then its negatives: one draw of the whole
-        # epoch's uniforms is the stream of one rng.random(negatives) per pair
         targets = np.empty((len(pairs), negatives + 1), np.int64)
         targets[:, 0] = pairs[order, 1]
-        targets[:, 1:] = cdf.searchsorted(rng.random((len(pairs), negatives)), side="right")
+        targets[:, 1:] = rng.choice(nv, (len(pairs), negatives), p=noise)
         epoch_loss = 0.0
         for center, tgt in zip(pairs[order, 0], targets):
             h = w_in[center]

@@ -3,8 +3,8 @@ depth experiments, and checkpoint persistence."""
 
 from __future__ import annotations
 
+import csv
 import json
-import logging
 import math
 import struct
 import sys
@@ -21,8 +21,6 @@ from .decoder import (CaptionModel, REGRESSION, SOFTMAX, teacher_forced_loss,
                       greedy_decode, param_count)
 from .embedding import EmbeddingTable
 from .encoder import AnnotationSet, DataError, load_features
-
-logger = logging.getLogger(__name__)
 
 
 class TrainingAborted(NumericalError):
@@ -154,9 +152,9 @@ def load_dataset(manifest_path) -> list[DatasetRecord]:
     """Read a JSON-lines manifest: one {"id", "features", "captions"} per line.
 
     Captions may be strings (whitespace split) or token lists; an empty
-    caption is a data error. More than five captions per image is accepted
-    with a logged warning; data is never discarded. "features" may be left
-    out where no annotations are needed (embedding training).
+    caption is a data error. Every caption is kept, however many an image
+    has. "features" may be left out where no annotations are needed
+    (embedding training).
     """
     records = []
     root = Path(manifest_path).parent
@@ -170,9 +168,6 @@ def load_dataset(manifest_path) -> list[DatasetRecord]:
             raise DataError(f"{manifest_path}:{lineno}: record {image_id} has no captions")
         if not all(captions):
             raise DataError(f"{manifest_path}:{lineno}: record {image_id} has an empty caption")
-        if len(captions) > 5:
-            logger.warning("image %s has %d captions (> 5); keeping all",
-                           image_id, len(captions))
         feature_path = obj.get("features")
         if feature_path is not None:
             if not isinstance(feature_path, str):
@@ -217,11 +212,10 @@ def write_csv(rows: list[dict], path) -> None:
     no file."""
     if not rows:
         return
-    keys = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join("" if row[k] is None else str(row[k]) for k in keys) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, rows[0].keys(), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _layer_grad_norms(model: CaptionModel) -> list[float]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import string
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -119,14 +119,10 @@ def cider(corpus: EvalCorpus) -> float:
     if len(corpus.pairs) < 2:
         raise ValueError("CIDEr needs a corpus of at least 2 entries")
     num_images = len(corpus.pairs)
-    doc_freq = [defaultdict(int) for _ in range(4)]
+    doc_freq = [Counter() for _ in range(4)]
     for _, refs in corpus.pairs:
         for k in range(1, 5):
-            seen = set()
-            for r in refs:
-                seen.update(_ngram_counts(r, k))
-            for gram in seen:
-                doc_freq[k - 1][gram] += 1
+            doc_freq[k - 1].update(set().union(*(_ngram_counts(r, k) for r in refs)))
     log_n = math.log(num_images)
 
     def tfidf(tokens: list[str], k: int) -> tuple[dict, float]:

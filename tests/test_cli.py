@@ -460,17 +460,23 @@ class TestExitCodes:
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
         assert "m.ckpt: truncated payload: the header declares" in capsys.readouterr().err
 
-    def test_data_root_prefixes_every_input_path(self, trained, capsys, monkeypatch):
+    def test_relative_input_paths_are_cwd_relative(self, trained, capsys, monkeypatch):
+        # the inputs sit in tmp, which CAPREG_DATA_ROOT names: a relative path
+        # is still taken from the working directory, tmp's parent
         tmp, _, _ = trained
         monkeypatch.setenv("CAPREG_DATA_ROOT", str(tmp))
         monkeypatch.chdir(tmp.parent)
-        capsys.readouterr()
-        assert main(["caption", "m.ckpt", "e.bin", "img0.annv"]) == EXIT_OK
-        assert capsys.readouterr().out.strip()
+        inputs = ["m.ckpt", "e.bin", "img0.annv"]
+        for i, name in enumerate(inputs):
+            args = [n if j == i else str(tmp / n) for j, n in enumerate(inputs)]
+            capsys.readouterr()
+            assert main(["caption", *args]) == EXIT_DATA
+            captured = capsys.readouterr()
+            assert name in captured.err and captured.out == ""
         assert main(["--config", str(tmp / "config.json"), "train", "train.jsonl", "e.bin",
-                     str(tmp / "n.ckpt")]) == EXIT_OK
-        assert main(["--config", str(tmp / "config.json"), "depth-study", "train.jsonl",
-                     "e.bin", "--depths", "1", "--epochs", "1"]) == EXIT_OK
+                     str(tmp / "n.ckpt")]) == EXIT_DATA
+        assert "train.jsonl" in capsys.readouterr().err
+        assert not (tmp / "n.ckpt").exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
     def test_bad_lr_is_usage_error(self, trained, capsys, lr):

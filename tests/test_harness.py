@@ -145,14 +145,13 @@ class TestLoadDataset:
         assert [r.image_id for r in records] == ["i0", "i1", "i2"]
         assert records[2].captions == [["a", "b", "c2"]]
 
-    def test_six_captions_kept_with_warning(self, tmp_path, capsys, caplog):
+    def test_six_captions_kept(self, tmp_path, capsys, caplog):
         path = tmp_path / "m.jsonl"
-        path.write_text(json.dumps({"id": "x", "captions": ["a"] * 6}) + "\n")
-        with caplog.at_level(logging.WARNING, logger="capreg.harness"):
+        path.write_text(json.dumps({"id": "x", "captions": [f"a{i}" for i in range(6)]}) + "\n")
+        with caplog.at_level(logging.DEBUG):
             records = load_dataset(path)
-        assert len(records[0].captions) == 6
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "6 captions" in caplog.records[0].getMessage()
+        assert records[0].captions == [[f"a{i}"] for i in range(6)]
+        assert caplog.records == []
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("caption", ["", "   ", []], ids=["empty", "blank", "no-tokens"])
@@ -292,6 +291,10 @@ class TestTrain:
                                    "validation_s,samples_per_s,")
         # four records make no validation split: the missing val_loss is an empty field
         assert all(line.split(",")[3] == "" for line in lines[1:])
+        # "\n" ends each line, and each loss reads back as the float logged
+        assert b"\r" not in path.read_bytes()
+        assert [float(line.split(",")[1]) for line in lines[1:]] == [
+            row["loss"] for row in log.epochs]
 
     def test_phase_times_logged(self):
         phases = ("forward_s", "backward_s", "optimizer_s", "validation_s")
