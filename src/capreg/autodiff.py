@@ -213,10 +213,6 @@ def _result(op: str, data: np.ndarray, parents: Sequence[Tensor],
 # core ops
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def attention(annotations: np.ndarray, words: np.ndarray, w_annot: Tensor,
               w_word: Tensor, b: Tensor, w_out: Tensor) -> tuple[Tensor, np.ndarray]:
     """Soft attention of T query rows over the L columns ``a_l`` of a (D, L)
@@ -288,14 +284,22 @@ def lstm(x: Tensor, state: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,
     hs = np.empty((steps + 1, n), z.dtype)   # h_0 .. h_T
     cs = np.empty((steps + 1, n), z.dtype)   # c_0 .. c_T
     tcs = np.empty((steps, n), z.dtype)      # tanh(c_1) .. tanh(c_T)
+    scratch = np.empty(4 * n, z.dtype)       # w_h h_{t-1}, then i * g
     hs[0], cs[0] = state[:n], state[n:]
     for t in range(steps):
         zt, gt = z[t], gates[t]
-        zt += w_hd @ hs[t]
-        gt[:3 * n] = _sigmoid(zt[:3 * n])
+        np.matmul(w_hd, hs[t], out=scratch)
+        zt += scratch
+        # the sigmoid 1 / (1 + exp(-z)), in place in the gate rows
+        sig = gt[:3 * n]
+        np.negative(zt[:3 * n], out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
         np.tanh(zt[3 * n:], out=gt[3 * n:])
         np.multiply(gt[n:2 * n], cs[t], out=cs[t + 1])
-        cs[t + 1] += gt[:n] * gt[3 * n:]
+        np.multiply(gt[:n], gt[3 * n:], out=scratch[:n])
+        cs[t + 1] += scratch[:n]
         np.tanh(cs[t + 1], out=tcs[t])
         np.multiply(gt[2 * n:3 * n], tcs[t], out=hs[t + 1])
     # tanh and the sigmoid saturate an overflow into finite values: check

@@ -7,7 +7,9 @@ regressed vectors back to words by nearest-neighbor lookup.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 import zlib
 from collections import Counter
@@ -28,8 +30,9 @@ _VERSION = 1
 
 _SKIPGRAM_LR = 0.025
 
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).smallest_subnormal)
+# eps, smallest subnormal and largest value of each dtype a table may hold
+_ROUNDING = {np.dtype(t): (float(f.eps), float(f.smallest_subnormal), float(f.max))
+             for t in (np.float32, np.float64) for f in [np.finfo(t)]}
 
 
 @dataclass
@@ -106,14 +109,19 @@ def skipgram_pairs(tokens: list, window: int) -> list[tuple]:
 
 @dataclass
 class EmbeddingTable:
-    """|V| x d matrix of word vectors plus the vocabulary indexing it."""
+    """|V| x d matrix of word vectors plus the vocabulary indexing it.
+
+    float32 rows stay float32, as a loaded table's do; any other input
+    becomes float64.
+    """
 
     vocab: Vocabulary
     vectors: np.ndarray
 
     def __post_init__(self):
-        # f64, which nearest_word's rounding bound assumes
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        self.vectors = np.asarray(self.vectors)
+        if self.vectors.dtype != np.float32:
+            self.vectors = self.vectors.astype(np.float64, copy=False)
         if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
             raise DataError(f"embedding table must be |V| x d with d >= 1, "
                             f"got shape {self.vectors.shape}")
@@ -125,9 +133,11 @@ class EmbeddingTable:
         self.vectors.setflags(write=False)
 
     @cached_property
-    def sq_norms(self) -> np.ndarray:
-        """Squared L2 norm of each row, computed on first use."""
-        return np.einsum("ij,ij->i", self.vectors, self.vectors)
+    def _screen_norms(self) -> tuple[np.ndarray, float]:
+        """Each row's squared L2 norm, computed in float64 and rounded to the
+        table's dtype, and the largest row norm; computed on first use."""
+        sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64)
+        return sq_norms.astype(self.vectors.dtype), math.sqrt(sq_norms.max())
 
     @property
     def dim(self) -> int:
@@ -146,35 +156,45 @@ class EmbeddingTable:
     def load(cls, path) -> "EmbeddingTable":
         """Read a table ``save`` wrote; any defect is a ``DataError``.
 
-        The whole file is read at once; each length the header declares is
-        checked against it before it is used, and the payload must end the
-        file.
+        Each length the header declares is checked against the file's size
+        before it is used, and the payload must end the file.
         """
         with open(path, "rb") as fh:
-            raw = fh.read()
-        if raw[:4] != _MAGIC:
-            raise DataError(f"{path}: bad magic in embedding file")
-        if len(raw) < 20:
-            raise DataError(f"{path}: truncated header")
-        version, nv, d, blob_len = struct.unpack_from("<IIII", raw, 4)
-        if version != _VERSION:
-            raise DataError(f"{path}: unsupported embedding file version {version}")
-        if d < 1:
-            raise DataError(f"{path}: header declares d = {d}; a table needs d >= 1")
-        if blob_len > len(raw) - 20:
-            raise DataError(f"{path}: truncated token list")
+            if not fh.seekable():  # a pipe: its size is known once it is read
+                fh = io.BytesIO(fh.read())
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(0)
+            head = fh.read(20)
+            if head[:4] != _MAGIC:
+                raise DataError(f"{path}: bad magic in embedding file")
+            if len(head) < 20:
+                raise DataError(f"{path}: truncated header")
+            version, nv, d, blob_len = struct.unpack_from("<IIII", head, 4)
+            if version != _VERSION:
+                raise DataError(f"{path}: unsupported embedding file version {version}")
+            if d < 1:
+                raise DataError(f"{path}: header declares d = {d}; a table needs d >= 1")
+            if blob_len > size - 20:
+                raise DataError(f"{path}: truncated token list")
+            extra = size - 20 - blob_len - nv * d * 4
+            if extra < 0:
+                raise DataError(f"{path}: truncated embedding payload")
+            if extra > 0:
+                raise DataError(f"{path}: {extra} bytes after the embedding payload")
+            blob = fh.read(blob_len)
+            # the rows straight into an aligned array of their own: their
+            # offset in the file is rarely a multiple of 4, and a product
+            # over unaligned rows runs about 3x slower
+            vectors = np.empty((nv, d), "<f4")
+            read = len(blob) + fh.readinto(vectors) + len(fh.read(1))
+        if read != size - 20:
+            raise DataError(f"{path}: file changed while it was read")
         try:
-            tokens = raw[20:20 + blob_len].decode("utf-8").split("\x00")
+            tokens = blob.decode("utf-8").split("\x00")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: token list is not UTF-8") from e
         if len(tokens) != nv:
             raise DataError(f"{path}: token list length disagrees with header")
-        extra = len(raw) - 20 - blob_len - nv * d * 4
-        if extra < 0:
-            raise DataError(f"{path}: truncated embedding payload")
-        if extra > 0:
-            raise DataError(f"{path}: {extra} bytes after the embedding payload")
-        vectors = np.frombuffer(raw, "<f4", nv * d, 20 + blob_len).reshape(nv, d)
         try:
             return cls(Vocabulary(tokens), vectors)
         except DataError as e:
@@ -185,35 +205,54 @@ def nearest_word(v: np.ndarray, table: EmbeddingTable) -> str:
     """Token whose embedding row is closest to v in L2; ties break to lowest
     index. ``<start>`` (row 0) is never a decoding target and is skipped.
 
-    One matrix-vector product against the cached squared row norms screens
-    the table; only the rows it cannot separate from the best are scored by
-    the exhaustive scan's expression, so the answer is that scan's.
+    One matrix-vector product in the table's dtype screens the table
+    (``_screen``); only the rows it cannot separate from the best are scored
+    by the exhaustive float64 scan's expression, so the answer is that scan's.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (table.dim,):
         raise ValueError(f"query dimension {v.shape} does not match table dim {table.dim}")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite query vector")
-    vectors = table.vectors
-    # The screen ||e||^2 - 2 e.v is ||e - v||^2 - ||v||^2. It and the exact
-    # expression each round to within (d + 2) eps r^2 / 2 of their true value,
-    # r = max ||e|| + ||v||, plus at most 3d underflows of 2^-1075, in any
-    # summation order. So a row the exact expression ranks first screens at
-    # most 2 (d + 2) eps r^2 + 4d 2^-1074 above the screened minimum: tol is
-    # twice that or more. With 4 r^2 finite no sum can overflow; past that,
-    # every row is a candidate.
-    r = math.sqrt(table.sq_norms.max()) + math.sqrt(v @ v)
-    if math.isfinite(4 * r * r):
-        tol = 8 * (table.dim + 2) * (_EPS * r * r + _TINY)
-        s = vectors @ v
-        s *= -2.0
-        s += table.sq_norms
-        s[0] = np.inf
-        cand = np.flatnonzero(s <= s.min() + tol)
-    else:
-        cand = np.arange(1, len(vectors))
-    d = ((vectors[cand] - v) ** 2).sum(axis=1)
+    cand = _screen(v, table)
+    d = ((table.vectors[cand] - v) ** 2).sum(axis=1)
     return table.vocab.decode(int(cand[np.argmin(d)]))
+
+
+def _screen(v: np.ndarray, table: EmbeddingTable) -> np.ndarray:
+    """Indices, ascending, of the rows past row 0 that may lie nearest to
+    the finite float64 query v: every row the exact expression ranks first
+    is among them."""
+    vectors = table.vectors
+    sq_norms, max_norm = table._screen_norms
+    eps, tiny, largest = _ROUNDING[vectors.dtype]
+    # The screen s = ||e||^2 + e.u, where u is -2v rounded to the table's
+    # dtype T, is ||e - v||^2 - ||v||^2 up to rounding. Let r = max ||e|| +
+    # ||v||, and eps and tiny be T's eps and smallest subnormal. With 4 r^2
+    # below T's largest value no step overflows, and in any summation order:
+    # - the float64 ||e||^2 and the dot product in T round within d eps / 2 of
+    #   ||e||^2 + 2 ||e|| ||v|| <= r^2; the sum, and for a float32 table the
+    #   rounding of ||e||^2 to T, add eps r^2 / 2 each: (d + 2) eps r^2 / 2;
+    # - the rounding of -2v, q = u + 2v (exact, and 0 for float64), moves
+    #   e.u by at most ||e|| ||q|| (1 + d eps) <= 2 r ||q||;
+    # - underflow adds at most d + 1 halves of tiny and d of float64's;
+    # - the exact expression rounds within (d + 2) eps_64 r^2 / 2 plus d
+    #   halves of float64's subnormal.
+    # So a row the exact expression ranks first screens at most
+    # 2 (d + 2) eps r^2 + 4 r ||q|| + (3d + 1) tiny above the screened
+    # minimum: tol is twice that or more, which also covers the rounding of
+    # the threshold to T (eps r^2 / 2). Past 4 r^2, every row is a candidate.
+    r = max_norm + math.sqrt(v @ v)
+    if not 4 * r * r < largest:
+        return np.arange(1, len(vectors))
+    w = -2.0 * v
+    u = w.astype(vectors.dtype, copy=False)
+    q = u - w
+    tol = 8 * (table.dim + 2) * (eps * r * r + tiny) + 8 * r * math.sqrt(q @ q)
+    s = vectors @ u
+    s += sq_norms
+    s[0] = np.inf
+    return np.flatnonzero(s <= s.min() + tol)
 
 
 def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,

@@ -61,8 +61,7 @@ def bleu(corpus: EvalCorpus, n: int = 4) -> float:
             cc = _ngram_counts(cand, k)
             max_ref = Counter()
             for r in refs:
-                for gram, cnt in _ngram_counts(r, k).items():
-                    max_ref[gram] = max(max_ref[gram], cnt)
+                max_ref |= _ngram_counts(r, k)
             matched[k - 1] += sum(min(cnt, max_ref[gram]) for gram, cnt in cc.items())
             possible[k - 1] += max(0, len(cand) - k + 1)
     if cand_len == 0 or 0 in possible or 0 in matched:

@@ -28,8 +28,12 @@ def _reshape(x, shape):
                       lambda g: [g.reshape(x.data.shape)])
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(x):
-    s = ad._sigmoid(x.data)
+    s = _sigmoid(x.data)
     return ad._result("sigmoid", s, (x,), lambda g: [g * s * (1.0 - s)])
 
 
@@ -926,6 +930,56 @@ class TestInvariants:
         s = softmax(Tensor(np.asarray(vals))).data
         assert np.all(s >= 0)
         assert abs(s.sum() - 1.0) < 1e-9
+
+
+def _lstm_forward_oracle(x, state, w_x, w_h, b, mask):
+    """The forward loop of ``ad.lstm`` as it ran with a temporary per
+    operation: the hidden rows and the ``[h; c]`` after the last step."""
+    n = w_h.shape[1]
+    steps = x.shape[0]
+    z = x @ w_x.T
+    z += b
+    gates = np.empty_like(z)
+    hs = np.empty((steps + 1, n), z.dtype)
+    cs = np.empty((steps + 1, n), z.dtype)
+    tcs = np.empty((steps, n), z.dtype)
+    hs[0], cs[0] = state[:n], state[n:]
+    for t in range(steps):
+        zt, gt = z[t], gates[t]
+        zt += w_h @ hs[t]
+        gt[:3 * n] = 1.0 / (1.0 + np.exp(-zt[:3 * n]))
+        np.tanh(zt[3 * n:], out=gt[3 * n:])
+        np.multiply(gt[n:2 * n], cs[t], out=cs[t + 1])
+        cs[t + 1] += gt[:n] * gt[3 * n:]
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(gt[2 * n:3 * n], tcs[t], out=hs[t + 1])
+    hidden = hs[1:] * mask if mask is not None else hs[1:]
+    return hidden, np.concatenate([hs[-1], cs[-1]])
+
+
+class TestLstmForwardBitIdentical:
+    """``ad.lstm`` computes its step in buffers it allocates once per call;
+    the values are those of the loop that allocated per operation."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("steps", [1, 7])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_matches_per_operation_loop(self, dtype, steps, masked):
+        rng = np.random.default_rng(steps + 2 * masked)
+        n, inp = 128, 96
+        for scale in (0.1, 1.0, 4.0):
+            x = rng.normal(0, 1, (steps, inp)).astype(dtype)
+            w_x, w_h = (rng.normal(0, scale, shape).astype(dtype)
+                        for shape in ((4 * n, inp), (4 * n, n)))
+            b = rng.normal(0, 1, 4 * n).astype(dtype)
+            state = rng.normal(0, 1, 2 * n).astype(dtype)
+            mask = ((rng.random((steps, n)) >= 0.3) / 0.7).astype(dtype) if masked else None
+            with np.errstate(over="ignore"):
+                out, last = ad.lstm(Tensor(x), state, Tensor(w_x), Tensor(w_h), Tensor(b), mask)
+                ref_out, ref_last = _lstm_forward_oracle(x, state, w_x, w_h, b, mask)
+            assert out.data.dtype == last.dtype == dtype
+            assert np.array_equal(out.data, ref_out)
+            assert np.array_equal(last, ref_last)
 
 
 class TestPrecisionModes:

@@ -11,7 +11,7 @@ from capreg.embedding import END, RESERVED, START, EmbeddingTable, Vocabulary, n
 from capreg.encoder import AnnotationSet
 from capreg.harness import DatasetRecord, TrainConfig
 
-from test_autodiff import (_oracle_backward, _toposort, _total, add, add_colvec, concat,
+from test_autodiff import (_oracle_backward, _sigmoid, _toposort, _total, add, add_colvec, concat,
                            finite_difference_check, matmul, mul, scale, sigmoid, slice_,
                            softmax, tanh)
 
@@ -41,9 +41,9 @@ def lstm_cell(x, state, w_x, w_h, b):
     op = "lstm_cell"
     z = ad._finite(op, ad._finite(op, ad._finite(op, w_x.data @ x.data)
                                   + ad._finite(op, w_h.data @ h_prev)) + b.data)
-    i = ad._sigmoid(z[:n].copy())
-    f = ad._sigmoid(z[n:2 * n].copy())
-    o = ad._sigmoid(z[2 * n:3 * n].copy())
+    i = _sigmoid(z[:n].copy())
+    f = _sigmoid(z[n:2 * n].copy())
+    o = _sigmoid(z[2 * n:3 * n].copy())
     g = np.tanh(z[3 * n:].copy())
     c = f * c_prev + i * g
     tc = np.tanh(c)

@@ -1,4 +1,7 @@
+import functools
+import os
 import struct
+import threading
 from collections import Counter
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capreg.embedding import (END, RESERVED, START, UNK, EmbeddingTable,
-                              Vocabulary, build_vocab, nearest_word,
+                              Vocabulary, _screen, build_vocab, nearest_word,
                               skipgram_pairs, train_skipgram)
 from capreg.encoder import DataError
 
@@ -130,12 +133,25 @@ def _full_scan(v, table):
     return table.vocab.decode(1 + int(np.argmin(d)))
 
 
-@pytest.fixture(scope="module")
-def wide_table():
+@functools.cache
+def _wide_table(dtype):
     """A 20,003 x 64 table, the size of the paper's vocabulary."""
     rng = np.random.default_rng(11)
     vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(20000)])
-    return EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 64)))
+    return EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 64)).astype(dtype))
+
+
+@pytest.fixture(scope="module", params=[np.float64, np.float32],
+                ids=["float64", "float32"])
+def wide_table(request):
+    """The wide table in float64 and in float32, the dtype a loaded table keeps."""
+    return _wide_table(request.param)
+
+
+# per dtype: r^2 subnormal; rows (float32) or the tolerance's eps r^2
+# (float64) subnormal; 4 r^2 near (float64) or past (float32) the largest value
+_SCALES = {np.float64: {"subnormal": 1e-160, "underflow": 1e-150, "overflow": 1e150},
+           np.float32: {"subnormal": 1e-20, "underflow": 1e-40, "overflow": 1e18}}
 
 
 class TestNearestWordMatchesFullScan:
@@ -170,10 +186,11 @@ class TestNearestWordMatchesFullScan:
             # row 0 (<start>) is skipped, so its first copy, row 103, wins
             assert nearest_word(vecs[i + 103 * 7], table) == table.vocab.decode(i or 103)
 
-    @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e150],
-                             ids=["subnormal", "underflow", "overflow"])
+    @pytest.mark.parametrize("scale", ["subnormal", "underflow", "overflow"])
     def test_scaled_tables(self, wide_table, scale):
+        scale = _SCALES[wide_table.vectors.dtype.type][scale]
         table = EmbeddingTable(wide_table.vocab, wide_table.vectors * scale)
+        assert table.vectors.dtype == wide_table.vectors.dtype
         rng = np.random.default_rng(16)
         rows = table.vectors[rng.integers(0, len(table.vectors), 50)]
         midpoints = (rows[:25] + rows[25:]) / 2
@@ -203,6 +220,62 @@ class TestNearestWordMatchesFullScan:
         nearest_word(table.vectors[table.vocab.encode("a")], table)
         with pytest.raises(ValueError):
             table.vectors[3] = 0.0
+
+    def test_screen_narrows_the_search(self, wide_table):
+        rng = np.random.default_rng(18)
+        counts = [len(_screen(v, wide_table)) for v in rng.normal(0, 1, (300, 64))]
+        assert max(counts) <= 3
+
+
+class TestFloat32Screen:
+    """Edge cases of a float32 table, where the screen's rounding is float32's."""
+
+    def test_rows_one_ulp_apart(self):
+        # each pair (i, j) differs in one component by one float32 ulp; the
+        # float64 midpoint ties to i, and one float64 ulp either way decides it
+        rng = np.random.default_rng(19)
+        vecs = _wide_table(np.float32).vectors.copy()
+        pairs = rng.choice(np.arange(1, len(vecs)), (40, 2), replace=False)
+        pairs.sort(axis=1)
+        ks = rng.integers(0, 64, len(pairs))
+        for (i, j), k in zip(pairs, ks):
+            vecs[j] = vecs[i]
+            vecs[j, k] = np.nextafter(vecs[i, k], np.float32(np.inf))
+        table = EmbeddingTable(_wide_table(np.float32).vocab, vecs)
+        for (i, j), k in zip(pairs, ks):
+            mid = (vecs[i].astype(np.float64) + vecs[j]) / 2
+            above, below = mid.copy(), mid.copy()
+            above[k] = np.nextafter(mid[k], np.inf)
+            below[k] = np.nextafter(mid[k], -np.inf)
+            for v, row in ((mid, i), (above, j), (below, i)):
+                assert nearest_word(v, table) == _full_scan(v, table) == table.vocab.decode(row)
+
+    @pytest.mark.parametrize("norm", [1e20, 1e39])
+    def test_huge_query_falls_back_to_full_scan(self, norm):
+        # 4 r^2 leaves the float32 range though the query is a finite float64
+        table = _wide_table(np.float32)
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            v = rng.normal(0, 1, 64)
+            v *= norm / np.linalg.norm(v)
+            assert len(_screen(v, table)) == len(table.vocab) - 1
+            assert nearest_word(v, table) == _full_scan(v, table)
+
+    def test_overflowing_table_falls_back_to_full_scan(self):
+        wide = _wide_table(np.float32)
+        table = EmbeddingTable(wide.vocab, wide.vectors * 1e18)
+        v = table.vectors[7].astype(np.float64)
+        assert len(_screen(v, table)) == len(table.vocab) - 1
+        assert nearest_word(v, table) == table.vocab.decode(7)
+
+    def test_float32_kept_other_inputs_become_float64(self):
+        vocab = Vocabulary(list(RESERVED) + ["x"])
+        rows = np.arange(8).reshape(4, 2)
+        assert EmbeddingTable(vocab, rows.astype(np.float32)).vectors.dtype == np.float32
+        for other in (rows, rows.astype(np.float16), rows.tolist(), rows.astype(">f4")):
+            table = EmbeddingTable(vocab, other)
+            assert table.vectors.dtype == np.float64
+            np.testing.assert_array_equal(table.vectors, rows)
 
 
 class TestTrainSkipgram:
@@ -384,6 +457,27 @@ class TestPersistence:
         loaded = EmbeddingTable.load(path)
         assert loaded.vocab.index_to_token == vocab.index_to_token
         np.testing.assert_array_equal(loaded.vectors, vecs)
+        # the file's float32 rows, in an aligned array of their own
+        assert loaded.vectors.dtype == np.float32
+        assert loaded.vectors.flags.owndata and loaded.vectors.flags.aligned
+        assert loaded.vectors.ctypes.data % loaded.vectors.itemsize == 0
+        assert not loaded.vectors.flags.writeable
+
+    def test_load_from_a_pipe(self, tmp_path):
+        # a pipe's size is unknown until it is read, as with `<(cat e.bin)`
+        path, fifo = tmp_path / "emb.bin", tmp_path / "fifo"
+        rows = np.arange(8.0).reshape(4, 2)
+        EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), rows).save(path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            loaded = EmbeddingTable.load(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(loaded.vectors, rows)
 
     def test_save_writes_one_file(self, tmp_path):
         vocab = Vocabulary(list(RESERVED) + ["x"])

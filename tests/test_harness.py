@@ -223,6 +223,50 @@ class TestSplitValidation:
         assert not {r.image_id for r in t1} & {r.image_id for r in v1}
 
 
+class TestLoadedTableBitIdentical:
+    """A loaded table keeps the file's float32 rows. The model reads from it
+    exactly what it reads from the same rows as float64."""
+
+    @pytest.fixture
+    def tables(self, tmp_path):
+        _table(num_words=400, d=8).save(tmp_path / "e.bin")
+        loaded = EmbeddingTable.load(tmp_path / "e.bin")
+        assert loaded.vectors.dtype == np.float32
+        return loaded, EmbeddingTable(loaded.vocab, loaded.vectors.astype(np.float64))
+
+    @staticmethod
+    def _model(table, seed=0, precision="f64"):
+        return CaptionModel.init(table, depth=2, hidden=12, annot_dim=8, attention_k=6,
+                                 head_kind=REGRESSION, seed=seed, precision=precision)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_embed_rows(self, tables, precision):
+        tokens = tables[0].vocab.index_to_token
+        rows, ref = (self._model(t, precision=precision).embed_rows(tokens) for t in tables)
+        assert rows.dtype == ref.dtype
+        assert np.array_equal(rows, ref)
+
+    def test_greedy_decode(self, tables):
+        rng = np.random.default_rng(21)
+        decoded = []
+        for seed in range(5):
+            annots = AnnotationSet(rng.normal(0, 1, (4, 8)), 2, 2)
+            models = [self._model(t, seed=seed) for t in tables]
+            for model in models:
+                # spread an untrained head's outputs over the table
+                model.head.w.data *= 30.0
+            tokens, ref = (greedy_decode(m, annots, max_len=8) for m in models)
+            assert tokens == ref
+            decoded.extend(tokens)
+        assert len(set(decoded)) > 5
+
+    def test_two_epoch_f64_train(self, tables):
+        losses, ref = ([row["loss"] for row in train(_toy_config(), _records(), t)[1].epochs]
+                       for t in tables)
+        assert len(losses) == 2
+        assert losses == ref
+
+
 class TestTrain:
     def test_zero_epochs_keeps_initialization(self):
         table = _table()
