@@ -7,10 +7,7 @@ regressed vectors back to words by nearest-neighbor lookup.
 
 from __future__ import annotations
 
-import io
 import math
-import os
-import struct
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoder import DataError
+from .encoder import DataError, check_count, read_framed, write_framed
 
 START = "<start>"
 END = "<end>"
@@ -26,7 +23,6 @@ UNK = "<unk>"
 RESERVED = (START, END, UNK)
 
 _MAGIC = b"GEMB"
-_VERSION = 1
 
 _SKIPGRAM_LR = 0.025
 
@@ -43,12 +39,21 @@ class Vocabulary:
     token_to_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
-        if len(self.token_to_index) != len(self.index_to_token):
-            raise DataError("duplicate tokens in vocabulary")
         if self.index_to_token[:len(RESERVED)] != list(RESERVED):
             raise DataError(f"reserved tokens {RESERVED} must sit at indices "
                             f"0..{len(RESERVED) - 1}")
+        joined = "\x00".join(self.index_to_token)  # as content_hash joins them
+        if joined.count("\x00") >= len(self.index_to_token):
+            t = next(t for t in self.index_to_token if "\x00" in t)
+            raise DataError(f"token {t!r} holds a NUL, on which the vocabulary hash joins tokens")
+        try:
+            joined.encode("utf-8")
+        except UnicodeEncodeError as e:
+            t = self.index_to_token[joined.count("\x00", 0, e.start)]
+            raise DataError(f"token {t!r} holds a surrogate, which UTF-8 cannot encode") from None
+        self.token_to_index = dict(zip(self.index_to_token, range(len(self.index_to_token))))
+        if len(self.token_to_index) != len(self.index_to_token):
+            raise DataError("duplicate tokens in vocabulary")
 
     def __len__(self):
         return len(self.index_to_token)
@@ -74,8 +79,9 @@ def build_vocab(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
     """Build a vocabulary from tokenized sentences.
 
     Tokens seen fewer than ``min_count`` times collapse to <unk>. Reserved
-    tokens always occupy indices 0..2. A kept token may hold neither a NUL,
-    which separates a saved table's tokens, nor a surrogate UTF-8 refuses.
+    tokens always occupy indices 0..2. A kept token may hold neither a NUL
+    nor a surrogate UTF-8 refuses: ``Vocabulary.content_hash`` joins the
+    tokens on NUL, so ``[..., "a\\x00b"]`` would hash as ``[..., "a", "b"]``.
     """
     if not corpus:
         raise DataError("empty corpus")
@@ -84,13 +90,6 @@ def build_vocab(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
         counts.update(sentence)
     kept = sorted(t for t, c in counts.items()
                   if c >= min_count and t not in RESERVED)
-    for t in kept:
-        if "\x00" in t:
-            raise DataError(f"token {t!r} holds a NUL, which a saved table cannot store")
-        try:
-            t.encode("utf-8")
-        except UnicodeEncodeError:
-            raise DataError(f"token {t!r} holds a surrogate, which UTF-8 cannot encode") from None
     return Vocabulary(list(RESERVED) + kept)
 
 
@@ -144,60 +143,25 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
     def save(self, path) -> None:
-        """Binary layout: magic, version, |V|, d, token-list bytes, token list, f32 rows."""
-        tokens_blob = b"\x00".join(t.encode("utf-8") for t in self.vocab.index_to_token)
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IIII", _VERSION, len(self.vocab), self.dim, len(tokens_blob)))
-            fh.write(tokens_blob)
-            fh.write(self.vectors.astype("<f4"))
+        """The header holds ``dim`` and ``tokens``, the token list; the payload
+        is the |V| x d rows as float32."""
+        write_framed(path, _MAGIC, {"dim": self.dim, "tokens": self.vocab.index_to_token},
+                     "<f4", [self.vectors])
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        """Read a table ``save`` wrote; any defect is a ``DataError``.
-
-        Each length the header declares is checked against the file's size
-        before it is used, and the payload must end the file.
-        """
-        with open(path, "rb") as fh:
-            if not fh.seekable():  # a pipe: its size is known once it is read
-                fh = io.BytesIO(fh.read())
-            size = fh.seek(0, os.SEEK_END)
-            fh.seek(0)
-            head = fh.read(20)
-            if head[:4] != _MAGIC:
-                raise DataError(f"{path}: bad magic in embedding file")
-            if len(head) < 20:
-                raise DataError(f"{path}: truncated header")
-            version, nv, d, blob_len = struct.unpack_from("<IIII", head, 4)
-            if version != _VERSION:
-                raise DataError(f"{path}: unsupported embedding file version {version}")
-            if d < 1:
-                raise DataError(f"{path}: header declares d = {d}; a table needs d >= 1")
-            if blob_len > size - 20:
-                raise DataError(f"{path}: truncated token list")
-            extra = size - 20 - blob_len - nv * d * 4
-            if extra < 0:
-                raise DataError(f"{path}: truncated embedding payload")
-            if extra > 0:
-                raise DataError(f"{path}: {extra} bytes after the embedding payload")
-            blob = fh.read(blob_len)
-            # the rows straight into an aligned array of their own: their
-            # offset in the file is rarely a multiple of 4, and a product
-            # over unaligned rows runs about 3x slower
-            vectors = np.empty((nv, d), "<f4")
-            read = len(blob) + fh.readinto(vectors) + len(fh.read(1))
-        if read != size - 20:
-            raise DataError(f"{path}: file changed while it was read")
+        """Read a table ``save`` wrote; any defect is a ``DataError``. The
+        rows are the file's float32 values, in an aligned array of their own."""
+        header, payload = read_framed(path, _MAGIC, "<f4", DataError)
+        d, tokens = header.get("dim"), header.get("tokens")
+        if type(d) is not int or d < 1:
+            raise DataError(f"{path}: header declares d = {d!r}; a table needs d >= 1")
+        if not isinstance(tokens, list):
+            raise DataError(f"{path}: header tokens must be a list of strings")
+        check_count(path, payload, len(tokens) * d, DataError)
         try:
-            tokens = blob.decode("utf-8").split("\x00")
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: token list is not UTF-8") from e
-        if len(tokens) != nv:
-            raise DataError(f"{path}: token list length disagrees with header")
-        try:
-            return cls(Vocabulary(tokens), vectors)
-        except DataError as e:
+            return cls(Vocabulary(tokens), payload.reshape(len(tokens), d))
+        except (DataError, TypeError) as e:  # a TypeError: a token that is not a string
             raise DataError(f"{path}: {e}") from e
 
 

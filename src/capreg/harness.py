@@ -4,9 +4,7 @@ depth experiments, and checkpoint persistence."""
 from __future__ import annotations
 
 import csv
-import json
 import math
-import struct
 import sys
 import time
 import zlib
@@ -20,7 +18,8 @@ from .autodiff import Tensor, AdamState, NumericalError
 from .decoder import (CaptionModel, REGRESSION, SOFTMAX, teacher_forced_loss,
                       greedy_decode, param_count)
 from .embedding import EmbeddingTable
-from .encoder import AnnotationSet, DataError, load_features
+from .encoder import (AnnotationSet, DataError, _parse_json, check_count, load_features,
+                      read_framed, write_framed)
 
 
 class TrainingAborted(NumericalError):
@@ -107,21 +106,6 @@ class DatasetRecord:
                 raise DataError(f"image {self.image_id}: the manifest gives no features")
             self.annotations = load_features(self.feature_path)
         return self.annotations
-
-
-def _parse_json(text: str | bytes, where, error: type[Exception]):
-    """``json.loads(text)``, bytes as UTF-8; a refusal raises ``error`` naming ``where``."""
-    try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except UnicodeDecodeError as e:
-        raise error(f"{where}: not UTF-8: {e}") from e
-    except RecursionError:
-        raise error(f"{where}: JSON nests too deeply") from None
-    except json.JSONDecodeError as e:
-        raise error(f"{where}: parse error: {e}") from e
-    except ValueError as e:  # the one other refusal: an int past Python's digit limit
-        raise error(f"{where}: integer too long (more than "
-                    f"{sys.get_int_max_str_digits()} digits)") from e
 
 
 def read_jsonl(path, *keys):
@@ -395,7 +379,6 @@ def depth_study(config_base: TrainConfig, depths: list[int],
 # checkpointing
 
 _CKPT_MAGIC = b"CKPT"
-_CKPT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -403,12 +386,11 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(model: CaptionModel, path) -> None:
-    """Format v3: ``CKPT``, version, header length, a JSON header, every
-    parameter's little-endian float64 values back to back, and a CRC32. The
-    header holds the hyperparameters, the vocabulary hash and ``params``, each
-    parameter's name and shape in ``model.parameters()`` order, the payload's."""
+    """The header holds the hyperparameters, the vocabulary hash and
+    ``params``, each parameter's name and shape in ``model.parameters()``
+    order, the payload's; the payload is their values as float64."""
     params = model.parameters()
-    header = json.dumps({
+    write_framed(path, _CKPT_MAGIC, {
         "depth": model.depth,
         "hidden": model.hidden,
         "embed_dim": model.embedding.dim,
@@ -417,24 +399,18 @@ def save_checkpoint(model: CaptionModel, path) -> None:
         "head_kind": model.head.kind,
         "vocab_hash": model.embedding.vocab.content_hash(),
         "params": [[p.name, list(p.shape)] for p in params],
-    }, sort_keys=True).encode("utf-8")
-    crc = 0
-    with open(path, "wb") as fh:  # streamed: no blob of the whole file is built
-        for chunk in (_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(header)) + header,
-                      *(np.ascontiguousarray(p.data, "<f8") for p in params)):
-            crc = zlib.crc32(chunk, crc)
-            fh.write(chunk)
-        fh.write(struct.pack("<I", crc))
+    }, "<f8", (p.data for p in params))
 
 
 # other header keys, such as a "dropout_rate" some files hold, are not read
 _MODEL_KEYS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind")
 
 
-def _checkpoint_header(path, blob: bytes) -> dict:
-    header = _parse_json(blob, f"{path}: header", CheckpointError)
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header must be a JSON object")
+def load_checkpoint(path, embedding: EmbeddingTable,
+                    precision: str = "f64") -> CaptionModel:
+    """Rebuild a saved model, without dropout, with its parameters in
+    ``precision``; in f64 they are views of the one array the file is read into."""
+    header, payload = read_framed(path, _CKPT_MAGIC, "<f8", CheckpointError)
     for key in (*_MODEL_KEYS, "vocab_hash", "params"):
         if key not in header:
             raise CheckpointError(f"{path}: header lacks {key!r}")
@@ -446,26 +422,6 @@ def _checkpoint_header(path, blob: bytes) -> dict:
     vocab_hash = header["vocab_hash"]
     if isinstance(vocab_hash, bool) or not isinstance(vocab_hash, int):
         raise CheckpointError(f"{path}: header vocab_hash: must be int, got {vocab_hash!r}")
-    return header
-
-
-def load_checkpoint(path, embedding: EmbeddingTable,
-                    precision: str = "f64") -> CaptionModel:
-    """Rebuild a saved model, without dropout, with its parameters in ``precision``."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    body = memoryview(raw)[:-4]  # check and parse the checksummed bytes, without a copy
-    if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
-        raise CheckpointError(f"{path}: checksum mismatch")
-    version, = struct.unpack_from("<I", body, 4)
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    start = 12 + int.from_bytes(body[8:12], "little")  # past the header
-    if len(body) < 12 or start > len(body):
-        raise CheckpointError(f"{path}: truncated header")
-    header = _checkpoint_header(path, bytes(body[12:start]))
     if header["vocab_hash"] != embedding.vocab.content_hash():
         raise CheckpointError(f"{path}: checkpoint vocabulary does not match the "
                               f"embedding table")
@@ -473,15 +429,9 @@ def load_checkpoint(path, embedding: EmbeddingTable,
         raise CheckpointError(f"{path}: checkpoint embedding dimension mismatch")
     # before building the model: a header may declare far more weights than
     # the file holds, or than memory can
-    count = param_count(header["depth"], header["hidden"], header["embed_dim"],
-                        len(embedding.vocab), header["annot_dim"], header["attention_k"],
-                        header["head_kind"])
-    left = len(body) - start
-    if 8 * count > left:
-        raise CheckpointError(f"{path}: truncated payload: the header declares {count} "
-                              f"parameters, {left} bytes are left")
-    if 8 * count < left:
-        raise CheckpointError(f"{path}: {left - 8 * count} bytes after the last parameter")
+    check_count(path, payload, param_count(
+        header["depth"], header["hidden"], header["embed_dim"], len(embedding.vocab),
+        header["annot_dim"], header["attention_k"], header["head_kind"]), CheckpointError)
     model = CaptionModel.init(
         embedding, depth=header["depth"], hidden=header["hidden"],
         annot_dim=header["annot_dim"], attention_k=header["attention_k"],
@@ -489,8 +439,7 @@ def load_checkpoint(path, embedding: EmbeddingTable,
     params = model.parameters()
     if header["params"] != [[p.name, list(p.shape)] for p in params]:
         raise CheckpointError(f"{path}: header params do not match the model's names and shapes")
-    values = np.frombuffer(body, "<f8", count, start)
-    for p in params:  # one at a time, replacing init's array: no second model in memory
+    for p in params:  # init's arrays give way to views of the payload (copies in f32)
         n = p.data.size
-        p.data, values = values[:n].reshape(p.shape).astype(model.dtype), values[n:]
+        p.data, payload = payload[:n].reshape(p.shape).astype(model.dtype, copy=False), payload[n:]
     return model

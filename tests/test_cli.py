@@ -8,12 +8,11 @@ from capreg import embedding, encoder, harness
 from capreg.autodiff import NumericalError
 from capreg.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main)
 from capreg.embedding import EmbeddingTable
-from capreg.encoder import AnnotationSet, save_features
-from capreg.harness import load_checkpoint, save_checkpoint
+from capreg.encoder import AnnotationSet, read_framed, save_features
+from capreg.harness import CheckpointError, load_checkpoint, save_checkpoint
 
-from test_embedding import emb_bytes
-from test_encoder import annv_bytes
-from test_harness import checkpoint_header, jsonl_files, rewrite_checkpoint
+from test_encoder import framed_bytes
+from test_harness import jsonl_files
 
 
 @pytest.fixture
@@ -356,14 +355,13 @@ class TestExitCodes:
         emb.write_bytes(blob)
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_DATA
 
-    @pytest.mark.parametrize("d, match", [(2**30, "truncated embedding payload"),
+    @pytest.mark.parametrize("d, match", [(2**30, "truncated payload: the header declares"),
                                           (0, "d >= 1")], ids=["huge-dim", "zero-dim"])
     def test_embedding_header_is_checked_before_training(self, workspace, capsys, d, match):
         tmp, manifest, config = workspace
         emb = tmp / "e.bin"
         tokens = ["<start>", "<end>", "<unk>", "a", "dog"]
-        raw = emb_bytes(tokens, d, values=[])
-        emb.write_bytes(raw + bytes(max(0, 64 - len(raw))))
+        emb.write_bytes(framed_bytes(b"GEMB", {"dim": d, "tokens": tokens}, bytes(64)))
         assert main(["--config", str(config), "train", str(manifest), str(emb),
                      str(tmp / "m.ckpt")]) == EXIT_DATA
         assert match in capsys.readouterr().err
@@ -403,7 +401,9 @@ class TestExitCodes:
         assert "bad.jsonl: not UTF-8" in capsys.readouterr().err
 
     # CRC-valid files that the parser accepts but no model can attend over
-    BAD_FEATURES = [annv_bytes(2, 2, 8, [np.nan] + [0.0] * 31), annv_bytes(0, 0, 8)]
+    BAD_FEATURES = [framed_bytes(b"ANNV", {"rows": 2, "cols": 2, "dim": 8},
+                                 np.asarray([np.nan] + [0.0] * 31, "<f4")),
+                    framed_bytes(b"ANNV", {"rows": 0, "cols": 0, "dim": 8})]
 
     @pytest.mark.parametrize("blob", BAD_FEATURES, ids=["nan", "no-cells"])
     def test_bad_feature_file_in_train_is_data_error(self, workspace, capsys, blob):
@@ -435,16 +435,17 @@ class TestExitCodes:
 
     def test_bad_checkpoint_header_is_usage_error(self, trained, capsys):
         tmp, emb, ckpt = trained
-        header = checkpoint_header(ckpt)
+        header, payload = read_framed(ckpt, b"CKPT", "<f8", CheckpointError)
         del header["depth"]
-        rewrite_checkpoint(ckpt, header)
+        ckpt.write_bytes(framed_bytes(b"CKPT", header, payload))
         capsys.readouterr()
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
         assert "m.ckpt: header lacks 'depth'" in capsys.readouterr().err
 
     def test_checkpoint_header_nested_too_deeply_is_usage_error(self, trained, capsys):
         tmp, emb, ckpt = trained
-        rewrite_checkpoint(ckpt, header_blob=b"[" * 100_000 + b"]" * 100_000)
+        payload = read_framed(ckpt, b"CKPT", "<f8", CheckpointError)[1]
+        ckpt.write_bytes(framed_bytes(b"CKPT", b"[" * 100_000 + b"]" * 100_000, payload))
         capsys.readouterr()
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
         assert "m.ckpt: header: JSON nests too deeply" in capsys.readouterr().err
@@ -453,9 +454,9 @@ class TestExitCodes:
         # the allocator refuses 2^40 hidden units at once: were the header
         # not checked against the file first, this would be a MemoryError
         tmp, emb, ckpt = trained
-        header = checkpoint_header(ckpt)
+        header, payload = read_framed(ckpt, b"CKPT", "<f8", CheckpointError)
         header["hidden"] = 2**40
-        rewrite_checkpoint(ckpt, header)
+        ckpt.write_bytes(framed_bytes(b"CKPT", header, payload))
         capsys.readouterr()
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_USAGE
         assert "m.ckpt: truncated payload: the header declares" in capsys.readouterr().err

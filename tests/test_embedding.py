@@ -1,7 +1,4 @@
 import functools
-import os
-import struct
-import threading
 from collections import Counter
 
 import numpy as np
@@ -12,6 +9,8 @@ from capreg.embedding import (END, RESERVED, START, UNK, EmbeddingTable,
                               Vocabulary, _screen, build_vocab, nearest_word,
                               skipgram_pairs, train_skipgram)
 from capreg.encoder import DataError
+
+from test_encoder import _SIZES, _f4, framed_bytes, framing_corruptions
 
 
 class TestBuildVocab:
@@ -457,27 +456,13 @@ class TestPersistence:
         loaded = EmbeddingTable.load(path)
         assert loaded.vocab.index_to_token == vocab.index_to_token
         np.testing.assert_array_equal(loaded.vectors, vecs)
-        # the file's float32 rows, in an aligned array of their own
+        # the file's float32 rows, in an aligned array numpy allocated (a
+        # view of the reader's payload), not a view of the file's bytes
+        owner = loaded.vectors if loaded.vectors.base is None else loaded.vectors.base
         assert loaded.vectors.dtype == np.float32
-        assert loaded.vectors.flags.owndata and loaded.vectors.flags.aligned
+        assert owner.flags.owndata and loaded.vectors.flags.aligned
         assert loaded.vectors.ctypes.data % loaded.vectors.itemsize == 0
         assert not loaded.vectors.flags.writeable
-
-    def test_load_from_a_pipe(self, tmp_path):
-        # a pipe's size is unknown until it is read, as with `<(cat e.bin)`
-        path, fifo = tmp_path / "emb.bin", tmp_path / "fifo"
-        rows = np.arange(8.0).reshape(4, 2)
-        EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), rows).save(path)
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
-                                  daemon=True)
-        writer.start()
-        try:
-            loaded = EmbeddingTable.load(fifo)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
-        np.testing.assert_array_equal(loaded.vectors, rows)
 
     def test_save_writes_one_file(self, tmp_path):
         vocab = Vocabulary(list(RESERVED) + ["x"])
@@ -491,9 +476,9 @@ class TestPersistence:
         with pytest.raises(DataError):
             EmbeddingTable.load(path)
 
-    @pytest.mark.parametrize("cut, match", [(6, "truncated header"),
-                                            (30, "truncated token list"),
-                                            (-1, "truncated embedding payload")])
+    @pytest.mark.parametrize("cut, match", [(6, "no GEMB header"), (30, "truncated header"),
+                                            (-1, "truncated or padded payload"),
+                                            (-4, "checksum mismatch")])
     def test_truncated_file_rejected(self, tmp_path, cut, match):
         path = tmp_path / "emb.bin"
         EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), np.ones((4, 3))).save(path)
@@ -503,40 +488,51 @@ class TestPersistence:
 
     def test_bad_utf8_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
-        EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), np.ones((4, 3))).save(path)
-        raw = bytearray(path.read_bytes())
-        raw[-3 * 4 * 4 - 1] = 0xFF  # the last byte of the token "x"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match="not UTF-8"):
+        path.write_bytes(framed_bytes(b"GEMB", b'{"dim": 1, "tokens": ["\xff"]}'))
+        with pytest.raises(DataError, match="emb.bin: header: not UTF-8"):
             EmbeddingTable.load(path)
 
     def test_payload_larger_than_file_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
-        raw = emb_bytes(list(RESERVED) + ["x"], d=2**30, values=[])
-        path.write_bytes(raw + bytes(64 - len(raw)))
-        assert path.stat().st_size == 64
-        with pytest.raises(DataError, match="truncated embedding payload"):
+        path.write_bytes(framed_bytes(b"GEMB", {"dim": 2**30, "tokens": [*RESERVED, "x"]},
+                                      bytes(64)))
+        with pytest.raises(DataError, match="truncated payload: the header declares"):
             EmbeddingTable.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
-        EmbeddingTable(Vocabulary(list(RESERVED) + ["x"]), np.ones((4, 3))).save(path)
-        path.write_bytes(path.read_bytes() + b"\x00" * 12)
-        with pytest.raises(DataError, match="emb.bin: 12 bytes after the embedding payload"):
+        path.write_bytes(framed_bytes(b"GEMB", {"dim": 3, "tokens": [*RESERVED, "x"]},
+                                      bytes(4 * 3 * 4 + 12)))
+        with pytest.raises(DataError, match="emb.bin: 12 bytes after"):
             EmbeddingTable.load(path)
 
-    def test_token_list_longer_than_file_rejected(self, tmp_path):
+    def test_header_longer_than_file_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
-        path.write_bytes(emb_bytes(list(RESERVED), d=1, blob_len=2**32 - 1))
-        with pytest.raises(DataError, match="truncated token list"):
+        raw = bytearray(framed_bytes(b"GEMB", {"dim": 1, "tokens": list(RESERVED)}, bytes(12)))
+        raw[8:12] = (2**32 - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="truncated header"):
             EmbeddingTable.load(path)
 
     def test_zero_dimension_rejected(self, tmp_path):
         with pytest.raises(DataError, match="d >= 1"):
             EmbeddingTable(Vocabulary(list(RESERVED)), np.zeros((3, 0)))
         path = tmp_path / "emb.bin"
-        path.write_bytes(emb_bytes(list(RESERVED) + ["x"], d=0))
+        path.write_bytes(framed_bytes(b"GEMB", {"dim": 0, "tokens": [*RESERVED, "x"]}))
         with pytest.raises(DataError, match="emb.bin: .*d >= 1"):
+            EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("tokens, match", [
+        ("<start><end><unk>", "tokens must be a list"), (None, "tokens must be a list"),
+        ([*RESERVED, 5], "expected str instance"), ([*RESERVED, "a", "a"], "duplicate"),
+        ([*RESERVED, "a\x00b"], "holds a NUL"), ([*RESERVED, "a\ud800"], "holds a surrogate")],
+        ids=["string", "none", "number", "duplicate", "nul", "surrogate"])
+    def test_bad_token_list_rejected(self, tmp_path, tokens, match):
+        # a NUL token would hash as two, a surrogate not at all
+        path = tmp_path / "emb.bin"
+        n = len(tokens) if isinstance(tokens, list) else 0
+        path.write_bytes(framed_bytes(b"GEMB", {"dim": 1, "tokens": tokens}, bytes(4 * n)))
+        with pytest.raises(DataError, match=f"emb.bin: .*{match}"):
             EmbeddingTable.load(path)
 
     def test_missing_reserved_tokens_rejected(self):
@@ -544,66 +540,33 @@ class TestPersistence:
             Vocabulary([START])
 
 
-def emb_bytes(tokens, d, values=None, nv=None, blob_len=None, version=1,
-              magic=b"GEMB") -> bytes:
-    """An embedding ``.bin`` as ``EmbeddingTable.save`` lays it out, with
-    header fields that may disagree with the token list and the values."""
-    blob = b"\x00".join(t.encode("utf-8") for t in tokens)
-    if values is None:
-        values = np.arange(len(tokens) * d, dtype=np.float64)
-    return (magic + struct.pack("<IIII", version, len(tokens) if nv is None else nv, d,
-                                len(blob) if blob_len is None else blob_len)
-            + blob + np.asarray(values, "<f4").tobytes())
-
-
-_HEADER_SIZES = st.sampled_from([0, 1, 2, 3, 5, 2**16, 2**30, 2**31, 2**32 - 1])
-
-
 @st.composite
 def _embedding_files(draw):
-    """A valid embedding file, then one corruption."""
+    """A valid embedding file, then one corruption of its framing or header."""
     words = draw(st.lists(st.text("abcxyz", min_size=1, max_size=4), max_size=4,
                           unique=True))
-    tokens = list(RESERVED) + words
-    d = draw(st.integers(1, 4))
-    values = draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=len(tokens) * d,
-                           max_size=len(tokens) * d))
-    raw = emb_bytes(tokens, d, values)
-    kind = draw(st.sampled_from(["none", "truncate", "flip", "magic", "version", "nv",
-                                 "d", "blob_len", "token_count", "non_utf8",
-                                 "trailing"]))
-    if kind == "truncate":
-        return raw[:draw(st.integers(0, len(raw) - 1))]
-    if kind == "flip":
-        bit = draw(st.integers(0, 8 * len(raw) - 1))
-        blob = bytearray(raw)
-        blob[bit // 8] ^= 1 << (bit % 8)
-        return bytes(blob)
-    if kind == "magic":
-        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"GEMB"))
-        return magic + raw[4:]
-    if kind == "version":
-        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 1))
-        return emb_bytes(tokens, d, values, version=version)
-    if kind == "nv":
-        return emb_bytes(tokens, d, values, nv=draw(_HEADER_SIZES))
-    if kind == "d":
-        return emb_bytes(tokens, draw(_HEADER_SIZES), values)
-    if kind == "blob_len":
-        return emb_bytes(tokens, d, values, blob_len=draw(_HEADER_SIZES))
-    if kind == "token_count":
-        # one token more or fewer than the header's |V|, the header otherwise valid
+    header = {"dim": draw(st.integers(1, 4)), "tokens": list(RESERVED) + words}
+    n = len(header["tokens"]) * header["dim"]
+    values = draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["none", "framing", "framing", "dim", "tokens",
+                                 "token_count", "non-finite"]))
+    if kind == "framing":
+        return draw(framing_corruptions(framed_bytes(b"GEMB", header, _f4(values))))
+    if kind == "dim":
+        header["dim"] = draw(st.one_of(_SIZES, st.sampled_from([-1, True, 1.5, "2", None])))
+    elif kind == "tokens":
+        header["tokens"] = draw(st.one_of(
+            st.sampled_from([None, 3, "abc", {}, [], list(RESERVED[:2])]),
+            st.builds(lambda t: [*RESERVED, t], st.one_of(
+                st.sampled_from([1, None, ["a"], "a\x00b", "\ud800", RESERVED[0]]),
+                st.text(max_size=3)))))
+    elif kind == "token_count":
+        # one token more or fewer than the payload's rows
         extra = draw(st.booleans())
-        listed = tokens + ["extra"] if extra else tokens[:-1]
-        return emb_bytes(listed, d, values, nv=len(tokens))
-    if kind == "non_utf8":
-        blob = bytearray(raw)
-        at = draw(st.integers(20, 20 + len(b"\x00".join(t.encode() for t in tokens)) - 1))
-        blob[at] = draw(st.sampled_from([0x80, 0xC3, 0xFF]))
-        return bytes(blob)
-    if kind == "trailing":
-        return raw + draw(st.binary(min_size=1, max_size=16))
-    return raw
+        header["tokens"] = header["tokens"] + ["extra"] if extra else header["tokens"][:-1]
+    elif kind == "non-finite":
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return framed_bytes(b"GEMB", header, _f4(values))
 
 
 @given(raw=_embedding_files())

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import logging
 import math
-import struct
 import time
 import zlib
 
@@ -16,11 +15,13 @@ from capreg.cli import EXIT_OK, main
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, greedy_decode,
                             teacher_forced_loss)
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
-from capreg.encoder import AnnotationSet, save_features
+from capreg.encoder import AnnotationSet, read_framed, save_features
 from capreg.harness import (CheckpointError, DataError, DatasetRecord,
                             TrainConfig, depth_study, grad_experiment,
                             load_checkpoint, load_dataset, save_checkpoint,
                             split_validation, train, write_csv)
+
+from test_encoder import framed_bytes, framing_corruptions
 
 
 def _table(num_words=20, d=8, seed=0):
@@ -37,27 +38,6 @@ def _records(n=4, dim=8, seed=0):
         cap = [f"w{rng.integers(20)}" for _ in range(4)]
         out.append(DatasetRecord(f"img{i}", None, [cap], annotations=annots))
     return out
-
-
-def checkpoint_header(path) -> dict:
-    """The JSON header of a saved checkpoint."""
-    raw = path.read_bytes()
-    hlen, = struct.unpack_from("<I", raw, 8)
-    return json.loads(raw[12:12 + hlen])
-
-
-def rewrite_checkpoint(path, header=None, header_blob=None, cut=0, extra=b""):
-    """Rewrite a saved checkpoint's header (a dict, or raw bytes) and payload
-    (``cut`` bytes off its end, ``extra`` appended) under a valid CRC."""
-    raw = path.read_bytes()[:-4]
-    hlen, = struct.unpack_from("<I", raw, 8)
-    if header is not None:
-        header_blob = json.dumps(header).encode("utf-8")
-    if header_blob is None:
-        header_blob = raw[12:12 + hlen]
-    body = (raw[:8] + struct.pack("<I", len(header_blob)) + header_blob
-            + raw[12 + hlen:len(raw) - cut] + extra)
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _toy_config(**kw):
@@ -455,18 +435,6 @@ class TestCheckpoint:
             assert b.data.dtype == np.float32
             np.testing.assert_array_equal(b.data, a.data.astype(np.float32))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_version1_refused(self, tmp_path, version):
-        table = _table()
-        model, _ = train(_toy_config(epochs=1), _records(), table)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        raw = bytearray(path.read_bytes()[:-4])
-        raw[4:8] = struct.pack("<I", version)
-        path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
-        with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
-            load_checkpoint(path, table)
-
     def test_corrupted_file_refused(self, tmp_path):
         table = _table()
         model, _ = train(_toy_config(epochs=1), _records(), table)
@@ -484,13 +452,13 @@ class TestCheckpoint:
         model, _ = train(_toy_config(epochs=0), _records(), table)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        return path, table, checkpoint_header(path)
+        return (path, table, *read_framed(path, b"CKPT", "<f8", CheckpointError))
 
     @pytest.mark.parametrize("key", ["depth", "annot_dim", "head_kind", "vocab_hash", "params"])
     def test_missing_header_key_refused(self, saved, key):
-        path, table, header = saved
+        path, table, header, payload = saved
         del header[key]
-        rewrite_checkpoint(path, header)
+        path.write_bytes(framed_bytes(b"CKPT", header, payload))
         with pytest.raises(CheckpointError, match=f"model.ckpt: header lacks '{key}'"):
             load_checkpoint(path, table)
 
@@ -498,9 +466,9 @@ class TestCheckpoint:
         ("depth", "1"), ("depth", 1.0), ("depth", True), ("depth", 0), ("hidden", -3),
         ("head_kind", 1), ("vocab_hash", None)])
     def test_bad_header_value_refused(self, saved, key, value):
-        path, table, header = saved
+        path, table, header, payload = saved
         header[key] = value
-        rewrite_checkpoint(path, header)
+        path.write_bytes(framed_bytes(b"CKPT", header, payload))
         with pytest.raises(CheckpointError, match=f"model.ckpt: header {key}: "):
             load_checkpoint(path, table)
 
@@ -508,9 +476,9 @@ class TestCheckpoint:
     def test_header_value_out_of_range_refused(self, saved, key, value):
         # building a TrainConfig refuses these at the header, before
         # param_count or CaptionModel.init sees them
-        path, table, header = saved
+        path, table, header, payload = saved
         header[key] = value
-        rewrite_checkpoint(path, header)
+        path.write_bytes(framed_bytes(b"CKPT", header, payload))
         with pytest.raises(CheckpointError, match=f"model.ckpt: header {key}: "):
             load_checkpoint(path, table)
 
@@ -521,28 +489,28 @@ class TestCheckpoint:
         (b'{"depth": ' + b"1" * 5000 + b"}", "header: integer too long")],
         ids=["malformed-json", "not-an-object", "not-utf8", "deep-nesting", "huge-int"])
     def test_malformed_header_refused(self, saved, blob, match):
-        path, table, _ = saved
-        rewrite_checkpoint(path, header_blob=blob)
+        path, table, header, payload = saved
+        path.write_bytes(framed_bytes(b"CKPT", blob, payload))
         with pytest.raises(CheckpointError, match=f"model.ckpt: {match}"):
             load_checkpoint(path, table)
 
     @pytest.mark.parametrize("cut", [1, 8, 100, 1000])
     def test_truncated_payload_refused(self, saved, cut):
-        path, table, _ = saved
-        rewrite_checkpoint(path, cut=cut)
+        path, table, header, payload = saved
+        path.write_bytes(framed_bytes(b"CKPT", header, bytes(payload)[:-cut]))
         with pytest.raises(CheckpointError, match="model.ckpt: truncated"):
             load_checkpoint(path, table)
 
     def test_truncated_header_refused(self, saved):
-        path, table, _ = saved
+        path, table, header, payload = saved
         raw = path.read_bytes()[:20]
-        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+        path.write_bytes(raw + zlib.crc32(raw).to_bytes(4, "little"))
         with pytest.raises(CheckpointError, match="model.ckpt: truncated header"):
             load_checkpoint(path, table)
 
     def test_trailing_bytes_refused(self, saved):
-        path, table, _ = saved
-        rewrite_checkpoint(path, extra=b"\x00" * 8)
+        path, table, header, payload = saved
+        path.write_bytes(framed_bytes(b"CKPT", header, bytes(payload) + bytes(8)))
         with pytest.raises(CheckpointError, match="model.ckpt: 8 bytes after"):
             load_checkpoint(path, table)
 
@@ -550,9 +518,9 @@ class TestCheckpoint:
     def test_header_dims_beyond_the_payload_refused(self, saved, key):
         # sizes the allocator refuses at once: without the check against the
         # payload these end in a MemoryError from building the model
-        path, table, header = saved
+        path, table, header, payload = saved
         header[key] = 2**40
-        rewrite_checkpoint(path, header)
+        path.write_bytes(framed_bytes(b"CKPT", header, payload))
         with pytest.raises(CheckpointError,
                            match="model.ckpt: truncated payload: the header declares"):
             load_checkpoint(path, table)
@@ -562,7 +530,7 @@ class TestCheckpoint:
         model, _ = train(_toy_config(epochs=1, dropout_rate=0.3), _records(), table)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        assert "dropout_rate" not in checkpoint_header(path)
+        assert "dropout_rate" not in read_framed(path, b"CKPT", "<f8", CheckpointError)[0]
         loaded = load_checkpoint(path, table)
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
@@ -575,7 +543,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         records = _records()
         tokens = [greedy_decode(model, r.annotations) for r in records]
-        rewrite_checkpoint(path, {**checkpoint_header(path), "dropout_rate": 0.5})
+        header, payload = read_framed(path, b"CKPT", "<f8", CheckpointError)
+        path.write_bytes(framed_bytes(b"CKPT", {**header, "dropout_rate": 0.5}, payload))
         loaded = load_checkpoint(path, table)
         assert [greedy_decode(loaded, r.annotations) for r in records] == tokens
 
@@ -585,14 +554,13 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         params = model.parameters()
-        assert checkpoint_header(path)["params"] == [[p.name, list(p.shape)] for p in params]
-        raw = path.read_bytes()
-        hlen, = struct.unpack_from("<I", raw, 8)
-        assert raw[12 + hlen:-4] == b"".join(p.data.astype("<f8").tobytes() for p in params)
+        header, payload = read_framed(path, b"CKPT", "<f8", CheckpointError)
+        assert header["params"] == [[p.name, list(p.shape)] for p in params]
+        assert payload.tobytes() == b"".join(p.data.astype("<f8").tobytes() for p in params)
 
     @pytest.mark.parametrize("change", ["rename", "reshape", "swap"])
     def test_header_params_unlike_the_model_refused(self, saved, change):
-        path, table, header = saved
+        path, table, header, payload = saved
         params = header["params"]
         if change == "rename":
             params[0][0] = "lstm0.w_y"
@@ -601,13 +569,13 @@ class TestCheckpoint:
         else:  # two entries of one shape: the payload's size is unchanged
             assert params[3][1] == params[4][1]
             params[3], params[4] = params[4], params[3]
-        rewrite_checkpoint(path, header)
+        path.write_bytes(framed_bytes(b"CKPT", header, payload))
         with pytest.raises(CheckpointError, match="model.ckpt: header params do not match"):
             load_checkpoint(path, table)
 
-    def test_rewrite_helper_keeps_a_valid_file(self, saved):
-        path, table, header = saved
-        rewrite_checkpoint(path, header)
+    def test_hand_framed_file_loads(self, saved):
+        path, table, header, payload = saved
+        path.write_bytes(framed_bytes(b"CKPT", header, payload))
         load_checkpoint(path, table)
 
 
@@ -629,37 +597,15 @@ def small_checkpoint(tmp_path_factory):
     return path.read_bytes(), table
 
 
-def _with_crc(body: bytes) -> bytes:
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
 @st.composite
 def _checkpoint_corruptions(draw, raw):
-    """A valid checkpoint, then one corruption, the CRC recomputed unless the
-    corruption is of the raw file."""
-    body = raw[:-4]
-    hlen, = struct.unpack_from("<I", body, 8)
-    header, payload = json.loads(body[12:12 + hlen]), body[12 + hlen:]
-    kind = draw(st.sampled_from(["none", "truncate", "truncate_raw", "flip", "flip_raw",
-                                 "magic", "version", "missing", "type", "zero", "huge",
-                                 "dropout", "not_object", "header_bytes", "trailing"]))
-    if kind == "truncate_raw":
-        return raw[:draw(st.integers(0, len(raw) - 1))]
-    if kind == "truncate":
-        return _with_crc(body[:draw(st.integers(0, len(body) - 1))])
-    if kind in ("flip", "flip_raw"):
-        bit = draw(st.integers(0, 8 * len(body) - 1))
-        flipped = bytearray(body)
-        flipped[bit // 8] ^= 1 << (bit % 8)
-        return _with_crc(bytes(flipped)) if kind == "flip" else bytes(flipped) + raw[-4:]
-    if kind == "magic":
-        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"CKPT"))
-        return _with_crc(magic + body[4:])
-    if kind == "version":
-        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 3))
-        return _with_crc(body[:4] + struct.pack("<I", version) + body[8:])
-    if kind == "trailing":
-        return _with_crc(body + draw(st.binary(min_size=1, max_size=16)))
+    """A valid checkpoint, then one corruption of its framing or header."""
+    kind = draw(st.sampled_from(["none", "framing", "framing", "missing", "type", "zero",
+                                 "huge", "dropout"]))
+    if kind == "framing":
+        return draw(framing_corruptions(raw))
+    header_len = int.from_bytes(raw[8:12], "little")
+    header, payload = json.loads(raw[12:12 + header_len]), raw[12 + header_len:-4]
     if kind == "missing":
         del header[draw(st.sampled_from(_CKPT_KEYS))]
     elif kind == "type":
@@ -672,18 +618,7 @@ def _checkpoint_corruptions(draw, raw):
     elif kind == "dropout":
         header["dropout_rate"] = draw(st.sampled_from([math.nan, math.inf, -math.inf,
                                                        1.0, -0.5]))
-    if kind == "not_object":
-        blob = json.dumps(draw(st.one_of(st.none(), st.integers(), st.text(max_size=4),
-                                         st.lists(st.integers(), max_size=3)))).encode()
-    elif kind == "header_bytes":
-        # an int past the digits Python parses is a ValueError, not a JSON
-        # one, and nesting past the recursion limit a RecursionError
-        blob = draw(st.one_of(st.binary(max_size=24),
-                              st.just(b'{"depth": ' + b"1" * 5000 + b"}"),
-                              st.just(b"[" * 100_000 + b"]" * 100_000)))
-    else:
-        blob = json.dumps(header).encode()
-    return _with_crc(body[:8] + struct.pack("<I", len(blob)) + blob + payload)
+    return framed_bytes(b"CKPT", header, payload)
 
 
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]
