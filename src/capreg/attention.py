@@ -30,16 +30,6 @@ class AttentionParams:
     b_hidden: Tensor         # (k,)
     w_out: Tensor            # (k,) second-layer row, shared across annotations
 
-    @classmethod
-    def init(cls, annot_dim: int, word_dim: int, k: int,
-             rng: np.random.Generator, dtype=np.float64) -> "AttentionParams":
-        return cls(
-            w_hidden_annot=Tensor(ad.xavier_uniform(rng, annot_dim, k, (k, annot_dim), dtype), name="att.w_hidden_annot"),
-            w_hidden_word=Tensor(ad.xavier_uniform(rng, word_dim, k, (k, word_dim), dtype), name="att.w_hidden_word"),
-            b_hidden=Tensor(np.zeros(k, dtype), name="att.b_hidden"),
-            w_out=Tensor(ad.xavier_uniform(rng, k, 1, (k,), dtype), name="att.w_out"),
-        )
-
     def tensors(self) -> list[Tensor]:
         return [self.w_hidden_annot, self.w_hidden_word, self.b_hidden, self.w_out]
 

@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=cmd_depth_study)
 
-    p = sub.add_parser("param-report", help="closed-form parameter counts")
+    p = sub.add_parser("param-report", help="parameter counts per depth, both heads")
     p.add_argument("--depths", type=int, nargs="+", default=[1, 2, 5, 8, 10])
     p.add_argument("--hidden", type=int, default=128)
     p.add_argument("--dim", type=int, default=64)

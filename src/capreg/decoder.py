@@ -15,6 +15,7 @@ Decoding runs the same ops one step (T = 1) at a time, carrying each layer's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +38,6 @@ class LSTMLayerParams:
     w_h: Tensor  # (4*hidden, hidden)
     b: Tensor    # (4*hidden,)
 
-    @classmethod
-    def init(cls, input_dim: int, hidden: int, rng: np.random.Generator,
-             layer_index: int = 0, dtype=np.float64) -> "LSTMLayerParams":
-        b = np.zeros(4 * hidden, dtype)
-        b[hidden:2 * hidden] = 1.0  # forget-gate bias opens the cell path early
-        return cls(
-            w_x=Tensor(ad.xavier_uniform(rng, input_dim, hidden, (4 * hidden, input_dim), dtype),
-                       name=f"lstm{layer_index}.w_x"),
-            w_h=Tensor(ad.xavier_uniform(rng, hidden, hidden, (4 * hidden, hidden), dtype),
-                       name=f"lstm{layer_index}.w_h"),
-            b=Tensor(b, name=f"lstm{layer_index}.b"),
-        )
-
     @property
     def hidden(self) -> int:
         return self.w_h.shape[1]
@@ -63,16 +51,6 @@ class OutputHead:
     kind: str       # REGRESSION or SOFTMAX
     w: Tensor       # (out_dim, hidden)
     b: Tensor       # (out_dim,)
-
-    @classmethod
-    def init(cls, kind: str, hidden: int, out_dim: int,
-             rng: np.random.Generator, dtype=np.float64) -> "OutputHead":
-        if kind not in (REGRESSION, SOFTMAX):
-            raise ValueError(f"unknown head kind {kind!r}")
-        return cls(kind,
-                   w=Tensor(ad.xavier_uniform(rng, hidden, out_dim, (out_dim, hidden), dtype),
-                            name="head.w"),
-                   b=Tensor(np.zeros(out_dim, dtype), name="head.b"))
 
     def apply(self, hidden: Tensor) -> Tensor:
         """The head's outputs for the (T, hidden) rows of the top layer."""
@@ -117,16 +95,24 @@ class CaptionModel:
             raise ValueError(f"unknown precision {precision!r}")
         dtype = ad.PRECISIONS[precision]
         rng = np.random.default_rng(seed)
-        d = embedding.dim
-        layers = []
-        for ell in range(depth):
-            in_dim = d + annot_dim if ell == 0 else hidden
-            layers.append(LSTMLayerParams.init(in_dim, hidden, rng, ell, dtype))
-        attn = AttentionParams.init(annot_dim, d, attention_k, rng, dtype)
-        rng.random(hidden)  # draw of the removed attention state row: seeds keep their weights
-        out_dim = d if head_kind == REGRESSION else len(embedding.vocab)
-        head = OutputHead.init(head_kind, hidden, out_dim, rng, dtype)
-        return cls(layers, attn, head, embedding, dropout_rate=dropout_rate)
+        tensors = []
+        for name, shape, init in param_layout(depth, hidden, embedding.dim, len(embedding.vocab),
+                                              annot_dim, attention_k, head_kind):
+            if name == "head.w":
+                rng.random(hidden)  # draw of the removed attention state row: seeds keep their weights
+            data = (ad.xavier_uniform(rng, shape[-1], init, shape, dtype) if isinstance(init, int)
+                    else np.repeat(np.array(init, dtype), shape[0] // len(init)))
+            tensors.append(Tensor(data, name=name))
+        return cls.from_tensors(embedding, head_kind, tensors, dropout_rate)
+
+    @classmethod
+    def from_tensors(cls, embedding: EmbeddingTable, head_kind: str, tensors: list[Tensor],
+                     dropout_rate: float = 0.0) -> "CaptionModel":
+        """The model whose parameters, in ``parameters()`` order, are ``tensors``."""
+        *trunk, w_annot, w_word, b_hidden, w_out, w, b = tensors
+        layers = [LSTMLayerParams(*trunk[i:i + 3]) for i in range(0, len(trunk), 3)]
+        return cls(layers, AttentionParams(w_annot, w_word, b_hidden, w_out),
+                   OutputHead(head_kind, w, b), embedding, dropout_rate=dropout_rate)
 
     @property
     def depth(self) -> int:
@@ -248,17 +234,41 @@ def greedy_decode(model: CaptionModel, annotations: AnnotationSet,
     return tokens
 
 
-def param_count(depth: int, hidden: int, embed_dim: int, vocab_size: int,
-                annot_dim: int, attention_k: int, head_kind: str) -> int:
-    """Closed-form trainable-parameter count for a configured model."""
+def param_layout(depth: int, hidden: int, embed_dim: int, vocab_size: int,
+                 annot_dim: int, attention_k: int, head_kind: str) -> list[tuple]:
+    """Each parameter of a configured model as ``(name, shape, init)`` in
+    ``CaptionModel.parameters()`` order, which builds, counts and loads it:
+    ``init`` is a weight's Xavier-uniform fan-out (its fan-in is the last
+    axis), or a bias's constant for each of its equal blocks."""
     for v in (depth, hidden, embed_dim, vocab_size, annot_dim, attention_k):
         if v <= 0:
             raise ValueError("all model dimensions must be positive")
-    # layer 0 reads [word; context], each deeper layer the hidden state below
-    total = 4 * hidden * (embed_dim + annot_dim + hidden + 1)
-    total += (depth - 1) * 4 * hidden * (2 * hidden + 1)
+    if head_kind not in (REGRESSION, SOFTMAX):
+        raise ValueError(f"unknown head kind {head_kind!r}")
+    h, k = hidden, attention_k
+    layout = []
+    # layer 0 reads [word; context], each deeper layer the hidden state below; of
+    # the gates (input, forget, output, candidate), a forget bias of 1 opens the cell path
+    for ell in range(depth):
+        in_dim = embed_dim + annot_dim if ell == 0 else h
+        layout += [(f"lstm{ell}.w_x", (4 * h, in_dim), h),
+                   (f"lstm{ell}.w_h", (4 * h, h), h),
+                   (f"lstm{ell}.b", (4 * h,), (0.0, 1.0, 0.0, 0.0))]
     # attention MLP: two hidden-layer matrices, hidden bias, shared output row
-    total += attention_k * (annot_dim + embed_dim + 2)
+    layout += [("att.w_hidden_annot", (k, annot_dim), k),
+               ("att.w_hidden_word", (k, embed_dim), k),
+               ("att.b_hidden", (k,), (0.0,)),
+               ("att.w_out", (k,), 1)]
     out_dim = embed_dim if head_kind == REGRESSION else vocab_size
-    total += out_dim * hidden + out_dim
-    return total
+    return layout + [("head.w", (out_dim, h), out_dim), ("head.b", (out_dim,), (0.0,))]
+
+
+def param_count(depth: int, hidden: int, embed_dim: int, vocab_size: int,
+                annot_dim: int, attention_k: int, head_kind: str) -> int:
+    """Trainable-parameter count of a configured model: its layout at depth
+    min(depth, 2) plus depth - 2 copies of layer 1, so a depth too large to
+    enumerate, as a checkpoint header may declare, costs nothing."""
+    sizes = {name: math.prod(shape) for name, shape, _ in param_layout(
+        min(depth, 2), hidden, embed_dim, vocab_size, annot_dim, attention_k, head_kind)}
+    layer1 = sum(n for name, n in sizes.items() if name.startswith("lstm1."))
+    return sum(sizes.values()) + max(depth - 2, 0) * layer1

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, AdamState, NumericalError
 from .decoder import (CaptionModel, REGRESSION, SOFTMAX, teacher_forced_loss,
-                      greedy_decode, param_count)
+                      greedy_decode, param_count, param_layout)
 from .embedding import EmbeddingTable
 from .encoder import (AnnotationSet, DataError, _parse_json, check_count, load_features,
                       read_framed, write_framed)
@@ -409,7 +409,10 @@ _MODEL_KEYS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head
 def load_checkpoint(path, embedding: EmbeddingTable,
                     precision: str = "f64") -> CaptionModel:
     """Rebuild a saved model, without dropout, with its parameters in
-    ``precision``; in f64 they are views of the one array the file is read into."""
+    ``precision``: views of the one array the file is read into (in f32, of
+    its one cast)."""
+    if precision not in ad.PRECISIONS:
+        raise ValueError(f"unknown precision {precision!r}")
     header, payload = read_framed(path, _CKPT_MAGIC, "<f8", CheckpointError)
     for key in (*_MODEL_KEYS, "vocab_hash", "params"):
         if key not in header:
@@ -427,19 +430,15 @@ def load_checkpoint(path, embedding: EmbeddingTable,
                               f"embedding table")
     if header["embed_dim"] != embedding.dim:
         raise CheckpointError(f"{path}: checkpoint embedding dimension mismatch")
-    # before building the model: a header may declare far more weights than
-    # the file holds, or than memory can
-    check_count(path, payload, param_count(
-        header["depth"], header["hidden"], header["embed_dim"], len(embedding.vocab),
-        header["annot_dim"], header["attention_k"], header["head_kind"]), CheckpointError)
-    model = CaptionModel.init(
-        embedding, depth=header["depth"], hidden=header["hidden"],
-        annot_dim=header["annot_dim"], attention_k=header["attention_k"],
-        head_kind=header["head_kind"], precision=precision)
-    params = model.parameters()
-    if header["params"] != [[p.name, list(p.shape)] for p in params]:
+    dims = (header["depth"], header["hidden"], header["embed_dim"], len(embedding.vocab),
+            header["annot_dim"], header["attention_k"], header["head_kind"])
+    # before the layout: a header may declare far more weights than the file
+    # holds, or than memory can, or more layers than can be enumerated
+    check_count(path, payload, param_count(*dims), CheckpointError)
+    layout = param_layout(*dims)
+    if header["params"] != [[name, list(shape)] for name, shape, _ in layout]:
         raise CheckpointError(f"{path}: header params do not match the model's names and shapes")
-    for p in params:  # init's arrays give way to views of the payload (copies in f32)
-        n = p.data.size
-        p.data, payload = payload[:n].reshape(p.shape).astype(model.dtype, copy=False), payload[n:]
-    return model
+    parts = np.split(payload.astype(ad.PRECISIONS[precision], copy=False),
+                     np.cumsum([math.prod(shape) for _, shape, _ in layout[:-1]]))
+    return CaptionModel.from_tensors(embedding, header["head_kind"], [
+        Tensor(part.reshape(shape), name=name) for (name, shape, _), part in zip(layout, parts)])

@@ -35,7 +35,11 @@ def _context(rows):
 
 def _params(annot_dim=6, word_dim=4, k=3, seed=0):
     rng = np.random.default_rng(seed)
-    return AttentionParams.init(annot_dim, word_dim, k, rng)
+    return AttentionParams(
+        w_hidden_annot=ad.Tensor(ad.xavier_uniform(rng, annot_dim, k, (k, annot_dim))),
+        w_hidden_word=ad.Tensor(ad.xavier_uniform(rng, word_dim, k, (k, word_dim))),
+        b_hidden=ad.Tensor(np.zeros(k)),
+        w_out=ad.Tensor(ad.xavier_uniform(rng, k, 1, (k,))))
 
 
 def _zero_params(annot_dim=6, word_dim=4, k=3):

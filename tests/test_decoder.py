@@ -1,11 +1,14 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from capreg import autodiff as ad
-from capreg import harness
+from capreg import decoder, harness
 from capreg.autodiff import NumericalError, Tensor
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, LSTMLayerParams,
-                            greedy_decode, lstm_step, param_count, stacked_step,
+                            greedy_decode, lstm_step, param_count, param_layout, stacked_step,
                             teacher_forced_loss)
 from capreg.embedding import END, RESERVED, START, EmbeddingTable, Vocabulary, nearest_word
 from capreg.encoder import AnnotationSet
@@ -163,6 +166,14 @@ def _state(h, c):
     return np.concatenate([h, c])
 
 
+def _layer(input_dim, hidden, rng):
+    """One layer's weights, drawn as ``CaptionModel.init`` draws them."""
+    return LSTMLayerParams(
+        w_x=Tensor(ad.xavier_uniform(rng, input_dim, hidden, (4 * hidden, input_dim))),
+        w_h=Tensor(ad.xavier_uniform(rng, hidden, hidden, (4 * hidden, hidden))),
+        b=Tensor(np.repeat([0.0, 1.0, 0.0, 0.0], hidden)))
+
+
 class TestLstmStep:
     def test_zero_weights_zero_state(self):
         params = LSTMLayerParams(
@@ -197,7 +208,7 @@ class TestLstmStep:
         # three steps from a nonzero state, against the cell's textbook form
         rng = np.random.default_rng(2)
         hidden, inp = 5, 3
-        params = LSTMLayerParams.init(inp, hidden, rng)
+        params = _layer(inp, hidden, rng)
         xs = rng.normal(0, 1, (3, inp))
         h_ref, c_ref = rng.normal(0, 1, hidden), rng.normal(0, 1, hidden)
         hs, hc = lstm_step(Tensor(xs), _state(h_ref, c_ref), params)
@@ -216,7 +227,7 @@ class TestLstmStep:
     def test_one_call_equals_steps_carrying_the_state(self):
         # decoding runs the op one row at a time; training runs all rows
         rng = np.random.default_rng(3)
-        params = LSTMLayerParams.init(3, 5, rng)
+        params = _layer(3, 5, rng)
         xs, state = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, 10)
         whole, last = lstm_step(Tensor(xs), state, params)
         for t in range(4):
@@ -226,7 +237,7 @@ class TestLstmStep:
 
     def test_mask_scales_the_output_not_the_recurrence(self):
         rng = np.random.default_rng(4)
-        params = LSTMLayerParams.init(3, 5, rng)
+        params = _layer(3, 5, rng)
         xs = Tensor(rng.normal(0, 1, (4, 3)))
         mask = (rng.random((4, 5)) >= 0.5) * 2.0
         plain, last = lstm_step(xs, np.zeros(10), params)
@@ -289,7 +300,7 @@ class TestFusedCell:
         lambda x, params: lstm_step_ops(Tensor(x), Tensor(np.zeros(8)), *params.tensors()),
     ], ids=["lstm_step", "lstm_step_ops"])
     def test_huge_input_weights_raise(self, step):
-        params = LSTMLayerParams.init(3, 4, np.random.default_rng(18))
+        params = _layer(3, 4, np.random.default_rng(18))
         params.w_x.data[...] = 1e308
         with pytest.raises(NumericalError):
             step(np.ones(3), params)
@@ -298,13 +309,13 @@ class TestFusedCell:
     def test_huge_recurrent_weights_raise(self):
         # the overflow is in w_h h, after the first step; the sigmoid and
         # tanh would saturate it into finite values
-        params = LSTMLayerParams.init(3, 4, np.random.default_rng(18))
+        params = _layer(3, 4, np.random.default_rng(18))
         params.w_h.data[...] = 1e308
         with pytest.raises(NumericalError):
             lstm_step(Tensor(np.ones((3, 3))), np.zeros(8), params)
 
     def test_shape_mismatch(self):
-        params = LSTMLayerParams.init(3, 4, np.random.default_rng(19))
+        params = _layer(3, 4, np.random.default_rng(19))
         with pytest.raises(ValueError):
             lstm_step(Tensor(np.ones((2, 5))), np.zeros(8), params)
         with pytest.raises(ValueError):
@@ -682,3 +693,52 @@ class TestParamCount:
     def test_positive_dimensions_required(self):
         with pytest.raises(ValueError):
             param_count(0, 16, 8, 50, 8, 8, REGRESSION)
+
+    def test_huge_depth_counted_at_once(self, monkeypatch):
+        # a checkpoint header or ``param-report --depths`` may name this
+        # depth: enumerating its layers would never end, so the spy fails
+        # the test instead of letting it hang
+        def spy(depth, *args):
+            assert depth <= 2, f"a layout of {depth} layers was enumerated"
+            return param_layout(depth, *args)
+        monkeypatch.setattr(decoder, "param_layout", spy)
+        layer_block = 4 * (16 * 16 + 16 * 16 + 16)
+        huge = param_count(2**40, 16, 8, 50, 8, 8, REGRESSION)
+        assert huge == param_count(2, 16, 8, 50, 8, 8, REGRESSION) + (2**40 - 2) * layer_block
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 8])
+    def test_init_builds_and_count_sums_the_layout(self, depth, head, precision):
+        model = CaptionModel.init(_table(), depth=depth, hidden=6, annot_dim=5, attention_k=4,
+                                  head_kind=head, precision=precision)
+        layout = param_layout(depth, 6, 8, len(model.embedding.vocab), 5, 4, head)
+        assert [(p.name, p.shape) for p in model.parameters()] == [
+            (name, shape) for name, shape, _ in layout]
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(ad.PRECISIONS[precision])}
+        assert param_count(depth, 6, 8, len(model.embedding.vocab), 5, 4, head) == sum(
+            math.prod(shape) for _, shape, _ in layout)
+
+    # sha256 of a seed-0 model's parameter bytes in parameters() order: a seed
+    # keeps its weights, so a reordered or changed draw fails
+    @pytest.mark.parametrize("head, precision, digest", [
+        (REGRESSION, "f64", "92d897ac035a06bac1fdac4c91d64542d3dab728c276d2da7187acbec57656e7"),
+        (REGRESSION, "f32", "ef6da4811e50c810a206170f1f83eb1cc99b11d8a11b16d71a923dcd625a9790"),
+        (SOFTMAX, "f64", "0b1704570702b7df0b2ccb5cf9e13868bb0ac944db30b01a3cc8143c56d97440"),
+        (SOFTMAX, "f32", "5dd5a1ef5a06468872a49d458830b6d1efc6ac6b63502dd84af0098a0f41cced")])
+    def test_seed0_weights_pinned(self, head, precision, digest):
+        model = CaptionModel.init(_table(), depth=3, hidden=6, annot_dim=5, attention_k=4,
+                                  head_kind=head, seed=0, precision=precision)
+        blob = b"".join(p.data.tobytes() for p in model.parameters())
+        assert hashlib.sha256(blob).hexdigest() == digest
+        forget = model.layers[1].b.data.reshape(4, 6)
+        assert np.all(forget[1] == 1.0) and np.all(forget[[0, 2, 3]] == 0.0)
+
+    def test_unknown_head_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown head kind 'beam'"):
+            param_layout(1, 4, 4, 10, 4, 4, "beam")
+        with pytest.raises(ValueError, match="unknown head kind 'beam'"):
+            CaptionModel.init(_table(), depth=1, hidden=4, annot_dim=4, attention_k=4,
+                              head_kind="beam")

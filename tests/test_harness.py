@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capreg import harness
+from capreg import decoder, harness
 from capreg.autodiff import Tensor
 from capreg.cli import EXIT_OK, main
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, greedy_decode,
@@ -475,7 +475,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key, value", [("head_kind", "beam")])
     def test_header_value_out_of_range_refused(self, saved, key, value):
         # building a TrainConfig refuses these at the header, before
-        # param_count or CaptionModel.init sees them
+        # param_count or param_layout sees them
         path, table, header, payload = saved
         header[key] = value
         path.write_bytes(framed_bytes(b"CKPT", header, payload))
@@ -514,16 +514,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="model.ckpt: 8 bytes after"):
             load_checkpoint(path, table)
 
-    @pytest.mark.parametrize("key", ["hidden", "annot_dim", "attention_k"])
-    def test_header_dims_beyond_the_payload_refused(self, saved, key):
-        # sizes the allocator refuses at once: without the check against the
-        # payload these end in a MemoryError from building the model
+    @pytest.mark.parametrize("key", ["depth", "hidden", "annot_dim", "attention_k"])
+    def test_header_dims_beyond_the_payload_refused(self, saved, key, monkeypatch):
+        # sizes the allocator refuses at once, and a depth whose layout would
+        # never end: the check against the payload refuses them first, and
+        # counts no more than two layers of the layout
         path, table, header, payload = saved
         header[key] = 2**40
         path.write_bytes(framed_bytes(b"CKPT", header, payload))
+        depths, layout = [], decoder.param_layout
+
+        def spy(depth, *args):
+            depths.append(depth)
+            assert depth <= 2, f"a layout of {depth} layers was enumerated"
+            return layout(depth, *args)
+        monkeypatch.setattr(decoder, "param_layout", spy)
+        monkeypatch.setattr(harness, "param_layout", spy)
         with pytest.raises(CheckpointError,
                            match="model.ckpt: truncated payload: the header declares"):
             load_checkpoint(path, table)
+        assert depths == [min(header["depth"], 2)]  # param_count's only
 
     def test_header_stores_no_dropout(self, tmp_path):
         table = _table()
@@ -572,6 +582,40 @@ class TestCheckpoint:
         path.write_bytes(framed_bytes(b"CKPT", header, payload))
         with pytest.raises(CheckpointError, match="model.ckpt: header params do not match"):
             load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_load_builds_no_random_model(self, tmp_path, monkeypatch, precision):
+        table = _table()
+        model, _ = train(_toy_config(depth=2, epochs=1), _records(), table)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        payloads = []
+
+        def recording_read(*args):
+            header, payload = read_framed(*args)
+            payloads.append(payload)
+            return header, payload
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint built a random model")
+        monkeypatch.setattr(harness, "read_framed", recording_read)
+        monkeypatch.setattr(CaptionModel, "init", no_init)
+        loaded = load_checkpoint(path, table, precision=precision)
+        params = loaded.parameters()
+        assert [(p.name, p.shape) for p in params] == [
+            (p.name, p.shape) for p in model.parameters()]
+        for a, b in zip(model.parameters(), params):
+            np.testing.assert_array_equal(b.data, a.data.astype(b.data.dtype))
+        if precision == "f64":  # views of the one array the file is read into
+            assert all(np.shares_memory(p.data, payloads[0]) for p in params)
+        else:  # views of its one cast
+            assert {p.data.dtype for p in params} == {np.dtype(np.float32)}
+            assert not any(np.shares_memory(p.data, payloads[0]) for p in params)
+            assert all(np.shares_memory(p.data, params[0].data.base) for p in params)
+
+    def test_unknown_precision_refused_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown precision 'f16'"):
+            load_checkpoint(tmp_path / "missing.ckpt", _table(), precision="f16")
 
     def test_hand_framed_file_loads(self, saved):
         path, table, header, payload = saved
