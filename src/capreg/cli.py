@@ -30,9 +30,7 @@ EXIT_NUMERICAL = 3
 
 def _build_config(args) -> TrainConfig:
     return TrainConfig.from_file(args.config, **{
-        k: getattr(args, k, None) for k in
-        ("depth", "hidden", "head_kind", "epochs", "lr", "dropout_rate",
-         "seed", "precision")})
+        k: v for k, v in vars(args).items() if k in TrainConfig.__dataclass_fields__})
 
 
 def cmd_train_embeddings(args) -> int:
@@ -161,14 +159,17 @@ def _seed(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="capreg",
-                                     description="Caption decoder toolkit")
-    parser.add_argument("--seed", type=_seed, default=None)
-    parser.add_argument("--config", type=str, default=None)
-    parser.add_argument("--precision", choices=("f32", "f64"), default=None)
+    parser = argparse.ArgumentParser(prog="capreg", description="Caption decoder toolkit")
+    seed, config, precision = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=_seed)
+    config.add_argument("--config")
+    precision.add_argument("--precision", choices=("f32", "f64"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-embeddings", help="train skip-gram embeddings on caption corpus")
+    def command(name, text, *parents):
+        return sub.add_parser(name, help=text, parents=parents)
+
+    p = command("train-embeddings", "train skip-gram embeddings on caption corpus", seed)
     p.add_argument("manifest")
     p.add_argument("output")
     p.add_argument("--dim", type=int, default=64)
@@ -178,21 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, default=1, dest="min_count")
     p.set_defaults(func=cmd_train_embeddings)
 
-    p = sub.add_parser("train", help="train a caption decoder")
+    p = command("train", "train a caption decoder", config, seed, precision)
     p.add_argument("manifest")
     p.add_argument("embeddings")
     p.add_argument("output")
     p.add_argument("--log", type=str, default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--head-kind", choices=(REGRESSION, SOFTMAX),
-                   default=None, dest="head_kind")
+    p.add_argument("--head-kind", choices=(REGRESSION, SOFTMAX), default=None, dest="head_kind")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--dropout-rate", type=float, default=None, dest="dropout_rate")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("caption", help="greedy-decode a caption for a feature file")
+    p = command("caption", "greedy-decode a caption for a feature file", precision)
     p.add_argument("checkpoint")
     p.add_argument("embeddings")
     p.add_argument("features")
@@ -200,19 +200,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attention-csv", type=str, default=None, dest="attention_csv")
     p.set_defaults(func=cmd_caption)
 
-    p = sub.add_parser("evaluate", help="score candidate captions against references")
+    p = command("evaluate", "score candidate captions against references")
     p.add_argument("candidates")
     p.add_argument("references")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("grad-experiment", help="output-layer gradient magnitude study")
+    p = command("grad-experiment", "output-layer gradient magnitude study", seed)
     p.add_argument("--vocab-size", type=int, default=20000, dest="vocab_size")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=cmd_grad_experiment)
 
-    p = sub.add_parser("depth-study", help="train and score at multiple depths")
+    p = command("depth-study", "train and score at multiple depths", config, seed, precision)
     p.add_argument("manifest")
     p.add_argument("embeddings")
     p.add_argument("--depths", type=int, nargs="+", default=[1, 2, 5, 8, 10])
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=cmd_depth_study)
 
-    p = sub.add_parser("param-report", help="parameter counts per depth, both heads")
+    p = command("param-report", "parameter counts per depth, both heads")
     p.add_argument("--depths", type=int, nargs="+", default=[1, 2, 5, 8, 10])
     p.add_argument("--hidden", type=int, default=128)
     p.add_argument("--dim", type=int, default=64)

@@ -44,7 +44,7 @@ def trained(workspace):
     emb, ckpt = tmp / "e.bin", tmp / "m.ckpt"
     assert main(["train-embeddings", str(manifest), str(emb), "--dim", "8",
                  "--epochs", "1"]) == EXIT_OK
-    assert main(["--config", str(config), "train", str(manifest), str(emb),
+    assert main(["train", "--config", str(config), str(manifest), str(emb),
                  str(ckpt)]) == EXIT_OK
     return tmp, emb, ckpt
 
@@ -60,7 +60,7 @@ class TestPipeline:
                      "--dim", "8", "--epochs", "1"]) == EXIT_OK
         assert emb.exists()
 
-        assert main(["--config", str(config), "train", str(manifest),
+        assert main(["train", "--config", str(config), str(manifest),
                      str(emb), str(ckpt), "--log", str(log)]) == EXIT_OK
         assert ckpt.exists()
         header = log.read_text().splitlines()[0].split(",")
@@ -95,7 +95,7 @@ class TestPipeline:
         emb, ckpt = tmp / "e.bin", tmp / "m.ckpt"
         main(["train-embeddings", str(manifest), str(emb), "--dim", "8",
               "--epochs", "1"])
-        main(["--config", str(config), "train", str(manifest), str(emb), str(ckpt)])
+        main(["train", "--config", str(config), str(manifest), str(emb), str(ckpt)])
         capsys.readouterr()
         outs = []
         for _ in range(2):
@@ -118,6 +118,21 @@ class TestReports:
         rows = json.loads(capsys.readouterr().out)
         assert [r["depth"] for r in rows] == [1, 2]
         assert all(r["regression"] < r["softmax"] for r in rows)
+
+
+# each command's arguments other than --seed, --config and --precision, and
+# its exit code with them: every input is missing, or every size is small
+_ARGS = {"train-embeddings": (["m.jsonl", "e.bin"], EXIT_DATA),
+         "train": (["m.jsonl", "e.bin", "m.ckpt"], EXIT_DATA),
+         "caption": (["m.ckpt", "e.bin", "f.annv"], EXIT_DATA),
+         "evaluate": (["c.jsonl", "r.jsonl"], EXIT_DATA),
+         "grad-experiment": (["--vocab-size", "10", "--trials", "1"], EXIT_OK),
+         "depth-study": (["m.jsonl", "e.bin", "--depths", "1"], EXIT_DATA),
+         "param-report": (["--depths", "1"], EXIT_OK)}
+# each flag, a value it accepts and the commands that read it
+_FLAGS = {"--seed": ("1", {"train-embeddings", "train", "grad-experiment", "depth-study"}),
+          "--config": ("c.json", {"train", "depth-study"}),
+          "--precision": ("f32", {"train", "caption", "depth-study"})}
 
 
 class TestExitCodes:
@@ -155,7 +170,7 @@ class TestExitCodes:
         emb, ckpt = tmp / "e.bin", tmp / "m.ckpt"
         main(["train-embeddings", str(manifest), str(emb), "--dim", "8",
               "--epochs", "1"])
-        main(["--config", str(config), "train", str(manifest), str(emb), str(ckpt)])
+        main(["train", "--config", str(config), str(manifest), str(emb), str(ckpt)])
         other = tmp / "other.bin"
         main(["train-embeddings", str(manifest), str(other), "--dim", "8",
               "--epochs", "1", "--min-count", "2"])
@@ -251,7 +266,7 @@ class TestExitCodes:
         (tmp / "sub").mkdir()
         manifest.write_text(manifest.read_text().replace('"img1.annv"', json.dumps(features)))
         capsys.readouterr()
-        assert main(["--config", str(config), "train", str(manifest), str(emb),
+        assert main(["train", "--config", str(config), str(manifest), str(emb),
                      str(tmp / "m.ckpt")]) == EXIT_DATA
         assert "missing feature file" in capsys.readouterr().err
 
@@ -271,7 +286,7 @@ class TestExitCodes:
         main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
         manifest.write_text(manifest.read_text().replace('"captions": ["a dog runs fast"]',
                                                          '"captions": ["a dog runs fast", ""]'))
-        assert main(["--config", str(config), "train", str(manifest), str(emb),
+        assert main(["train", "--config", str(config), str(manifest), str(emb),
                      str(tmp / "m.ckpt")]) == EXIT_DATA
 
     def test_nul_in_a_caption_token_is_data_error(self, workspace, capsys):
@@ -303,30 +318,57 @@ class TestExitCodes:
     def test_bad_config_is_usage_error_before_any_input_is_read(self, tmp_path, capsys,
                                                                  command, options, config_text):
         # the manifest is missing, a data error, but the config is checked first
-        argv = []
-        if config_text is not None:
-            (tmp_path / "c.json").write_text(config_text)
-            argv = ["--config", str(tmp_path / "c.json")]
-        argv += [command, str(tmp_path / "missing.jsonl"), str(tmp_path / "e.bin"), *options]
+        argv = [command, str(tmp_path / "missing.jsonl"), str(tmp_path / "e.bin"), *options]
         if command == "train":
             argv.append(str(tmp_path / "m.ckpt"))
+        if config_text is not None:
+            (tmp_path / "c.json").write_text(config_text)
+            argv += ["--config", str(tmp_path / "c.json")]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("seed", ["-1", "x"])
-    @pytest.mark.parametrize("command", ["train-embeddings", "train", "caption", "evaluate",
-                                         "grad-experiment", "depth-study", "param-report"])
+    @pytest.mark.parametrize("command", sorted(_FLAGS["--seed"][1]))
     def test_bad_seed_is_usage_error_before_any_input_is_read(self, tmp_path, capsys,
-                                                              command, seed):
+                                                              monkeypatch, command, seed):
         # every input path is missing, a data error, but the parser refuses
         # the seed first; numpy's generators take non-negative integers only
-        paths = {"train-embeddings": 2, "train": 3, "caption": 3, "evaluate": 2,
-                 "depth-study": 2}
-        missing = [str(tmp_path / f"missing{i}") for i in range(paths.get(command, 0))]
-        assert main(["--seed", seed, command, *missing]) == EXIT_USAGE
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *_ARGS[command][0], "--seed", seed]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize("command", ["caption", "evaluate", "param-report"])
+    def test_seed_on_a_command_without_one_is_usage_error(self, tmp_path, capsys,
+                                                          monkeypatch, command, seed):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *_ARGS[command][0], "--seed", seed]) == EXIT_USAGE
+        assert f"capreg: error: unrecognized arguments: --seed {seed}\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("flag", _FLAGS)
+    @pytest.mark.parametrize("command", _ARGS)
+    def test_command_takes_only_the_flags_it_reads(self, tmp_path, capsys, monkeypatch,
+                                                   command, flag, where):
+        # a command that reads the flag takes it after its name and ends as
+        # it would without it; any other placement is refused before any input is read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text("{}")
+        args, code = _ARGS[command]
+        value, readers = _FLAGS[flag]
+        if where == "before":
+            assert main([flag, value, command, *args]) == EXIT_USAGE
+            assert "capreg: error: argument command: invalid choice" in capsys.readouterr().err
+        elif command in readers:
+            assert main([command, *args, flag, value]) == code
+        else:
+            assert main([command, *args, flag, value]) == EXIT_USAGE
+            assert (f"capreg: error: unrecognized arguments: {flag} {value}\n"
+                    in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_size_too_large_to_allocate_is_usage_error(self, capsys):
         # 8 PB in one array: numpy refuses it on any host without allocating it
@@ -341,7 +383,7 @@ class TestExitCodes:
         main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
         config.write_text(json.dumps({field: "8"}))
         extra = [str(tmp / "m.ckpt")] if command == "train" else ["--depths", "1"]
-        assert main(["--config", str(config), command, str(manifest), str(emb),
+        assert main([command, "--config", str(config), str(manifest), str(emb),
                      *extra]) == EXIT_USAGE
         assert f"config {field} must be int" in capsys.readouterr().err
 
@@ -351,7 +393,7 @@ class TestExitCodes:
         tmp, manifest, config = workspace
         emb, ckpt = tmp / "e.bin", tmp / "m.ckpt"
         main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
-        main(["--config", str(config), "train", str(manifest), str(emb), str(ckpt)])
+        main(["train", "--config", str(config), str(manifest), str(emb), str(ckpt)])
         emb.write_bytes(blob)
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv")]) == EXIT_DATA
 
@@ -362,7 +404,7 @@ class TestExitCodes:
         emb = tmp / "e.bin"
         tokens = ["<start>", "<end>", "<unk>", "a", "dog"]
         emb.write_bytes(framed_bytes(b"GEMB", {"dim": d, "tokens": tokens}, bytes(64)))
-        assert main(["--config", str(config), "train", str(manifest), str(emb),
+        assert main(["train", "--config", str(config), str(manifest), str(emb),
                      str(tmp / "m.ckpt")]) == EXIT_DATA
         assert match in capsys.readouterr().err
 
@@ -371,7 +413,7 @@ class TestExitCodes:
         emb = tmp / "e.bin"
         main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
         manifest.write_text(manifest.read_text().replace(', "features": "img1.annv"', ""))
-        assert main(["--config", str(config), "train", str(manifest), str(emb),
+        assert main(["train", "--config", str(config), str(manifest), str(emb),
                      str(tmp / "m.ckpt")]) == EXIT_DATA
         assert "image img1" in capsys.readouterr().err
 
@@ -412,7 +454,7 @@ class TestExitCodes:
         main(["train-embeddings", str(manifest), str(emb), "--dim", "8", "--epochs", "1"])
         (tmp / "img1.annv").write_bytes(blob)
         capsys.readouterr()
-        assert main(["--config", str(config), "train", str(manifest), str(emb),
+        assert main(["train", "--config", str(config), str(manifest), str(emb),
                      str(tmp / "m.ckpt")]) == EXIT_DATA
         assert "img1.annv" in capsys.readouterr().err
 
@@ -474,7 +516,7 @@ class TestExitCodes:
             assert main(["caption", *args]) == EXIT_DATA
             captured = capsys.readouterr()
             assert name in captured.err and captured.out == ""
-        assert main(["--config", str(tmp / "config.json"), "train", "train.jsonl", "e.bin",
+        assert main(["train", "--config", str(tmp / "config.json"), "train.jsonl", "e.bin",
                      str(tmp / "n.ckpt")]) == EXIT_DATA
         assert "train.jsonl" in capsys.readouterr().err
         assert not (tmp / "n.ckpt").exists()
@@ -483,7 +525,7 @@ class TestExitCodes:
     def test_bad_lr_is_usage_error(self, trained, capsys, lr):
         tmp, emb, _ = trained
         capsys.readouterr()
-        assert main(["--config", str(tmp / "config.json"), "train", str(tmp / "train.jsonl"),
+        assert main(["train", "--config", str(tmp / "config.json"), str(tmp / "train.jsonl"),
                      str(emb), str(tmp / "n.ckpt"), "--lr", lr]) == EXIT_USAGE
         assert "lr must be finite" in capsys.readouterr().err
 
@@ -493,7 +535,7 @@ class TestExitCodes:
         # about 1e308, and the next forward pass overflows
         tmp, emb, _ = trained
         capsys.readouterr()
-        assert main(["--config", str(tmp / "config.json"), "train", str(tmp / "train.jsonl"),
+        assert main(["train", "--config", str(tmp / "config.json"), str(tmp / "train.jsonl"),
                      str(emb), str(tmp / "n.ckpt"), "--lr", "1e308"]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical abort: non-finite values at epoch 0")
@@ -540,7 +582,7 @@ class TestExitCodes:
         tmp, manifest, _ = workspace
         config = tmp / "c.json"
         config.write_bytes(blob)
-        assert main(["--config", str(config), "train", str(manifest), str(tmp / "e.bin"),
+        assert main(["train", "--config", str(config), str(manifest), str(tmp / "e.bin"),
                      str(tmp / "m.ckpt")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: {match}")
@@ -555,7 +597,7 @@ class TestExitCodes:
         config = tmp / "bad.json"
         config.write_text(text)
         capsys.readouterr()
-        assert main(["--config", str(config), "train", str(tmp / "train.jsonl"), str(emb),
+        assert main(["train", "--config", str(config), str(tmp / "train.jsonl"), str(emb),
                      str(tmp / "n.ckpt")]) == EXIT_USAGE
         assert match in capsys.readouterr().err
 
@@ -566,7 +608,7 @@ class TestExitCodes:
         tmp, manifest, _ = workspace
         config = tmp / "c.json"
         config.write_text(json.dumps({key: value}))
-        assert main(["--config", str(config), "train", str(manifest), str(tmp / "e.bin"),
+        assert main(["train", "--config", str(config), str(manifest), str(tmp / "e.bin"),
                      str(tmp / "m.ckpt")]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
