@@ -47,16 +47,15 @@ class Tensor:
     last step, in arrival order, each a dense array of its shape or an
     unformed product (:class:`_Outer`); an op result's is ``None``."""
 
-    __slots__ = ("data", "terms", "_parents", "_backward", "_backward_done", "name")
+    __slots__ = ("data", "terms", "_parents", "_backward", "_backward_done")
 
-    def __init__(self, data, name: str | None = None):
+    def __init__(self, data):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.terms: list | None = []
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], list] | None = None
         self._backward_done = False
-        self.name = name
 
     @property
     def shape(self):
@@ -204,7 +203,7 @@ def _finite(op: str, data: np.ndarray) -> np.ndarray:
 def _result(op: str, data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], list]) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data, out.terms, out.name = _finite(op, data), None, None
+    out.data, out.terms = _finite(op, data), None
     out._parents, out._backward, out._backward_done = tuple(parents), backward, False
     return out
 

@@ -19,7 +19,7 @@ from .decoder import REGRESSION, SOFTMAX, greedy_decode, param_count
 from .embedding import EmbeddingTable, build_vocab, train_skipgram
 from .encoder import DataError, load_features
 from .harness import (TrainConfig, TrainingAborted, load_dataset, read_jsonl,
-                      write_csv, train, grad_experiment, depth_study,
+                      train, grad_experiment, depth_study,
                       save_checkpoint, load_checkpoint, check_annotation_dim)
 
 EXIT_OK = 0
@@ -45,14 +45,25 @@ def cmd_train_embeddings(args) -> int:
     return EXIT_OK
 
 
+def _write_log(path, rows: list[dict]) -> None:
+    """The ``train --log`` format: one JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
+
+
 def cmd_train(args) -> int:
     config = _build_config(args)
     records = load_dataset(args.manifest)
     table = EmbeddingTable.load(args.embeddings)
-    model, log = train(config, records, table)
+    try:
+        model, log = train(config, records, table)
+    except TrainingAborted as e:  # the completed epochs, then the dump
+        if args.log:
+            _write_log(args.log, [*e.log.epochs, {"aborted": str(e), **e.dump}])
+        raise
     save_checkpoint(model, args.output)
     if args.log:
-        write_csv(log.epochs, args.log)
+        _write_log(args.log, log.epochs)
     final = log.epochs[-1]["loss"] if log.epochs else float("nan")
     print(f"trained depth-{config.depth} {config.head_kind} model, "
           f"final loss {final:.6g} -> {args.output}")
@@ -117,8 +128,6 @@ def cmd_evaluate(args) -> int:
 def cmd_grad_experiment(args) -> int:
     report = grad_experiment(args.vocab_size, args.dim,
                              trials=args.trials, seed=args.seed or 0)
-    if args.csv:
-        write_csv([report], args.csv)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -129,8 +138,6 @@ def cmd_depth_study(args) -> int:
     table = EmbeddingTable.load(args.embeddings)
     rows = depth_study(config, args.depths, records, table)
     print(json.dumps(rows, indent=2))
-    if args.csv:
-        write_csv(rows, args.csv)
     return EXIT_OK
 
 
@@ -209,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=20000, dest="vocab_size")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=cmd_grad_experiment)
 
     p = command("depth-study", "train and score at multiple depths", config, seed, precision)
@@ -217,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("embeddings")
     p.add_argument("--depths", type=int, nargs="+", default=[1, 2, 5, 8, 10])
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=cmd_depth_study)
 
     p = command("param-report", "parameter counts per depth, both heads")
@@ -232,9 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags some commands take, which argparse would read as a command name
+_COMMAND_FLAGS = ("--seed", "--config", "--precision")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        flag = argv[0].split("=", 1)[0] if argv else None
+        if flag in _COMMAND_FLAGS:
+            parser.error(f"{flag} goes after the command name: capreg COMMAND ... {flag} VALUE")
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK

@@ -102,7 +102,7 @@ class CaptionModel:
                 rng.random(hidden)  # draw of the removed attention state row: seeds keep their weights
             data = (ad.xavier_uniform(rng, shape[-1], init, shape, dtype) if isinstance(init, int)
                     else np.repeat(np.array(init, dtype), shape[0] // len(init)))
-            tensors.append(Tensor(data, name=name))
+            tensors.append(Tensor(data))
         return cls.from_tensors(embedding, head_kind, tensors, dropout_rate)
 
     @classmethod

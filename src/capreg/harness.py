@@ -3,7 +3,6 @@ depth experiments, and checkpoint persistence."""
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 import time
@@ -23,11 +22,13 @@ from .encoder import (AnnotationSet, DataError, _parse_json, check_count, load_f
 
 
 class TrainingAborted(NumericalError):
-    """Numerical failure during training; carries a diagnostic dump."""
+    """Numerical failure during training; carries a diagnostic dump and the
+    log of the epochs completed before it."""
 
-    def __init__(self, message: str, dump: dict):
+    def __init__(self, message: str, dump: dict, log: "TrainLog"):
         super().__init__(message)
         self.dump = dump
+        self.log = log
 
 
 _DECAY_FACTOR = 0.1   # plateau decay: lr *= 0.1 after 50 epochs in a row
@@ -186,20 +187,9 @@ class TrainLog:
     without a validation split); ``forward_s``, ``backward_s`` and
     ``optimizer_s``, each summed over the epoch's samples, and
     ``validation_s``, in seconds; ``samples_per_s`` over the wall time of
-    the epoch's training loop; and ``grad_norm_layer{i}``, the last
-    sample's ``||dW_x||`` of each LSTM layer."""
+    the epoch's training loop; and ``grad_norm_w_x``, the last sample's
+    ``||dW_x||`` of each LSTM layer, bottom layer first."""
     epochs: list[dict] = field(default_factory=list)
-
-
-def write_csv(rows: list[dict], path) -> None:
-    """Write dict rows as CSV, the first row's keys as the header. No rows,
-    no file."""
-    if not rows:
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, rows[0].keys(), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _layer_grad_norms(model: CaptionModel) -> list[float]:
@@ -257,25 +247,24 @@ def train(config: TrainConfig, records: list[DatasetRecord],
                 forward_s += t1 - t0
                 backward_s += t2 - t1
                 optimizer_s += t3 - t2
+            samples_per_s = len(samples) / (time.perf_counter() - start)
+            val_loss = None
+            t0 = time.perf_counter()
+            if val_set:
+                val_loss = float(np.mean([
+                    teacher_forced_loss(model, rec.load_annotations(), cap).item()
+                    for rec in val_set for cap in rec.captions]))
         except NumericalError as e:
             raise TrainingAborted(
                 f"non-finite values at epoch {epoch}",
                 dump={"epoch": epoch, "lr": opt.lr, "error": str(e),
-                      "epoch_loss_so_far": epoch_loss}) from e
-        samples_per_s = len(samples) / (time.perf_counter() - start)
+                      "epoch_loss_so_far": epoch_loss}, log=log) from e
         epoch_loss /= len(samples)
-        val_loss = None
-        t0 = time.perf_counter()
-        if val_set:
-            val_loss = float(np.mean([
-                teacher_forced_loss(model, rec.load_annotations(), cap).item()
-                for rec in val_set for cap in rec.captions]))
-        row = {"epoch": epoch, "loss": epoch_loss, "lr": opt.lr, "val_loss": val_loss,
-               "forward_s": forward_s, "backward_s": backward_s, "optimizer_s": optimizer_s,
-               "validation_s": time.perf_counter() - t0, "samples_per_s": samples_per_s}
-        for i, g in enumerate(grad_norms or []):
-            row[f"grad_norm_layer{i}"] = g
-        log.epochs.append(row)
+        log.epochs.append({
+            "epoch": epoch, "loss": epoch_loss, "lr": opt.lr, "val_loss": val_loss,
+            "forward_s": forward_s, "backward_s": backward_s, "optimizer_s": optimizer_s,
+            "validation_s": time.perf_counter() - t0, "samples_per_s": samples_per_s,
+            "grad_norm_w_x": grad_norms})
         if initial_loss is None:
             initial_loss = epoch_loss
         if epoch_loss < best_loss * 0.99:
@@ -385,25 +374,23 @@ class CheckpointError(ValueError):
     """A checkpoint that cannot be loaded; a ValueError, so the CLI exits 1."""
 
 
+# other header keys, such as a "dropout_rate" some files hold, are not read
+_MODEL_KEYS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind")
+
+
 def save_checkpoint(model: CaptionModel, path) -> None:
     """The header holds the hyperparameters, the vocabulary hash and
     ``params``, each parameter's name and shape in ``model.parameters()``
     order, the payload's; the payload is their values as float64."""
     params = model.parameters()
+    dims = dict(zip(_MODEL_KEYS, (model.depth, model.hidden, model.embedding.dim, model.annot_dim,
+                                  model.attention.b_hidden.shape[0], model.head.kind)))
+    layout = param_layout(**dims, vocab_size=len(model.embedding.vocab))
     write_framed(path, _CKPT_MAGIC, {
-        "depth": model.depth,
-        "hidden": model.hidden,
-        "embed_dim": model.embedding.dim,
-        "annot_dim": model.annot_dim,
-        "attention_k": model.attention.b_hidden.shape[0],
-        "head_kind": model.head.kind,
+        **dims,
         "vocab_hash": model.embedding.vocab.content_hash(),
-        "params": [[p.name, list(p.shape)] for p in params],
+        "params": [[name, list(p.shape)] for (name, _, _), p in zip(layout, params, strict=True)],
     }, "<f8", (p.data for p in params))
-
-
-# other header keys, such as a "dropout_rate" some files hold, are not read
-_MODEL_KEYS = ("depth", "hidden", "embed_dim", "annot_dim", "attention_k", "head_kind")
 
 
 def load_checkpoint(path, embedding: EmbeddingTable,
@@ -441,4 +428,4 @@ def load_checkpoint(path, embedding: EmbeddingTable,
     parts = np.split(payload.astype(ad.PRECISIONS[precision], copy=False),
                      np.cumsum([math.prod(shape) for _, shape, _ in layout[:-1]]))
     return CaptionModel.from_tensors(embedding, header["head_kind"], [
-        Tensor(part.reshape(shape), name=name) for (name, shape, _), part in zip(layout, parts)])
+        Tensor(part.reshape(shape)) for (_, shape, _), part in zip(layout, parts)])

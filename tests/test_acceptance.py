@@ -171,7 +171,7 @@ def test_criterion_3_depth8_trainability(capsys):
     initial = log.epochs[0]["loss"]
     final = log.epochs[-1]["loss"]
     assert final < 0.10 * initial
-    layer0_min = min(row["grad_norm_layer0"] for row in log.epochs)
+    layer0_min = min(row["grad_norm_w_x"][0] for row in log.epochs)
     assert layer0_min > 1e-8
     assert elapsed < 900
     phases = {k: sum(row[k] for row in log.epochs)

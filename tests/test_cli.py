@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capreg import embedding, encoder, harness
+from capreg import cli, decoder, embedding, encoder, harness
 from capreg.autodiff import NumericalError
 from capreg.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main)
 from capreg.embedding import EmbeddingTable
@@ -54,7 +54,7 @@ class TestPipeline:
         tmp, manifest, config = workspace
         emb = tmp / "emb.bin"
         ckpt = tmp / "model.ckpt"
-        log = tmp / "log.csv"
+        log = tmp / "log.jsonl"
 
         assert main(["train-embeddings", str(manifest), str(emb),
                      "--dim", "8", "--epochs", "1"]) == EXIT_OK
@@ -63,9 +63,9 @@ class TestPipeline:
         assert main(["train", "--config", str(config), str(manifest),
                      str(emb), str(ckpt), "--log", str(log)]) == EXIT_OK
         assert ckpt.exists()
-        header = log.read_text().splitlines()[0].split(",")
-        assert header[0] == "epoch" and {"forward_s", "backward_s", "optimizer_s",
-                                         "validation_s", "samples_per_s"} <= set(header)
+        row = json.loads(log.read_text().splitlines()[0])
+        assert row["epoch"] == 0 and {"forward_s", "backward_s", "optimizer_s",
+                                      "validation_s", "samples_per_s"} <= set(row)
         capsys.readouterr()
 
         assert main(["caption", str(ckpt), str(emb), str(tmp / "img0.annv"),
@@ -105,19 +105,80 @@ class TestPipeline:
 
 
 class TestReports:
-    def test_grad_experiment_with_csv(self, tmp_path, capsys):
-        csv = tmp_path / "grad.csv"
+    def test_grad_experiment_prints_json(self, capsys):
         assert main(["grad-experiment", "--vocab-size", "1000", "--dim", "16",
-                     "--trials", "3", "--csv", str(csv)]) == EXIT_OK
+                     "--trials", "3"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["softmax_nontarget_uniform"] == pytest.approx(1 / 1000)
-        assert csv.exists()
+
+    @pytest.mark.parametrize("command", ["grad-experiment", "depth-study"])
+    def test_csv_flag_refused_before_any_file_is_written(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *_ARGS[command][0], "--csv", "r.csv"]) == EXIT_USAGE
+        assert "capreg: error: unrecognized arguments: --csv r.csv\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_param_report(self, capsys):
         assert main(["param-report", "--depths", "1", "2"]) == EXIT_OK
         rows = json.loads(capsys.readouterr().out)
         assert [r["depth"] for r in rows] == [1, 2]
         assert all(r["regression"] < r["softmax"] for r in rows)
+
+
+def _train_argv(tmp, emb, *extra):
+    return ["train", "--config", str(tmp / "config.json"), str(tmp / "train.jsonl"),
+            str(emb), str(tmp / "n.ckpt"), *extra]
+
+
+class TestTrainLog:
+    def test_rows_round_trip(self, trained, monkeypatch):
+        # each line reads back as its row of the log train() returned, every
+        # float bit for bit; three records make no validation split
+        tmp, emb, _ = trained
+        logs = []
+
+        def recording_train(*args, **kwargs):
+            model, log = harness.train(*args, **kwargs)
+            logs.append(log)
+            return model, log
+        monkeypatch.setattr(cli, "train", recording_train)
+        path = tmp / "log.jsonl"
+        assert main(_train_argv(tmp, emb, "--log", str(path))) == EXIT_OK
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == logs[0].epochs
+        assert len(lines) == 3 and all('"val_loss": null' in line for line in lines)
+        assert all(len(json.loads(line)["grad_norm_w_x"]) == 1 for line in lines)
+
+    def test_no_epochs_an_empty_log(self, trained):
+        tmp, emb, _ = trained
+        path = tmp / "log.jsonl"
+        assert main(_train_argv(tmp, emb, "--epochs", "0", "--log", str(path))) == EXIT_OK
+        assert path.read_bytes() == b""
+
+    def test_abort_logs_the_completed_epochs_then_the_dump(self, trained, capsys,
+                                                           monkeypatch):
+        # three training samples an epoch: the fourth loss is epoch 1's first
+        tmp, emb, _ = trained
+        calls = []
+
+        def failing_loss(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise NumericalError("lstm: non-finite values in a (4, 32) array, "
+                                     "largest |x| inf")
+            return decoder.teacher_forced_loss(*args, **kwargs)
+        monkeypatch.setattr(harness, "teacher_forced_loss", failing_loss)
+        path = tmp / "log.jsonl"
+        capsys.readouterr()
+        assert main(_train_argv(tmp, emb, "--log", str(path))) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        dump = json.loads(err[err.index("{"):])
+        first, last = map(json.loads, path.read_text().splitlines())
+        assert first["epoch"] == 0 and first["grad_norm_w_x"][0] > 0
+        assert last == {"aborted": "non-finite values at epoch 1", **dump}
+        assert last["epoch"] == 1 and last["error"].startswith("lstm: ")
+        assert not (tmp / "n.ckpt").exists()
 
 
 # each command's arguments other than --seed, --config and --precision, and
@@ -361,7 +422,10 @@ class TestExitCodes:
         value, readers = _FLAGS[flag]
         if where == "before":
             assert main([flag, value, command, *args]) == EXIT_USAGE
-            assert "capreg: error: argument command: invalid choice" in capsys.readouterr().err
+            message = f"{flag} goes after the command name: capreg COMMAND ... {flag} VALUE"
+            assert capsys.readouterr().err.endswith(f"capreg: error: {message}\n")
+            assert main([f"{flag}={value}", command, *args]) == EXIT_USAGE
+            assert f"capreg: error: {flag} goes after" in capsys.readouterr().err
         elif command in readers:
             assert main([command, *args, flag, value]) == code
         else:
@@ -534,14 +598,35 @@ class TestExitCodes:
         # 1e308 is a finite lr: the first Adam step moves every weight by
         # about 1e308, and the next forward pass overflows
         tmp, emb, _ = trained
+        log = tmp / "log.jsonl"
         capsys.readouterr()
-        assert main(["train", "--config", str(tmp / "config.json"), str(tmp / "train.jsonl"),
-                     str(emb), str(tmp / "n.ckpt"), "--lr", "1e308"]) == EXIT_NUMERICAL
+        assert main(_train_argv(tmp, emb, "--lr", "1e308", "--log", str(log))) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical abort: non-finite values at epoch 0")
         dump = json.loads(err[err.index("{"):])
         assert dump["epoch"] == 0 and dump["lr"] == 1e308
         assert "non-finite" in dump["error"]
+        assert not (tmp / "n.ckpt").exists()
+        # no epoch completed: the log is the abort line, which names the op and the epoch
+        [line] = log.read_text().splitlines()
+        assert json.loads(line) == {"aborted": "non-finite values at epoch 0", **dump}
+        assert dump["error"] == "attention: non-finite values in a (4, 4) array, largest |x| inf"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_validation_is_numerical_abort(self, trained, capsys):
+        # img11 is the validation split: the first Adam step at lr 1e300 makes
+        # the weights about 1e300, and the validation loss overflows
+        tmp, emb, _ = trained
+        images = [("img0", "a dog runs fast"), ("img11", "the cat sits down")]
+        (tmp / "train.jsonl").write_text("".join(
+            json.dumps({"id": image, "captions": [caption], "features": f"img{i}.annv"}) + "\n"
+            for i, (image, caption) in enumerate(images)))
+        capsys.readouterr()
+        assert main(_train_argv(tmp, emb, "--lr", "1e300")) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: non-finite values at epoch 0\n")
+        dump = json.loads(err[err.index("{"):])
+        assert dump["epoch"] == 0 and dump["error"].startswith("mse: non-finite values")
         assert not (tmp / "n.ckpt").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -32,6 +32,14 @@ from test_autodiff import (_oracle_backward, _sigmoid, _toposort, _total, add, a
 # walks a tree and refuses such a graph.
 
 
+def named_params(model):
+    """(name, parameter) pairs of ``model``, named by its ``param_layout``."""
+    layout = param_layout(model.depth, model.hidden, model.embedding.dim,
+                          len(model.embedding.vocab), model.annot_dim,
+                          model.attention.b_hidden.shape[0], model.head.kind)
+    return [(name, p) for (name, _, _), p in zip(layout, model.parameters(), strict=True)]
+
+
 def lstm_cell(x, state, w_x, w_h, b):
     """One LSTM layer-step as one graph node, from the previous ``[h; c]``
     node ``state`` to the next: the 17-op cell's NumPy expressions in its
@@ -432,9 +440,9 @@ class TestTeacherForcedLoss:
 
         def f(_):
             return teacher_forced_loss(model, annots, cap)
-        for param in model.parameters():
+        for name, param in named_params(model):
             err = finite_difference_check(f, param, max_components=10, rng=rng)
-            assert err < 1e-4, param.name
+            assert err < 1e-4, name
 
     @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
     def test_f32_model_stays_f32(self, head):
@@ -542,10 +550,10 @@ class TestPerCaptionContract:
             _oracle_backward)
         tol = TOLERANCE[precision]
         assert abs(loss - ref_loss) <= tol * abs(ref_loss)
-        for p, g, ref in zip(model.parameters(), grads, ref_grads):
+        for (name, _), g, ref in zip(named_params(model), grads, ref_grads):
             assert g.dtype == ref.dtype
-            assert np.any(ref != 0), p.name
-            assert _relative_error(g, ref) <= tol, p.name
+            assert np.any(ref != 0), name
+            assert _relative_error(g, ref) <= tol, name
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -715,7 +723,7 @@ class TestParamLayout:
         model = CaptionModel.init(_table(), depth=depth, hidden=6, annot_dim=5, attention_k=4,
                                   head_kind=head, precision=precision)
         layout = param_layout(depth, 6, 8, len(model.embedding.vocab), 5, 4, head)
-        assert [(p.name, p.shape) for p in model.parameters()] == [
+        assert [(name, p.shape) for name, p in named_params(model)] == [
             (name, shape) for name, shape, _ in layout]
         assert {p.data.dtype for p in model.parameters()} == {np.dtype(ad.PRECISIONS[precision])}
         assert param_count(depth, 6, 8, len(model.embedding.vocab), 5, 4, head) == sum(

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capreg import decoder, harness
-from capreg.autodiff import Tensor
-from capreg.cli import EXIT_OK, main
+from capreg.autodiff import NumericalError, Tensor
+from capreg.cli import EXIT_OK, EXIT_USAGE, main
 from capreg.decoder import (REGRESSION, SOFTMAX, CaptionModel, greedy_decode,
                             teacher_forced_loss)
 from capreg.embedding import RESERVED, EmbeddingTable, Vocabulary
@@ -19,8 +19,9 @@ from capreg.encoder import AnnotationSet, read_framed, save_features
 from capreg.harness import (CheckpointError, DataError, DatasetRecord,
                             TrainConfig, depth_study, grad_experiment,
                             load_checkpoint, load_dataset, save_checkpoint,
-                            split_validation, train, write_csv)
+                            TrainingAborted, split_validation, train)
 
+from test_decoder import named_params
 from test_encoder import framed_bytes, framing_corruptions
 
 
@@ -287,8 +288,8 @@ class TestTrain:
 
     def test_grad_norms_logged_per_layer(self):
         _, log = train(_toy_config(depth=3, epochs=1), _records(), _table())
-        row = log.epochs[0]
-        assert all(f"grad_norm_layer{i}" in row for i in range(3))
+        norms = log.epochs[0]["grad_norm_w_x"]
+        assert len(norms) == 3 and all(isinstance(g, float) and g > 0 for g in norms)
 
     def test_empty_records_rejected(self):
         with pytest.raises(DataError, match="no training captions"):
@@ -305,20 +306,34 @@ class TestTrain:
         assert np.isfinite(log.epochs[-1]["loss"])
         assert Tensor([1.0]).data.dtype == np.float64
 
-    def test_log_csv(self, tmp_path):
-        _, log = train(_toy_config(epochs=2), _records(), _table())
-        path = tmp_path / "log.csv"
-        write_csv(log.epochs, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("epoch,loss,lr,val_loss,forward_s,backward_s,optimizer_s,"
-                                   "validation_s,samples_per_s,")
-        # four records make no validation split: the missing val_loss is an empty field
-        assert all(line.split(",")[3] == "" for line in lines[1:])
-        # "\n" ends each line, and each loss reads back as the float logged
-        assert b"\r" not in path.read_bytes()
-        assert [float(line.split(",")[1]) for line in lines[1:]] == [
-            row["loss"] for row in log.epochs]
+    def test_overflow_in_validation_aborts_training(self):
+        # img11 is the validation split; at lr 1e300 the first Adam step
+        # makes the weights about 1e300, and the validation loss overflows
+        records = [_records(n=1)[0], _records(n=12)[11]]
+        assert [len(part) for part in split_validation(records)] == [1, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingAborted, match="at epoch 0") as info:
+                train(_toy_config(lr=1e300), records, _table())
+        assert info.value.dump["epoch"] == 0
+        assert info.value.dump["error"].startswith("mse: non-finite values")
+        assert info.value.log.epochs == []
+
+    def test_abort_carries_the_completed_epochs(self, monkeypatch):
+        # four training samples an epoch: the fifth loss is epoch 1's first
+        calls = []
+
+        def failing_loss(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise NumericalError("lstm: non-finite values")
+            return teacher_forced_loss(*args, **kwargs)
+        _, ref = train(_toy_config(epochs=1), _records(), _table())
+        monkeypatch.setattr(harness, "teacher_forced_loss", failing_loss)
+        with pytest.raises(TrainingAborted, match="at epoch 1") as info:
+            train(_toy_config(epochs=3), _records(), _table())
+        assert info.value.dump["epoch"] == 1
+        rows = info.value.log.epochs
+        assert [row["loss"] for row in rows] == [row["loss"] for row in ref.epochs]
 
     def test_phase_times_logged(self):
         phases = ("forward_s", "backward_s", "optimizer_s", "validation_s")
@@ -334,10 +349,6 @@ class TestTrain:
             train_s = row["forward_s"] + row["backward_s"] + row["optimizer_s"]
             assert train_s <= 11 / row["samples_per_s"] * (1 + 1e-9)
         assert sum(row[k] for row in log.epochs for k in phases) <= elapsed
-
-    def test_no_rows_no_csv(self, tmp_path):
-        write_csv([], tmp_path / "log.csv")
-        assert not (tmp_path / "log.csv").exists()
 
 
 class TestGradExperiment:
@@ -375,13 +386,14 @@ class TestGradExperiment:
         with pytest.raises(ValueError, match=match):
             grad_experiment(vocab_size, dim, trials=trials, seed=seed)
 
-    def test_csv_rendering(self, tmp_path, capsys):
-        csv = tmp_path / "grad.csv"
-        assert main(["grad-experiment", "--vocab-size", "100", "--dim", "8",
-                     "--trials", "2", "--csv", str(csv)]) == EXIT_OK
+    def test_report_is_json_and_csv_refused(self, tmp_path, capsys):
+        argv = ["grad-experiment", "--vocab-size", "100", "--dim", "8", "--trials", "2"]
+        assert main(argv) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert csv.read_text().splitlines() == [
-            ",".join(report), ",".join(str(v) for v in report.values())]
+        assert report == grad_experiment(100, 8, trials=2)
+        assert main([*argv, "--csv", str(tmp_path / "grad.csv")]) == EXIT_USAGE
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestDepthStudy:
@@ -565,7 +577,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         params = model.parameters()
         header, payload = read_framed(path, b"CKPT", "<f8", CheckpointError)
-        assert header["params"] == [[p.name, list(p.shape)] for p in params]
+        assert header["params"] == [[name, list(p.shape)] for name, p in named_params(model)]
         assert payload.tobytes() == b"".join(p.data.astype("<f8").tobytes() for p in params)
 
     @pytest.mark.parametrize("change", ["rename", "reshape", "swap"])
@@ -602,8 +614,8 @@ class TestCheckpoint:
         monkeypatch.setattr(CaptionModel, "init", no_init)
         loaded = load_checkpoint(path, table, precision=precision)
         params = loaded.parameters()
-        assert [(p.name, p.shape) for p in params] == [
-            (p.name, p.shape) for p in model.parameters()]
+        assert [(name, p.shape) for name, p in named_params(loaded)] == [
+            (name, p.shape) for name, p in named_params(model)]
         for a, b in zip(model.parameters(), params):
             np.testing.assert_array_equal(b.data, a.data.astype(b.data.dtype))
         if precision == "f64":  # views of the one array the file is read into
