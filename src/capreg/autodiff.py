@@ -25,6 +25,8 @@ float32 throughout. :data:`PRECISIONS` names the two dtypes.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -394,11 +396,43 @@ ADAM_BETA_2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _adam_blocks(work: Iterable[tuple], scratch: _Scratch, b1: float, b2: float,
+                 alpha: float, eps: float) -> None:
+    """The folded update of each (parameter, m, v, row block) of ``work``:
+    the block's gradient formed from the terms (:func:`_form`), then 10
+    passes, one of them a divide, over ``m``, ``v`` and the parameter, in
+    three buffers of ``scratch``."""
+    for p, m, v, blk in work:
+        mb, vb, x = m[blk], v[blk], p.data[blk]
+        g, t1, t2 = scratch.take(x.dtype, x.shape)
+        _form(p.terms, blk, g, t1)
+        mb *= b1
+        mb += g
+        np.multiply(g, g, out=t1)
+        vb *= b2
+        vb += t1
+        np.sqrt(vb, out=t2)
+        t2 += eps
+        np.divide(mb, t2, out=t1)
+        t1 *= alpha
+        x -= t1
+
+
 class AdamState:
     """Adam with bias correction over a fixed parameter list. ``m[i]`` and ``v[i]``
     hold Kingma and Ba's moments pre-divided: ``m / (1 - beta1)``, ``v / (1 - beta2)``.
     No gradient is stored: a step forms each row block of a parameter's
-    gradient from its terms, uses it and reuses the buffer for the next."""
+    gradient from its terms, uses it and reuses the buffer for the next.
+    Where the process may run on two CPUs or more, a step shares its row
+    blocks with a second thread."""
 
     def __init__(self, params: Iterable[Tensor], lr: float = 0.001):
         self.params = list(params)
@@ -408,7 +442,9 @@ class AdamState:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = _Scratch()
+        self._split = _usable_cpus() > 1
+        # one set of buffers for each thread that updates blocks
+        self._scratch = (_Scratch(), _Scratch())
 
     def step(self) -> None:
         """Apply one update from each parameter's gradient terms, then empty
@@ -419,27 +455,50 @@ class AdamState:
         Per row block the gradient is formed from the terms (:func:`_form`),
         then 10 passes, one of them a divide, update ``m``, ``v`` and ``p``,
         in three reused buffers. A parameter with no terms steps with a zero
-        gradient. The tests hold it to the textbook form."""
+        gradient. The tests hold it to the textbook form.
+
+        Adam updates each element on its own, so the (parameter, row block)
+        pairs may run in any order, on any thread, with the same bits: each
+        block runs the same GEMM and the same passes. Where the process may
+        run on two CPUs or more, a thread started here takes pairs from the
+        one list, in parameter order and under a lock, as the caller does,
+        each with its own buffers; if that thread waits for a CPU, the
+        caller takes the rest. The step joins it and raises any error it
+        met, and only then empties the terms: a failed step leaves every
+        parameter's terms in place."""
         self.t += 1
         b1, b2 = ADAM_BETA_1, ADAM_BETA_2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         k = math.sqrt((1 - b2) / c2)
         alpha, eps = self.lr * (1 - b1) / (c1 * k), ADAM_EPS / k
-        for p, m, v in zip(self.params, self.m, self.v):
-            for blk in _row_blocks(p.data.shape):
-                mb, vb, x = m[blk], v[blk], p.data[blk]
-                g, t1, t2 = self._scratch.take(x.dtype, x.shape)
-                _form(p.terms, blk, g, t1)
-                mb *= b1
-                mb += g
-                np.multiply(g, g, out=t1)
-                vb *= b2
-                vb += t1
-                np.sqrt(vb, out=t2)
-                t2 += eps
-                np.divide(mb, t2, out=t1)
-                t1 *= alpha
-                x -= t1
+        work = [(p, m, v, blk) for p, m, v in zip(self.params, self.m, self.v)
+                for blk in _row_blocks(p.data.shape)]
+        pairs, lock = enumerate(work), threading.Lock()
+        failures = []  # (index, error) of each thread's first failing pair
+
+        def update(scratch):
+            index = None
+
+            def take():
+                nonlocal index
+                with lock:
+                    index, pair = next(pairs, (None, None))
+                return pair
+            try:
+                _adam_blocks(iter(take, None), scratch, b1, b2, alpha, eps)
+            except BaseException as e:  # raised again after the join
+                failures.append((index, e))
+        worker = None
+        if self._split and len(work) > 1:
+            worker = threading.Thread(target=update, args=(self._scratch[1],), name="adam-step")
+            worker.start()
+        update(self._scratch[0])
+        if worker is not None:
+            worker.join()
+        if failures:
+            # the first failing pair in the list, which one thread fails on
+            raise min(failures, key=lambda f: f[0])[1]
+        for p in self.params:
             p.terms.clear()
 
 

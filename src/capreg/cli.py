@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 
@@ -45,25 +47,30 @@ def cmd_train_embeddings(args) -> int:
     return EXIT_OK
 
 
-def _write_log(path, rows: list[dict]) -> None:
+def _write_log(fh, rows: list[dict]) -> None:
     """The ``train --log`` format: one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(row) + "\n" for row in rows)
+    fh.writelines(json.dumps(row) + "\n" for row in rows)
 
 
 def cmd_train(args) -> int:
     config = _build_config(args)
     records = load_dataset(args.manifest)
     table = EmbeddingTable.load(args.embeddings)
-    try:
-        model, log = train(config, records, table)
-    except TrainingAborted as e:  # the completed epochs, then the dump
-        if args.log:
-            _write_log(args.log, [*e.log.epochs, {"aborted": str(e), **e.dump}])
-        raise
+    # both outputs are checked before the first epoch; the checkpoint is
+    # written only after the last, so an aborted run leaves none
+    out_dir = Path(args.output).parent
+    if not out_dir.is_dir():
+        raise DataError(f"{args.output}: directory {str(out_dir)!r} does not exist")
+    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log_file:
+        try:
+            model, log = train(config, records, table)
+        except TrainingAborted as e:  # the completed epochs, then the dump
+            if log_file:
+                _write_log(log_file, [*e.log.epochs, {"aborted": str(e), **e.dump}])
+            raise
+        if log_file:
+            _write_log(log_file, log.epochs)
     save_checkpoint(model, args.output)
-    if args.log:
-        _write_log(args.log, log.epochs)
     final = log.epochs[-1]["loss"] if log.epochs else float("nan")
     print(f"trained depth-{config.depth} {config.head_kind} model, "
           f"final loss {final:.6g} -> {args.output}")

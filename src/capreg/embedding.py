@@ -116,6 +116,8 @@ class EmbeddingTable:
 
     vocab: Vocabulary
     vectors: np.ndarray
+    # the mean loss per pair of each epoch, where train_skipgram built the table
+    training_losses: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors)
@@ -272,6 +274,4 @@ def train_skipgram(corpus: list[list[str]], vocab: Vocabulary, d: int = 64,
             w_in[center] -= _SKIPGRAM_LR * grad_h
         losses.append(epoch_loss / len(pairs))
 
-    table = EmbeddingTable(vocab, w_in)
-    table.training_losses = losses
-    return table
+    return EmbeddingTable(vocab, w_in, losses)

@@ -1,6 +1,9 @@
 import ast
 import inspect
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from typing import Callable
@@ -514,7 +517,7 @@ class TestAdam:
         with pytest.raises(AutodiffError, match="op result"):
             AdamState([p, ad.mse(p, np.zeros(1))])
 
-    def test_two_walks_before_a_step_sum_their_terms(self, block):
+    def test_two_walks_before_a_step_sum_their_terms(self, block, cpus):
         rng = np.random.default_rng(15)
         init = rng.normal(0, 1, (9, 4))
         p, q = Tensor(init.copy()), Tensor(init.copy())
@@ -529,24 +532,128 @@ class TestAdam:
         assert p.terms == [] and np.array_equal(p.data, q.data)
         assert not np.array_equal(p.data, init)
 
-    def test_three_steps_match_whole_array_oracle(self, block):
+    def test_three_steps_match_whole_array_oracle(self, block, cpus):
         for scale in (1e-8, 1.0, 1e3):
             _assert_adam_contract(*_adam_both_ways(3, scale))
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1.0, 1e3])
-    def test_200_steps_match_whole_array_oracle(self, scale):
+    def test_200_steps_match_whole_array_oracle(self, scale, cpus):
         # at 1e-8 eps is about half of each denominator, so an eps that
         # misses the bias correction's scale moves every update
         _assert_adam_contract(*_adam_both_ways(200, scale))
 
-    def test_rate_changed_between_steps_matches_oracle(self, block):
+    def test_rate_changed_between_steps_matches_oracle(self, block, cpus):
         # plateau decay multiplies opt.lr between steps; each step reads it
         lrs = [0.01 * 0.1 ** (t // 4) for t in range(12)]
         _assert_adam_contract(*_adam_both_ways(12, 1.0, lrs))
 
+    def test_a_step_starts_one_thread_with_two_usable_cpus(self, block, cpus, started):
+        AdamState(_adam_params()).step()
+        assert len(started) == cpus - 1
 
+    def test_the_real_cpu_count_decides_the_split(self, started):
+        # no count patched: under an affinity of one CPU no thread starts
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        AdamState(_adam_params()).step()
+        assert len(started) == min(usable, 2) - 1
+
+    def test_blocks_shared_under_fast_switching_match_one_thread(self, monkeypatch):
+        # a pair the two threads both took, or neither, moves its block
+        # twice or not at all; switching threads every microsecond makes
+        # them race for the ~900 pairs of each step
+        monkeypatch.setattr(ad, "_BLOCK", 64)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2):
+                monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+                params, grad_rng = _adam_params(), np.random.default_rng(12)
+                opt = AdamState(params, lr=0.01)
+                for _ in range(10):
+                    for p in params:
+                        p.terms.append(grad_rng.normal(0, 1, p.shape).astype(p.data.dtype))
+                    opt.step()
+                runs.append([p.data for p in params])
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    def test_a_failing_step_raises_the_one_thread_error(self, block, monkeypatch):
+        # the last parameter's wrongly shaped term fails on each of its
+        # blocks, whichever thread forms them: the step raises the error of
+        # the first, as one thread does, no thread outlives it, and every
+        # parameter keeps its terms
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+            params = _adam_params()
+            for p in params[:-1]:
+                p.terms.append(np.ones(p.shape, p.data.dtype))
+            params[-1].terms.append(np.ones(3, params[-1].data.dtype))
+            threads = threading.active_count()
+            with pytest.raises(ValueError, match="could not broadcast") as info:
+                AdamState(params).step()
+            assert threading.active_count() == threads
+            assert all(len(p.terms) == 1 for p in params)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+    def test_the_second_thread_error_is_raised_after_its_join(self, monkeypatch, started):
+        # a read on the caller's thread waits until the other thread has
+        # read a block, so that thread reads one and fails on it
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        caller = threading.get_ident()
+        read_elsewhere = threading.Event()
+
+        class Term:
+            def __getitem__(self, rows):
+                if threading.get_ident() == caller:
+                    assert read_elsewhere.wait(10)
+                    return np.ones(40000)[rows]
+                read_elsewhere.set()
+                raise ValueError("read off the caller's thread")
+        p = Tensor(np.zeros(40000))
+        p.terms.append(Term())
+        assert len(ad._row_blocks(p.shape)) == 2
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="read off the caller's thread"):
+            AdamState([p]).step()
+        assert len(p.terms) == 1
+        assert len(started) == 1 and threading.active_count() == threads
+
+
+@pytest.fixture(params=[1, 2])
+def cpus(request, monkeypatch):
+    """One usable CPU, where a step runs every row block on the caller's
+    thread, and two, where a second thread shares them."""
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    threads = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        threads.append(self)
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return threads
+
+
+# with a block smaller than a row, each parameter but the 0-d one spans
+# many blocks, which the two threads of a step share
 _ADAM_SHAPES = [((300, 130), np.float32), ((70,), np.float64), ((260, 128), np.float64),
                 ((), np.float64), ((5, 3), np.float32), ((40000,), np.float32)]
+
+
+def _adam_params() -> list[Tensor]:
+    rng = np.random.default_rng(10)
+    return [Tensor(rng.normal(0, 1, shape).astype(dt)) for shape, dt in _ADAM_SHAPES]
 
 
 def _adam_both_ways(steps, scale, lrs=None):
@@ -554,8 +661,7 @@ def _adam_both_ways(steps, scale, lrs=None):
     the same gradients, ``scale`` times standard normal; step t runs at
     rate ``lrs[t]`` (0.01 throughout by default). Also returns the sum of
     the rates, and the oracle's first moment of ``|g|`` in f64."""
-    rng = np.random.default_rng(10)
-    inits = [rng.normal(0, 1, shape).astype(dt) for shape, dt in _ADAM_SHAPES]
+    inits = [p.data for p in _adam_params()]
     assert max(a.size for a in inits) > ad._BLOCK
     params = [Tensor(a.copy()) for a in inits]
     o_params = [Tensor(a.copy()) for a in inits]
@@ -784,7 +890,7 @@ class TestStepFormsTheGradient:
 
     @pytest.mark.parametrize("head", [REGRESSION, SOFTMAX])
     @pytest.mark.parametrize("precision", ["f64", "f32"])
-    def test_depth8_three_steps_equal_dense_oracle(self, block, head, precision):
+    def test_depth8_three_steps_equal_dense_oracle(self, block, head, precision, cpus):
         rng = np.random.default_rng(16)
         vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(300)])
         table = EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 16)))

@@ -180,6 +180,24 @@ class TestTrainLog:
         assert last["epoch"] == 1 and last["error"].startswith("lstm: ")
         assert not (tmp / "n.ckpt").exists()
 
+    @pytest.mark.parametrize("output", ["log", "checkpoint"])
+    def test_missing_output_directory_refused_before_training(self, trained, capsys,
+                                                              monkeypatch, output):
+        tmp, emb, _ = trained
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+        before = sorted(tmp.rglob("*"))
+        log, ckpt = tmp / "log.jsonl", tmp / "n.ckpt"
+        if output == "log":
+            log = tmp / "nodir" / "log.jsonl"
+        else:
+            ckpt = tmp / "nodir" / "m.ckpt"
+        argv = ["train", "--config", str(tmp / "config.json"), str(tmp / "train.jsonl"),
+                str(emb), str(ckpt), "--log", str(log)]
+        assert main(argv) == EXIT_DATA
+        assert "nodir" in capsys.readouterr().err
+        assert calls == [] and sorted(tmp.rglob("*")) == before
+
 
 # each command's arguments other than --seed, --config and --precision, and
 # its exit code with them: every input is missing, or every size is small

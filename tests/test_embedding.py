@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from collections import Counter
 
@@ -313,6 +314,17 @@ class TestTrainSkipgram:
         vocab = build_vocab(corpus, min_count=1)
         table = train_skipgram(corpus, vocab, d=8, epochs=20, seed=5)
         assert table.training_losses[-1] < table.training_losses[0]
+
+    def test_training_losses_a_declared_field(self, tmp_path):
+        # one loss per epoch where train_skipgram built the table; a table
+        # built any other way has none
+        vocab = build_vocab([["a", "b"]], min_count=1)
+        assert "training_losses" in {f.name for f in dataclasses.fields(EmbeddingTable)}
+        table = train_skipgram([["a", "b"]], vocab, d=4, epochs=3, seed=1)
+        assert len(table.training_losses) == 3
+        table.save(tmp_path / "e.bin")
+        assert EmbeddingTable.load(tmp_path / "e.bin").training_losses == []
+        assert EmbeddingTable(vocab, table.vectors).training_losses == []
 
     def test_small_dimension_rejected(self):
         vocab = build_vocab([["a"]], min_count=1)
