@@ -1,13 +1,13 @@
 """Record a training-speed comparison of this checkout against a parent one.
 
-    python3 tools/bench.py --parent DIR [--out BENCH.json] [--rounds 5] [--epochs 12]
+    python3 tools/bench.py --parent DIR [--out BENCH.json]
 
 DIR is a checkout of the parent commit, for example made with
 ``git worktree add DIR HEAD~1``. The script measures nothing of capreg
 itself: it writes train_deep_regression's seed-1 inputs with
-``perfbench/inputs.py``, then runs ``capreg train --log`` on them for
-``--epochs`` epochs, in f64 and in f32, ``--rounds`` times per checkout,
-alternating which checkout runs first. Every run has one BLAS thread. From
+``perfbench/inputs.py``, then runs ``capreg train --log`` on them for 12
+epochs, in f64 and in f32, 5 times per checkout, alternating which
+checkout runs first. Every run has one BLAS thread. From
 each log it takes the per-epoch ``forward_s``, ``backward_s``,
 ``optimizer_s`` and ``samples_per_s``, and writes per checkout and
 precision their median and quartiles over every epoch of every run, the
@@ -38,6 +38,7 @@ WORKLOAD, SEED = "train_deep_regression", 1
 COLUMNS = ("forward_s", "backward_s", "optimizer_s", "samples_per_s")
 HIGHER_IS_BETTER = {"samples_per_s"}
 PRECISIONS = ("f64", "f32")
+ROUNDS, EPOCHS = 5, 12
 RUN_TIMEOUT_S = 900
 
 
@@ -138,8 +139,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, type=Path,
                     help="a checkout of the parent commit")
     ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
-    ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--epochs", type=int, default=12)
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     for tree in trees.values():
@@ -159,13 +158,13 @@ def main(argv=None) -> int:
         probe_before = _probe_ms(n_params)
         jiffies0, own0, wall0 = _cpu_jiffies(cpus), _own_cpu_s(), time.perf_counter()
         runs = {side: {p: [] for p in PRECISIONS} for side in trees}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for side in order:
                 for precision in PRECISIONS:
                     runs[side][precision].append(
-                        _train(trees[side], work, precision, args.epochs))
-            print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
+                        _train(trees[side], work, precision, EPOCHS))
+            print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
         jiffies1, own1, wall1 = _cpu_jiffies(cpus), _own_cpu_s(), time.perf_counter()
         probe_after = _probe_ms(n_params)
 
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
-        "workload": WORKLOAD, "seed": SEED, "epochs": args.epochs, "rounds": args.rounds,
+        "workload": WORKLOAD, "seed": SEED, "epochs": EPOCHS, "rounds": ROUNDS,
         "command": "capreg train --config CONFIG --epochs E --precision P --log LOG",
         "git": {side: _git_commit(tree) for side, tree in trees.items()},
         "host": {"nproc": os.cpu_count(), "usable_cpus": len(cpus) or None,
