@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ class Tensor:
         if self.terms is None:
             raise AutodiffError("an op result has no gradient; only a parameter collects terms")
         out = np.empty_like(self.data)
-        for rows in _row_blocks(out.shape):
+        for rows in _row_blocks(out):
             _form(self.terms, rows, out[rows], np.empty_like(out[rows]))
         return out
 
@@ -120,10 +121,10 @@ class Tensor:
 
 
 # A parameter's gradient is formed, and Adam updates it, over blocks of rows
-# of at most this many elements (256 KB in f64): each block stays in L2
-# cache, and the scratch buffers a block needs are small enough to be
-# reused rather than faulted in afresh.
-_BLOCK = 1 << 15
+# of at most this many bytes (256 KB) in either dtype: each block stays in
+# L2 cache, and the buffers a block needs are small enough to be allocated
+# once and reused rather than faulted in afresh.
+_BLOCK_BYTES = 1 << 18
 
 
 class _Outer:
@@ -145,33 +146,19 @@ class _Outer:
         return np.matmul(self.u[:, rows].T, self.v, out=out)
 
 
-class _Scratch:
-    """Three reusable flat buffers per dtype, grown to the largest block asked for."""
-
-    def __init__(self):
-        self._bufs: dict[np.dtype, tuple[np.ndarray, ...]] = {}
-
-    def take(self, dtype, shape) -> tuple[np.ndarray, ...]:
-        n = math.prod(shape)
-        bufs = self._bufs.get(dtype)
-        if bufs is None or bufs[0].size < n:
-            bufs = self._bufs[dtype] = tuple(np.empty(n, dtype) for _ in range(3))
-        return tuple(b[:n].reshape(shape) for b in bufs)
-
-
-def _row_blocks(shape) -> list:
-    """Index blocks over the first axis of at most ``_BLOCK`` elements each,
-    but of two rows at least: a last single row joins the block before it.
-    A product term's block is then a GEMM, as the whole product is; BLAS
+def _row_blocks(a: np.ndarray) -> list:
+    """Index blocks over the first axis of ``a`` of at most ``_BLOCK_BYTES``
+    each, but of two rows at least: a last single row joins the block before
+    it. A product term's block is then a GEMM, as the whole product is; BLAS
     sends a one-row product to a matrix-vector kernel, which rounds its sums
     differently. A 0-d array is one block."""
-    if not shape:
+    if not a.ndim:
         return [...]
-    rows = max(2, _BLOCK // max(1, math.prod(shape[1:])))
-    edges = [*range(0, shape[0], rows), shape[0]]
+    rows = max(2, _BLOCK_BYTES // max(1, a.itemsize * math.prod(a.shape[1:])))
+    edges = [*range(0, len(a), rows), len(a)]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _form(terms: list, rows, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -404,26 +391,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _adam_blocks(work: Iterable[tuple], scratch: _Scratch, b1: float, b2: float,
+def _adam_blocks(items: deque, buffers: dict, failures: dict, b1: float, b2: float,
                  alpha: float, eps: float) -> None:
-    """The folded update of each (parameter, m, v, row block) of ``work``:
-    the block's gradient formed from the terms (:func:`_form`), then 10
-    passes, one of them a divide, over ``m``, ``v`` and the parameter, in
-    three buffers of ``scratch``."""
-    for p, m, v, blk in work:
-        mb, vb, x = m[blk], v[blk], p.data[blk]
-        g, t1, t2 = scratch.take(x.dtype, x.shape)
-        _form(p.terms, blk, g, t1)
-        mb *= b1
-        mb += g
-        np.multiply(g, g, out=t1)
-        vb *= b2
-        vb += t1
-        np.sqrt(vb, out=t2)
-        t2 += eps
-        np.divide(mb, t2, out=t1)
-        t1 *= alpha
-        x -= t1
+    """Take (index, (parameter, m, v, row block)) items from the left of
+    ``items`` until none is left, and apply the folded update to each: the
+    block's gradient formed from the terms (:func:`_form`), then 10 passes,
+    one of them a divide, over ``m``, ``v`` and the parameter, in the three
+    flat buffers ``buffers`` holds for the block's dtype. An error is kept
+    in ``failures`` under its item's index, and ends the loop."""
+    while True:
+        try:
+            i, (p, m, v, blk) = items.popleft()
+        except IndexError:
+            return
+        try:
+            mb, vb, x = m[blk], v[blk], p.data[blk]
+            g, t1, t2 = (b[:x.size].reshape(x.shape) for b in buffers[x.dtype])
+            _form(p.terms, blk, g, t1)
+            mb *= b1
+            mb += g
+            np.multiply(g, g, out=t1)
+            vb *= b2
+            vb += t1
+            np.sqrt(vb, out=t2)
+            t2 += eps
+            np.divide(mb, t2, out=t1)
+            t1 *= alpha
+            x -= t1
+        except BaseException as e:  # raised again after the join
+            failures[i] = e
+            return
 
 
 class AdamState:
@@ -431,8 +428,12 @@ class AdamState:
     hold Kingma and Ba's moments pre-divided: ``m / (1 - beta1)``, ``v / (1 - beta2)``.
     No gradient is stored: a step forms each row block of a parameter's
     gradient from its terms, uses it and reuses the buffer for the next.
-    Where the process may run on two CPUs or more, a step shares its row
-    blocks with a second thread."""
+
+    The plan of a step is built here, once: the (parameter, m, v, row
+    block) items in parameter order, and for each taker of items three
+    flat buffers per dtype, of that dtype's largest block. There are two
+    takers where the process may run on two CPUs or more and the plan has
+    more than one block, and one otherwise."""
 
     def __init__(self, params: Iterable[Tensor], lr: float = 0.001):
         self.params = list(params)
@@ -442,9 +443,14 @@ class AdamState:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._split = _usable_cpus() > 1
-        # one set of buffers for each thread that updates blocks
-        self._scratch = (_Scratch(), _Scratch())
+        self._plan = [(p, m, v, blk) for p, m, v in zip(self.params, self.m, self.v)
+                      for blk in _row_blocks(p.data)]
+        largest: dict[np.dtype, int] = {}
+        for _, m, _, blk in self._plan:
+            largest[m.dtype] = max(largest.get(m.dtype, 0), m[blk].size)
+        takers = 2 if _usable_cpus() > 1 and len(self._plan) > 1 else 1
+        self._buffers = [{dt: tuple(np.empty(n, dt) for _ in range(3))
+                          for dt, n in largest.items()} for _ in range(takers)]
 
     def step(self) -> None:
         """Apply one update from each parameter's gradient terms, then empty
@@ -457,47 +463,31 @@ class AdamState:
         in three reused buffers. A parameter with no terms steps with a zero
         gradient. The tests hold it to the textbook form.
 
-        Adam updates each element on its own, so the (parameter, row block)
-        pairs may run in any order, on any thread, with the same bits: each
-        block runs the same GEMM and the same passes. Where the process may
-        run on two CPUs or more, a thread started here takes pairs from the
-        one list, in parameter order and under a lock, as the caller does,
-        each with its own buffers; if that thread waits for a CPU, the
-        caller takes the rest. The step joins it and raises any error it
-        met, and only then empties the terms: a failed step leaves every
-        parameter's terms in place."""
+        Adam updates each element on its own, so the plan's items may run
+        in any order, on any thread, with the same bits: each block runs the
+        same GEMM and the same passes. The step puts the plan in one deque;
+        the caller takes items from it, each with its own buffers, and so
+        does a thread started here where the plan has two takers. If that
+        thread waits for a CPU, the caller takes the rest. The step joins
+        it, raises the error of the lowest-indexed failing item, which is
+        the one a single taker stops at, and only then empties the terms:
+        a failed step leaves every parameter's terms in place."""
         self.t += 1
         b1, b2 = ADAM_BETA_1, ADAM_BETA_2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         k = math.sqrt((1 - b2) / c2)
         alpha, eps = self.lr * (1 - b1) / (c1 * k), ADAM_EPS / k
-        work = [(p, m, v, blk) for p, m, v in zip(self.params, self.m, self.v)
-                for blk in _row_blocks(p.data.shape)]
-        pairs, lock = enumerate(work), threading.Lock()
-        failures = []  # (index, error) of each thread's first failing pair
-
-        def update(scratch):
-            index = None
-
-            def take():
-                nonlocal index
-                with lock:
-                    index, pair = next(pairs, (None, None))
-                return pair
-            try:
-                _adam_blocks(iter(take, None), scratch, b1, b2, alpha, eps)
-            except BaseException as e:  # raised again after the join
-                failures.append((index, e))
-        worker = None
-        if self._split and len(work) > 1:
-            worker = threading.Thread(target=update, args=(self._scratch[1],), name="adam-step")
-            worker.start()
-        update(self._scratch[0])
-        if worker is not None:
-            worker.join()
+        items, failures = deque(enumerate(self._plan)), {}
+        workers = [threading.Thread(target=_adam_blocks, name="adam-step",
+                                    args=(items, bufs, failures, b1, b2, alpha, eps))
+                   for bufs in self._buffers[1:]]
+        for w in workers:
+            w.start()
+        _adam_blocks(items, self._buffers[0], failures, b1, b2, alpha, eps)
+        for w in workers:
+            w.join()
         if failures:
-            # the first failing pair in the list, which one thread fails on
-            raise min(failures, key=lambda f: f[0])[1]
+            raise failures[min(failures)]
         for p in self.params:
             p.terms.clear()
 

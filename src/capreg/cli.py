@@ -99,8 +99,6 @@ def _read_by_id(path, key: str, valid, expected: str) -> dict:
     value, and an id may appear on one line only."""
     out, lines = {}, {}
     for lineno, obj in read_jsonl(path, "id", key):
-        if obj["id"] is None or isinstance(obj["id"], (bool, list, dict)):
-            raise DataError(f"{path}:{lineno}: 'id' must be a string or a number")
         if not valid(obj[key]):
             raise DataError(f"{path}:{lineno}: {key!r} must be {expected}")
         if obj["id"] in lines:

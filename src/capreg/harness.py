@@ -111,7 +111,8 @@ class DatasetRecord:
 
 def read_jsonl(path, *keys):
     """Yield (line number, object) for each non-blank line of a JSON-lines
-    file. Every line must be a JSON object holding each of ``keys``."""
+    file. Every line must be a JSON object holding each of ``keys``; where
+    one of them is ``"id"``, its value must be a string or a number."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -124,6 +125,9 @@ def read_jsonl(path, *keys):
                 for key in keys:
                     if key not in obj:
                         raise DataError(f"{path}:{lineno}: missing key {key!r}")
+                if "id" in keys and (obj["id"] is None
+                                     or isinstance(obj["id"], (bool, list, dict))):
+                    raise DataError(f"{path}:{lineno}: 'id' must be a string or a number")
                 yield lineno, obj
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: not UTF-8: {e}") from e
@@ -349,9 +353,10 @@ def depth_study(config_base: TrainConfig, depths: list[int],
                               cfg.annot_dim, cfg.attention_k, kind)
             for kind in (REGRESSION, SOFTMAX)
         }
-        pairs = [(greedy_decode(model, rec.load_annotations()), rec.captions)
-                 for rec in records]
-        corpus = EvalCorpus(pairs)
+        # scored as `capreg evaluate` scores the same captions
+        corpus = EvalCorpus.from_strings(
+            [(" ".join(greedy_decode(model, rec.load_annotations())),
+              [" ".join(c) for c in rec.captions]) for rec in records])
         rows.append({
             "depth": depth,
             "params_regression": counts[REGRESSION],

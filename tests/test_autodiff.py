@@ -559,10 +559,10 @@ class TestAdam:
         assert len(started) == min(usable, 2) - 1
 
     def test_blocks_shared_under_fast_switching_match_one_thread(self, monkeypatch):
-        # a pair the two threads both took, or neither, moves its block
+        # an item the two takers both took, or neither, moves its block
         # twice or not at all; switching threads every microsecond makes
-        # them race for the ~900 pairs of each step
-        monkeypatch.setattr(ad, "_BLOCK", 64)
+        # them race for the ~900 items of each step
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 64 * 4)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -616,12 +616,57 @@ class TestAdam:
                 raise ValueError("read off the caller's thread")
         p = Tensor(np.zeros(40000))
         p.terms.append(Term())
-        assert len(ad._row_blocks(p.shape)) == 2
+        assert len(ad._row_blocks(p.data)) == 2
         threads = threading.active_count()
         with pytest.raises(ValueError, match="read off the caller's thread"):
             AdamState([p]).step()
         assert len(p.terms) == 1
         assert len(started) == 1 and threading.active_count() == threads
+
+    def test_f32_and_f64_blocks_hold_the_same_bytes(self):
+        # a block is sized in bytes, at most 256 KB, but two rows at least
+        assert ad._BLOCK_BYTES == 256 * 1024
+        for dtype in (np.float64, np.float32):
+            a = np.zeros((1000, 128), dtype)
+            assert {a[b].nbytes for b in ad._row_blocks(a)[:-1]} == {ad._BLOCK_BYTES}
+            wide = np.zeros((5, 100_000), dtype)
+            assert [len(wide[b]) for b in ad._row_blocks(wide)] == [2, 3]
+
+    def test_a_step_builds_no_row_blocks(self, cpus, monkeypatch):
+        # the plan is built with the AdamState; a step only runs it
+        params = _adam_params()
+        opt = AdamState(params)
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return ad._row_blocks(a)
+        monkeypatch.setattr(ad, "_row_blocks", counting)
+        for p in params:
+            p.terms.append(np.ones(p.shape, p.data.dtype))
+        opt.step()
+        opt.step()
+        assert calls == [] and all(p.terms == [] for p in params)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_first_step_allocates_less_than_a_block(self, cpus, dtype):
+        # the buffers each taker uses are allocated with the AdamState,
+        # not during its first step
+        rng = np.random.default_rng(18)
+        w = Tensor(rng.normal(0, 1, (20003, 128)).astype(dtype))
+        b = Tensor(np.zeros(20003, dtype))
+        opt = AdamState([w, b])
+        x = Tensor(rng.normal(0, 1, (3, 128)).astype(dtype))
+        ad.mse(ad.linear(x, w, b), np.zeros((3, 20003), dtype)).backward()
+        assert isinstance(w.terms[0], ad._Outer)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ad._BLOCK_BYTES
+        assert w.terms == [] and b.terms == []
 
 
 @pytest.fixture(params=[1, 2])
@@ -662,7 +707,7 @@ def _adam_both_ways(steps, scale, lrs=None):
     rate ``lrs[t]`` (0.01 throughout by default). Also returns the sum of
     the rates, and the oracle's first moment of ``|g|`` in f64."""
     inits = [p.data for p in _adam_params()]
-    assert max(a.size for a in inits) > ad._BLOCK
+    assert max(a.nbytes for a in inits) > ad._BLOCK_BYTES
     params = [Tensor(a.copy()) for a in inits]
     o_params = [Tensor(a.copy()) for a in inits]
     opt, oracle = AdamState(params, lr=0.01), _OracleAdam(o_params, 0.01)
@@ -794,7 +839,7 @@ def block(request, monkeypatch):
     """The default block, and one smaller than a row, so every parameter
     is summed and updated over many blocks and a ragged last one."""
     if request.param == "tiny":
-        monkeypatch.setattr(ad, "_BLOCK", 5)
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 5 * 8)
     return request.param
 
 
@@ -810,12 +855,12 @@ class TestBlockedGradientSums:
         vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(300)])
         table = EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 16)))
         annots = AnnotationSet(rng.normal(0, 1, (4, 16)), 2, 2)
-        model = CaptionModel.init(table, depth=8, hidden=96, annot_dim=16,
+        model = CaptionModel.init(table, depth=8, hidden=136, annot_dim=16,
                                   attention_k=8, head_kind=head, dropout_rate=0.5,
                                   seed=5, precision=precision)
         params = model.parameters()
-        # w_h (384 x 96) and the softmax head (303 x 96) span two default blocks
-        assert max(p.data.size for p in params) > ad._BLOCK
+        # w_h (544 x 136) spans two default blocks in either precision
+        assert max(p.data.nbytes for p in params) > ad._BLOCK_BYTES
 
         def build():
             return teacher_forced_loss(model, annots, ["w1", "w7", "w1", "w250"],

@@ -244,6 +244,18 @@ class TestExitCodes:
         bad.write_text("{not json\n")
         assert main(["train-embeddings", str(bad), str(tmp_path / "e.bin")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("image_id", ["true", "null"])
+    def test_manifest_id_neither_string_nor_number_is_data_error(self, tmp_path, capsys,
+                                                                  image_id):
+        # evaluate refuses these ids; the manifest reader refuses them too
+        manifest, out = tmp_path / "m.jsonl", tmp_path / "e.bin"
+        manifest.write_text("".join(f'{{"id": "i{k}", "captions": ["a dog runs"]}}\n'
+                                    for k in range(3))
+                            + f'{{"id": {image_id}, "captions": ["a cat sits"]}}\n')
+        assert main(["train-embeddings", str(manifest), str(out)]) == EXIT_DATA
+        assert f"{manifest}:4: 'id' must be a string or a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_embedding_mismatch_is_usage_error(self, workspace):
         tmp, manifest, config = workspace
         emb, ckpt = tmp / "e.bin", tmp / "m.ckpt"

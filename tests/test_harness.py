@@ -160,6 +160,16 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=":1: missing key 'captions'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("image_id", ["true", "false", "null", '["a"]', '{"a": 1}'],
+                             ids=["true", "false", "null", "list", "object"])
+    def test_id_neither_string_nor_number_refused(self, tmp_path, image_id):
+        # str() would train these as images "True", "False", "None", ...
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a", "captions": ["x"]}\n'
+                        f'{{"id": {image_id}, "captions": ["x"]}}\n')
+        with pytest.raises(DataError, match=f"^{path}:2: 'id' must be a string or a number$"):
+            load_dataset(path)
+
     def test_no_features_refused_when_needed(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({"id": "a", "captions": ["x"]}) + "\n")
@@ -413,6 +423,33 @@ class TestDepthStudy:
         for row, model in zip(rows, models, strict=True):
             assert row[f"params_{head_kind}"] == sum(p.data.size
                                                      for p in model.parameters())
+
+    def test_scores_as_evaluate_does(self, monkeypatch, tmp_path, capsys):
+        # decoded tokens that differ from their references in case and
+        # punctuation only: scored as raw tokens, BLEU-1 reads 32.7
+        decoded = {"img0": ["A", "dog", "runs."], "img1": ["the", "cat"]}
+        captions = {"img0": ["a", "dog", "runs"], "img1": ["The", "cat", "sits"]}
+        words = sorted({t for c in (*decoded.values(), *captions.values()) for t in c})
+        rng = np.random.default_rng(6)
+        vocab = Vocabulary(list(RESERVED) + words)
+        table = EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 8)))
+        records = [DatasetRecord(i, None, [c], annotations=AnnotationSet(
+            rng.normal(0, 1, (4, 8)), 2, 2)) for i, c in captions.items()]
+        outputs = iter(decoded.values())
+        monkeypatch.setattr(harness, "greedy_decode", lambda model, annots: next(outputs))
+        [row] = depth_study(_toy_config(epochs=1), [1], records, table)
+
+        cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+        cands.write_text("".join(json.dumps({"id": i, "candidate": " ".join(d)}) + "\n"
+                                 for i, d in decoded.items()))
+        refs.write_text("".join(json.dumps({"id": i, "references": [" ".join(c)]}) + "\n"
+                                for i, c in captions.items()))
+        capsys.readouterr()
+        assert main(["evaluate", str(cands), str(refs)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        for key in ("bleu1", "bleu4", "rouge_l"):
+            assert row[key] == report[key], key
+        assert round(row["bleu1"], 1) == 81.9
 
 
 class TestCheckpoint:
