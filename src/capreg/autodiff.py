@@ -298,21 +298,21 @@ def lstm(x: Tensor, state: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,
         gh_out = grad * mask if mask is not None else grad
         i, f, o, g = (gates[:, k * n:(k + 1) * n] for k in range(4))
         dc_dh = o * (1.0 - tcs * tcs)
-        # d z / d c for the input, forget and candidate rows; d z / d h for the output row
-        local = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
-                                tcs * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
-        dz = np.empty_like(z)
+        # d z / d c for the input, forget and candidate rows and d z / d h for
+        # the output row, which each step then scales in place by dc or by gh
+        dz = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                             tcs * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+        gate_rows = dz.reshape(steps, 4, n)
         carry_h = carry_c = 0.0
         for t in range(steps - 1, -1, -1):
             gh = gh_out[t] + carry_h
             dc = gh * dc_dh[t] + carry_c
-            dzt, lt = dz[t], local[t]
-            np.multiply(dc, lt[:n], out=dzt[:n])
-            np.multiply(dc, lt[n:2 * n], out=dzt[n:2 * n])
-            np.multiply(gh, lt[2 * n:3 * n], out=dzt[2 * n:3 * n])
-            np.multiply(dc, lt[3 * n:], out=dzt[3 * n:])
+            rows = gate_rows[t]
+            rows[:2] *= dc
+            rows[2] *= gh
+            rows[3] *= dc
             if t:
-                carry_h = dzt @ w_hd
+                carry_h = dz[t] @ w_hd
                 carry_c = dc * f[t]
         return [dz @ w_x.data, _Outer(dz, x.data), _Outer(dz, hs[:-1]), dz.sum(axis=0)]
     hidden = hs[1:] * mask if mask is not None else hs[1:]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NumericalError
+from .autodiff import PRECISIONS, NumericalError
 from .decoder import REGRESSION, SOFTMAX, greedy_decode, param_count
 from .embedding import EmbeddingTable, build_vocab, train_skipgram
 from .encoder import DataError, load_features
@@ -35,8 +35,17 @@ def _build_config(args) -> TrainConfig:
         k: v for k, v in vars(args).items() if k in TrainConfig.__dataclass_fields__})
 
 
+def _check_output(path) -> None:
+    """Before any training: refuse an output that is a directory or lies in none."""
+    if Path(path).is_dir():
+        raise DataError(f"{path}: is a directory")
+    if not Path(path).parent.is_dir():
+        raise DataError(f"{path}: directory {str(Path(path).parent)!r} does not exist")
+
+
 def cmd_train_embeddings(args) -> int:
     records = load_dataset(args.manifest)
+    _check_output(args.output)
     corpus = [cap for rec in records for cap in rec.captions]
     vocab = build_vocab(corpus, min_count=args.min_count)
     table = train_skipgram(corpus, vocab, d=args.dim, window=args.window,
@@ -58,9 +67,7 @@ def cmd_train(args) -> int:
     table = EmbeddingTable.load(args.embeddings)
     # both outputs are checked before the first epoch; the checkpoint is
     # written only after the last, so an aborted run leaves none
-    out_dir = Path(args.output).parent
-    if not out_dir.is_dir():
-        raise DataError(f"{args.output}: directory {str(out_dir)!r} does not exist")
+    _check_output(args.output)
     with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log_file:
         try:
             model, log = train(config, records, table)
@@ -175,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed, config, precision = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     seed.add_argument("--seed", type=_seed)
     config.add_argument("--config")
-    precision.add_argument("--precision", choices=("f32", "f64"))
+    precision.add_argument("--precision", choices=sorted(PRECISIONS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, text, *parents):
@@ -232,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("param-report", "parameter counts per depth, both heads")
     p.add_argument("--depths", type=int, nargs="+", default=[1, 2, 5, 8, 10])
-    p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--dim", type=int, default=TrainConfig.embed_dim)
     p.add_argument("--vocab-size", type=int, default=20000, dest="vocab_size")
-    p.add_argument("--annot-dim", type=int, default=64, dest="annot_dim")
-    p.add_argument("--attention-k", type=int, default=32, dest="attention_k")
+    p.add_argument("--annot-dim", type=int, default=TrainConfig.annot_dim, dest="annot_dim")
+    p.add_argument("--attention-k", type=int, default=TrainConfig.attention_k, dest="attention_k")
     p.set_defaults(func=cmd_param_report)
 
     return parser

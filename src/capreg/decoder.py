@@ -38,10 +38,6 @@ class LSTMLayerParams:
     w_h: Tensor  # (4*hidden, hidden)
     b: Tensor    # (4*hidden,)
 
-    @property
-    def hidden(self) -> int:
-        return self.w_h.shape[1]
-
     def tensors(self) -> list[Tensor]:
         return [self.w_x, self.w_h, self.b]
 
@@ -120,7 +116,7 @@ class CaptionModel:
 
     @property
     def hidden(self) -> int:
-        return self.layers[0].hidden
+        return self.layers[0].w_h.shape[1]
 
     @property
     def annot_dim(self) -> int:

@@ -303,37 +303,30 @@ def grad_experiment(vocab_size: int, embed_dim: int,
         raise ValueError("embed_dim and trials must be positive")
     rng = np.random.default_rng(seed)
 
-    uniform = Tensor(np.zeros(vocab_size))
-    ad.cross_entropy(uniform, 0).backward()
-    uniform_nontarget = float(np.abs(uniform.gradient()[1:]).mean())
+    def abs_gradient(values, loss):
+        """|d loss(x) / d x| at the vector ``values``."""
+        x = Tensor(values)
+        loss(x).backward()
+        return np.abs(x.gradient())
 
+    uniform = abs_gradient(np.zeros(vocab_size), lambda x: ad.cross_entropy(x, 0))
     nontarget_means = []
     for _ in range(trials):
-        logits = Tensor(rng.normal(0, 1, vocab_size))
-        y = int(rng.integers(vocab_size))
-        ad.cross_entropy(logits, y).backward()
-        g = np.abs(logits.gradient())
+        logits, y = rng.normal(0, 1, vocab_size), int(rng.integers(vocab_size))
+        g = abs_gradient(logits, lambda x: ad.cross_entropy(x, y))
         nontarget_means.append((g.sum() - g[y]) / (vocab_size - 1))
-    softmax_mean = float(np.mean(nontarget_means))
-
-    unit_pred = Tensor(np.ones(embed_dim))
-    ad.mse(unit_pred, np.zeros(embed_dim)).backward()
-    regression_unit = float(np.abs(unit_pred.gradient()).mean())
-
+    unit = abs_gradient(np.ones(embed_dim), lambda x: ad.mse(x, np.zeros(embed_dim)))
     reg_means = []
     for _ in range(trials):
-        pred = Tensor(rng.normal(0, 1, embed_dim))
-        ad.mse(pred, rng.normal(0, 1, embed_dim)).backward()
-        reg_means.append(float(np.abs(pred.gradient()).mean()))
-    regression_mean = float(np.mean(reg_means))
-
+        pred, target = rng.normal(0, 1, embed_dim), rng.normal(0, 1, embed_dim)
+        reg_means.append(abs_gradient(pred, lambda x: ad.mse(x, target)).mean())
     return {
         "vocab_size": vocab_size,
         "embed_dim": embed_dim,
-        "softmax_nontarget_uniform": uniform_nontarget,
-        "softmax_nontarget_mean": softmax_mean,
-        "regression_unit_residual": regression_unit,
-        "regression_mean": regression_mean,
+        "softmax_nontarget_uniform": float(uniform[1:].mean()),
+        "softmax_nontarget_mean": float(np.mean(nontarget_means)),
+        "regression_unit_residual": float(unit.mean()),
+        "regression_mean": float(np.mean(reg_means)),
     }
 
 

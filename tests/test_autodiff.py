@@ -940,9 +940,11 @@ class TestStepFormsTheGradient:
         vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(300)])
         table = EmbeddingTable(vocab, rng.normal(0, 1, (len(vocab), 16)))
         annots = AnnotationSet(rng.normal(0, 1, (4, 16)), 2, 2)
-        models = [CaptionModel.init(table, depth=8, hidden=96, annot_dim=16, attention_k=8,
+        models = [CaptionModel.init(table, depth=8, hidden=136, annot_dim=16, attention_k=8,
                                     head_kind=head, dropout_rate=0.5, seed=5,
                                     precision=precision) for _ in range(2)]
+        # w_h (544 x 136) spans two default blocks in either precision
+        assert max(p.data.nbytes for p in models[0].parameters()) > ad._BLOCK_BYTES
         opt = AdamState(models[0].parameters(), lr=0.01)
         oracle = _OracleFoldedAdam(models[1].parameters(), 0.01)
         captions = [["w1", "w7", "w1", "w250"], ["w3"], ["w9", "w2", "w299"]]

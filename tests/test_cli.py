@@ -180,18 +180,21 @@ class TestTrainLog:
         assert last["epoch"] == 1 and last["error"].startswith("lstm: ")
         assert not (tmp / "n.ckpt").exists()
 
-    @pytest.mark.parametrize("output", ["log", "checkpoint"])
+    @pytest.mark.parametrize("output", ["log", "checkpoint", "checkpoint_is_directory"])
     def test_missing_output_directory_refused_before_training(self, trained, capsys,
                                                               monkeypatch, output):
         tmp, emb, _ = trained
         calls = []
         monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
-        before = sorted(tmp.rglob("*"))
         log, ckpt = tmp / "log.jsonl", tmp / "n.ckpt"
         if output == "log":
             log = tmp / "nodir" / "log.jsonl"
-        else:
+        elif output == "checkpoint":
             ckpt = tmp / "nodir" / "m.ckpt"
+        else:
+            ckpt = tmp / "nodir"
+            ckpt.mkdir()
+        before = sorted(tmp.rglob("*"))
         argv = ["train", "--config", str(tmp / "config.json"), str(tmp / "train.jsonl"),
                 str(emb), str(ckpt), "--log", str(log)]
         assert main(argv) == EXIT_DATA
@@ -255,6 +258,22 @@ class TestExitCodes:
         assert main(["train-embeddings", str(manifest), str(out)]) == EXIT_DATA
         assert f"{manifest}:4: 'id' must be a string or a number" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("output", ["missing_directory", "directory"])
+    def test_embedding_output_refused_before_training(self, workspace, capsys, monkeypatch,
+                                                      output):
+        tmp, manifest, _ = workspace
+        calls = []
+        monkeypatch.setattr(cli, "train_skipgram", lambda *args, **kwargs: calls.append(args))
+        out = tmp / "nodir"
+        if output == "directory":
+            out.mkdir()
+        else:
+            out = out / "e.bin"
+        before = sorted(tmp.rglob("*"))
+        assert main(["train-embeddings", str(manifest), str(out)]) == EXIT_DATA
+        assert "nodir" in capsys.readouterr().err
+        assert calls == [] and sorted(tmp.rglob("*")) == before
 
     def test_checkpoint_embedding_mismatch_is_usage_error(self, workspace):
         tmp, manifest, config = workspace

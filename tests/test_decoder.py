@@ -191,15 +191,6 @@ class TestLstmStep:
         h, _ = lstm_step(Tensor(np.ones((2, 3))), np.zeros(8), params)
         np.testing.assert_array_equal(h.data, 0.0)
 
-    def test_hidden_is_the_width_of_w_h(self):
-        params = LSTMLayerParams(
-            w_x=Tensor(np.zeros((12, 3))),
-            w_h=Tensor(np.zeros((12, 3))),
-            b=Tensor(np.zeros(12)))
-        assert params.hidden == 3
-        with pytest.raises(AttributeError):
-            params.hidden = 4
-
     def test_saturated_forget_gate_preserves_cell(self):
         hidden = 4
         b = np.full(4 * hidden, -50.0)       # shut input/output/candidate
@@ -456,6 +447,10 @@ class TestTeacherForcedLoss:
         assert loss.data.dtype == np.float32
         assert {p.gradient().dtype for p in model.parameters()} == {np.dtype(np.float32)}
         assert greedy_decode(model, _annots(), max_len=3) is not None
+
+    def test_train_mode_dropout_without_rng_refused(self):
+        with pytest.raises(ValueError, match="needs an RNG"):
+            teacher_forced_loss(_model(dropout=0.5), _annots(), ["w1"], train_mode=True)
 
     def test_determinism(self):
         def run():
